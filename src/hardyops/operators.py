@@ -293,6 +293,22 @@ def _one_dim_symbol(taus: np.ndarray, d: int, alpha: float) -> np.ndarray:
     return vals
 
 
+_COLLOCATION_THETAS = math.pi * np.arange(1, _NEAR_LAGS + 1) / _NEAR_LAGS
+
+
+@lru_cache(maxsize=64)
+def _near_field_symbol(h: float, d: int, alpha: float) -> np.ndarray:
+    """phi at the collocation frequencies theta_j / h, memoized.
+
+    The symbol depends on the grid only through its log step, so grids
+    sharing (h, d, alpha) share this integral.  The array is read-only
+    because the memo hands the same object to every caller.
+    """
+    vals = _one_dim_symbol(_COLLOCATION_THETAS / h, d, alpha)
+    vals.setflags(write=False)
+    return vals
+
+
 # ---------------------------------------------------------------------------
 # assembly
 
@@ -322,8 +338,8 @@ def _symmetric_free_matrix(grid: RadialGrid, alpha: float) -> np.ndarray:
     # Replace the first few lags by weights that reproduce the exact
     # one-dimensional symbol at eight frequencies up to the Nyquist.
     j = np.arange(1, _NEAR_LAGS + 1)
-    thetas = math.pi * j / _NEAR_LAGS
-    phi_vals = _one_dim_symbol(thetas / h, d, alpha)
+    thetas = _COLLOCATION_THETAS
+    phi_vals = _near_field_symbol(h, d, alpha)
     b_far = np.arange(_NEAR_LAGS + 1, n)
     far_sum = (
         2.0 * (1.0 - np.cos(np.outer(thetas, b_far))) @ lag_weights[_NEAR_LAGS:]

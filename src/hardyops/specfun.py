@@ -152,14 +152,21 @@ def psi(d: int, alpha: float, sigma: float) -> float:
         # going through the gamma ratios here would miss it by an ulp,
         # which the inverse then amplifies across the quadratic minimum.
         return a_star(d, alpha)
+    head = 0.5 * (sigma + alpha)
+    if head == 0.0:
+        # sigma + alpha is the smallest subnormal; psi ~ 2/(sigma + alpha)
+        # is far beyond the double range there.
+        return math.inf
     log_mag = (
         alpha * _LN2
-        + log_gamma(0.5 * (sigma + alpha))
+        + log_gamma(head)
         + log_gamma(0.5 * (d - sigma))
         - log_gamma(0.5 * (d - sigma - alpha))
     )
     if sigma > 0.0:
-        return -math.exp(log_mag - log_gamma(0.5 * sigma))
+        # Rounding in the gamma ratios can land an ulp below the minimum
+        # a_star just left of the right endpoint; the exact symbol cannot.
+        return max(-math.exp(log_mag - log_gamma(0.5 * sigma)), a_star(d, alpha))
     half = 0.5 * sigma
     # 1/Gamma(half) = half / Gamma(half + 1); half in (-1, 0) here.
     return -half * math.exp(log_mag - log_gamma(half + 1.0))
@@ -196,19 +203,12 @@ def psi_inv(d: int, alpha: float, a: float) -> float:
         return hi
     if a == 0.0:
         return 0.0
-    lo = -alpha + 1e-6 * alpha
-    for _ in range(60):
-        if psi(d, alpha, lo) >= a:
-            break
-        nxt = -alpha + 0.5 * (lo + alpha)
-        if nxt == lo or not (nxt > -alpha):
-            # The offset from -alpha has shrunk below resolvable spacing;
-            # the target coupling is too large to invert in doubles.
-            raise ConvergenceError(
-                f"could not bracket psi_inv target a={a!r} near sigma=-alpha"
-            )
-        lo = nxt
-    else:
+    lo, prev = max(-alpha + 1e-6 * alpha, math.nextafter(-alpha, 0.0)), None
+    while lo > -alpha and lo != prev and psi(d, alpha, lo) < a:
+        prev, lo = lo, -alpha + 0.5 * (lo + alpha)
+    if not (lo > -alpha) or lo == prev:
+        # The offset from -alpha has shrunk below resolvable spacing;
+        # the target coupling is too large to invert in doubles.
         raise ConvergenceError(
             f"could not bracket psi_inv target a={a!r} near sigma=-alpha"
         )

@@ -341,6 +341,57 @@ def _ladder_verdict(values: Sequence[float], stable_factor: float, diverging_fac
     return "fail"
 
 
+# One-slot memo of the Hardy eigensystems of the latest ladder: at most one
+# entry, (params, n_rungs, r_min, r_max, grid_n, refine_factor) -> tuple of
+# SpectralOperators, one per rung.  Both ladder functions read their rungs
+# from it, so a generalized and a reverse ladder on the same parameters
+# share every Hardy eigh.
+_ladder_slot: dict = {}
+
+
+def _hardy_rung(params: HardyParams, r_min: float, r_max: float, grid_n: int):
+    op = build_hardy_operator(build_log_grid(params.d, r_min, r_max, grid_n), params)
+    # The slot keeps the eigensystem only; the assembled free matrix
+    # (n^2 doubles per rung) would otherwise live on with the rung's grid.
+    op.grid._cache.pop(("free_sym", op.alpha), None)
+    return op
+
+
+def _hardy_rungs(params: HardyParams, n_rungs: int, r_min: float, r_max: float,
+                 grid_n: int, refine_factor: float) -> tuple:
+    """Hardy operators on the ladder's rungs, inner radius r_min / refine_factor**k."""
+    key = (params, n_rungs, r_min, r_max, grid_n, refine_factor)
+    rungs = _ladder_slot.get(key)
+    if rungs is None:
+        # Release the previous ladder before building the next, so two
+        # ladders' eigensystems are never held at once.
+        _ladder_slot.clear()
+        rungs = tuple(
+            _hardy_rung(params, r_min * refine_factor ** (-k), r_max, grid_n)
+            for k in range(n_rungs)
+        )
+        _ladder_slot[key] = rungs
+    return rungs
+
+
+def _generalized_rung_value(op, params: HardyParams, s: float) -> float:
+    grid = op.grid
+    lam = op.eigenvalues
+    # Exclude the numerically-zero subspace: at the critical coupling the
+    # construction carries an exact kernel vector whose eigenvalue lands
+    # at rounding level, far below any genuine excited level.
+    cut = 1e-15 * float(lam.max())
+    keep = lam > cut
+    sqrt_w = np.sqrt(grid.weights)
+    q = op.modes[:, keep] * sqrt_w[:, None]
+    phi = q * lam[keep] ** (-0.5 * s)
+    weight = grid.nodes ** (-params.alpha * s)
+    mat = phi.T @ (weight[:, None] * phi)
+    mat = 0.5 * (mat + mat.T)
+    top = float(np.linalg.eigvalsh(mat)[-1])
+    return math.sqrt(max(top, 0.0))
+
+
 def generalized_hardy_constant(
     params: HardyParams,
     s: float,
@@ -368,30 +419,21 @@ def generalized_hardy_constant(
     of margin on both sides down the default ladder; ladders much deeper
     than ``r_min * refine_factor**-4`` would push the cut into the
     physical spectrum and need this revisited.
+
+    The rungs' Hardy eigensystems are kept in a one-slot memo keyed by
+    ``(params, n_refinements + 1, r_min, r_max, grid_n, refine_factor)``
+    and shared with :func:`reverse_hardy_constant`.  The slot holds
+    ``(n_refinements + 1) * grid_n**2`` doubles (34 MB at the defaults)
+    and is released when a ladder with a different key is requested,
+    before that ladder is built.
     """
     s = float(s)
     if not (0.0 < s <= 2.0):
         raise DomainError(f"s={s} outside (0, 2]")
     if n_refinements < 1:
         raise DomainError("need at least one refinement")
-    values = []
-    for k in range(n_refinements + 1):
-        grid = build_log_grid(params.d, r_min * refine_factor ** (-k), r_max, grid_n)
-        op = build_hardy_operator(grid, params)
-        lam = op.eigenvalues
-        # Exclude the numerically-zero subspace: at the critical coupling the
-        # construction carries an exact kernel vector whose eigenvalue lands
-        # at rounding level, far below any genuine excited level.
-        cut = 1e-15 * float(lam.max())
-        keep = lam > cut
-        sqrt_w = np.sqrt(grid.weights)
-        q = op.modes[:, keep] * sqrt_w[:, None]
-        phi = q * lam[keep] ** (-0.5 * s)
-        weight = grid.nodes ** (-params.alpha * s)
-        mat = phi.T @ (weight[:, None] * phi)
-        mat = 0.5 * (mat + mat.T)
-        top = float(np.linalg.eigvalsh(mat)[-1])
-        values.append(math.sqrt(max(top, 0.0)))
+    rungs = _hardy_rungs(params, n_refinements + 1, r_min, r_max, grid_n, refine_factor)
+    values = [_generalized_rung_value(op, params, s) for op in rungs]
     verdict = _ladder_verdict(values, stable_factor, diverging_factor)
     ladder = ", ".join(f"{v:.6g}" for v in values)
     return VerificationReport(
@@ -415,6 +457,22 @@ def _sym_power_matrix(op, s: float) -> np.ndarray:
     return (q * scale) @ q.T
 
 
+def _reverse_rung_value(full, params: HardyParams, s: float) -> float:
+    grid = full.grid
+    if params.a == 0.0:
+        free = full
+    else:
+        twin = build_log_grid(grid.d, grid.r_min, grid.r_max, grid.n)
+        free = build_fractional_laplacian(twin, params.alpha)
+    right = grid.nodes ** (0.5 * params.alpha * s)
+    diff_mat = _sym_power_matrix(full, s) - _sym_power_matrix(free, s)
+    weighted = diff_mat * right[None, :]
+    gram = weighted.T @ weighted
+    gram = 0.5 * (gram + gram.T)
+    top = float(np.linalg.eigvalsh(gram)[-1])
+    return math.sqrt(max(top, 0.0))
+
+
 def reverse_hardy_constant(
     params: HardyParams,
     s: float,
@@ -434,29 +492,27 @@ def reverse_hardy_constant(
     evaluated from the assembled matrices directly because routing the
     identity map through an eigendecomposition only adds reconstruction
     noise.  Fractional s goes through the spectral calculus.
+
+    The Hardy eigensystems L come from the same one-slot memo as
+    :func:`generalized_hardy_constant`, so after that function on the same
+    parameters and ladder only the free eigensystem T is computed per
+    rung, on a grid of its own that is released with the rung.  At zero
+    coupling the Hardy rung serves as T, which makes the ladder exactly
+    zero.  The s = 2 case builds no eigensystem and leaves the memo alone.
     """
     s = float(s)
     if not (0.0 < s <= 2.0):
         raise DomainError(f"s={s} outside (0, 2]")
     if n_refinements < 1:
         raise DomainError("need at least one refinement")
-    values = []
-    for k in range(n_refinements + 1):
-        grid = build_log_grid(params.d, r_min * refine_factor ** (-k), r_max, grid_n)
-        r = grid.nodes
-        right = r ** (0.5 * params.alpha * s)
-        if s == 2.0:
-            diff = params.a * r ** (-params.alpha)
-            values.append(float(np.max(np.abs(diff * right))))
-            continue
-        free = build_fractional_laplacian(grid, params.alpha)
-        full = build_hardy_operator(grid, params)
-        diff_mat = _sym_power_matrix(full, s) - _sym_power_matrix(free, s)
-        weighted = diff_mat * right[None, :]
-        gram = weighted.T @ weighted
-        gram = 0.5 * (gram + gram.T)
-        top = float(np.linalg.eigvalsh(gram)[-1])
-        values.append(math.sqrt(max(top, 0.0)))
+    if s == 2.0:
+        values = []
+        for k in range(n_refinements + 1):
+            r = build_log_grid(params.d, r_min * refine_factor ** (-k), r_max, grid_n).nodes
+            values.append(float(np.max(np.abs(params.a * r ** (-params.alpha) * r ** params.alpha))))
+    else:
+        rungs = _hardy_rungs(params, n_refinements + 1, r_min, r_max, grid_n, refine_factor)
+        values = [_reverse_rung_value(full, params, s) for full in rungs]
     if params.a == 0.0:
         # difference operator vanishes identically; the ladder is all zeros
         verdict = "pass" if max(values) == 0.0 else "fail"

@@ -1,0 +1,119 @@
+"""Sharing of eigensystems between the refinement ladders.
+
+Both ladder functions read their Hardy rungs from a one-slot memo in
+``verify``, and the free-matrix assembly memoizes the near-field symbol by
+log step.  Neither memo may change a single bit of any result.
+"""
+
+import weakref
+
+import numpy as np
+import pytest
+
+from hardyops import operators, verify
+from hardyops.operators import _near_field_symbol, _symmetric_free_matrix, build_log_grid
+from hardyops.verify import generalized_hardy_constant, reverse_hardy_constant
+
+# Two rungs, so a report's empirical_lower and empirical_upper are the whole
+# ladder and comparing them compares every rung value bitwise.
+LADDER = {"n_refinements": 1, "grid_n": 128}
+
+
+@pytest.fixture(autouse=True)
+def empty_slot():
+    verify._ladder_slot.clear()
+    yield
+    verify._ladder_slot.clear()
+
+
+def _values(report):
+    return report.empirical_lower, report.empirical_upper, report.verdict
+
+
+def _cold(check, params, s):
+    verify._ladder_slot.clear()
+    return _values(check(params, s, **LADDER))
+
+
+def test_shared_rungs_match_a_cold_computation(params_half_critical, monkeypatch):
+    gen = generalized_hardy_constant(params_half_critical, 1.0, **LADDER)
+
+    def no_hardy_build(grid, params):
+        raise AssertionError("the Hardy rungs should come from the slot")
+
+    monkeypatch.setattr(verify, "build_hardy_operator", no_hardy_build)
+    rev = reverse_hardy_constant(params_half_critical, 1.0, **LADDER)
+    monkeypatch.undo()
+
+    assert _values(rev) == _cold(reverse_hardy_constant, params_half_critical, 1.0)
+    assert _values(gen) == _cold(generalized_hardy_constant, params_half_critical, 1.0)
+
+
+def test_slot_holds_only_the_latest_hardy_rungs(params_zero, params_half_critical, monkeypatch):
+    generalized_hardy_constant(params_zero, 1.0, **LADDER)
+    (old_rungs,) = verify._ladder_slot.values()
+    old = [weakref.ref(op) for op in old_rungs]
+    del old_rungs
+
+    real_build = verify.build_hardy_operator
+
+    def build_after_release(grid, params):
+        assert not verify._ladder_slot, "previous ladder still held while building"
+        return real_build(grid, params)
+
+    monkeypatch.setattr(verify, "build_hardy_operator", build_after_release)
+    reverse_hardy_constant(params_half_critical, 0.5, **LADDER)
+
+    assert all(ref() is None for ref in old)
+    ((key, rungs),) = verify._ladder_slot.items()
+    assert key[0] == params_half_critical
+    assert len(rungs) == 2
+    for op in rungs:
+        assert op.coupling == params_half_critical.a
+        assert not any(k[0] == "free_sym" for k in op.grid._cache)
+
+
+def test_call_order_does_not_change_results(params_half_critical):
+    rev_first = _values(reverse_hardy_constant(params_half_critical, 1.0, **LADDER))
+    gen_second = _values(generalized_hardy_constant(params_half_critical, 1.0, **LADDER))
+    rev_again = _values(reverse_hardy_constant(params_half_critical, 0.5, **LADDER))
+
+    assert gen_second == _cold(generalized_hardy_constant, params_half_critical, 1.0)
+    assert rev_first == _cold(reverse_hardy_constant, params_half_critical, 1.0)
+    assert rev_again == _cold(reverse_hardy_constant, params_half_critical, 0.5)
+
+
+def test_s_two_reverse_ladder_leaves_the_slot_alone(params_zero, params_half_critical):
+    generalized_hardy_constant(params_zero, 1.0, **LADDER)
+    before = dict(verify._ladder_slot)
+    reverse_hardy_constant(params_half_critical, 2.0, **LADDER)
+    assert verify._ladder_slot == before
+
+
+def test_zero_coupling_reverse_ladder_is_exactly_zero_at_default_grid(params_zero, monkeypatch):
+    def no_free_build(grid, alpha):
+        raise AssertionError("at zero coupling the Hardy rung is the free operator")
+
+    monkeypatch.setattr(verify, "build_fractional_laplacian", no_free_build)
+    rep = reverse_hardy_constant(params_zero, 1.0, n_refinements=1)
+    assert rep.params["grid_n"] == 1024
+    assert rep.empirical_lower == rep.empirical_upper == 0.0
+    assert rep.verdict == "pass"
+
+
+def test_near_field_symbol_memo_is_bitwise_transparent(monkeypatch):
+    alpha = 1.3
+    first = build_log_grid(3, 1e-2, 1e2, 128)
+    twin = build_log_grid(3, 1e-2, 1e2, 128)
+    assert operators._log_step(first) == operators._log_step(twin)
+
+    _near_field_symbol.cache_clear()
+    cold = _symmetric_free_matrix(first, alpha)
+    warm = _symmetric_free_matrix(twin, alpha)
+    info = _near_field_symbol.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+
+    monkeypatch.setattr(operators, "_near_field_symbol", _near_field_symbol.__wrapped__)
+    bare = _symmetric_free_matrix(build_log_grid(3, 1e-2, 1e2, 128), alpha)
+    assert np.array_equal(cold, warm)
+    assert np.array_equal(warm, bare)
