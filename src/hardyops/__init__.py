@@ -8,7 +8,6 @@ from .specfun import (
     HardyParams,
     a_star,
     a_star_star,
-    digamma,
     hardy_constant,
     log_gamma,
     make_params,

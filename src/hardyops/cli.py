@@ -425,8 +425,7 @@ def _cmd_diff_verify(cfg: dict, em: _Emitter) -> int:
 
 
 def _cmd_schur(cfg: dict, em: _Emitter) -> int:
-    result = schur_weight_integral(cfg["beta"], cfg["delta_plus"], cfg["d"],
-                                   tol=cfg["tol"])
+    result = schur_weight_integral(cfg["beta"], cfg["delta_plus"], cfg["d"])
     status = "divergent" if result.divergent else "finite"
     value_text = "inf" if result.divergent else f"{result.value:.10f}"
     em.lines.append(f"schur_weight_integral = {value_text}")
@@ -682,6 +681,12 @@ def _cmd_suite(cfg: dict, em: _Emitter) -> int:
 
 _COMMANDS = {}
 
+_DEFAULT_BOX = {
+    "grid_n": verify.DEFAULT_GRID_N,
+    "r_min": verify.DEFAULT_R_MIN,
+    "r_max": verify.DEFAULT_R_MAX,
+}
+
 
 def _register(name, handler, options, required, defaults, header, help_text):
     _COMMANDS[name] = _Command(
@@ -733,8 +738,7 @@ _register(
     "heat-verify", _cmd_heat_verify,
     ("d", "alpha", "a", "t", "grid_n", "r_min", "r_max", "seed", "tol"),
     ("d", "alpha"),
-    {"a": 0.0, "t": (1.0,), "grid_n": 1024, "r_min": 1e-3, "r_max": 1e3,
-     "seed": 0, "tol": 100.0},
+    {"a": 0.0, "t": (1.0,), **_DEFAULT_BOX, "seed": 0, "tol": 100.0},
     ("d", "alpha", "a", "delta", "t", "ratio_min", "ratio_max", "verdict"),
     "compare the discrete heat kernel against its two-sided profile",
 )
@@ -742,15 +746,15 @@ _register(
     "diff-verify", _cmd_diff_verify,
     ("d", "alpha", "a", "a_tilde", "t", "grid_n", "r_min", "r_max", "seed"),
     ("d", "alpha"),
-    {"a": 0.0, "t": (1.0,), "grid_n": 1024, "r_min": 1e-3, "r_max": 1e3, "seed": 0},
+    {"a": 0.0, "t": (1.0,), **_DEFAULT_BOX, "seed": 0},
     ("d", "alpha", "a", "a_tilde", "sup_lower", "sup_upper", "verdict"),
     "bound the difference of heat kernels by its envelope, optionally for an "
     "interpolated potential sandwiched between two couplings",
 )
 _register(
     "schur", _cmd_schur,
-    ("d", "beta", "delta_plus", "tol"), ("d", "beta"),
-    {"delta_plus": 0.0, "tol": 1e-10},
+    ("d", "beta", "delta_plus"), ("d", "beta"),
+    {"delta_plus": 0.0},
     ("d", "beta", "delta_plus", "value", "status"),
     "evaluate the weighted Schur test integral and report finiteness",
 )
@@ -760,7 +764,7 @@ _register(
      "grid_n", "r_min", "r_max", "seed", "tol"),
     ("d", "alpha"),
     {"a": 0.0, "s": (0.5, 1.0, 1.5), "family": "gaussian-dilates",
-     "grid_n": 1024, "r_min": 1e-3, "r_max": 1e3, "seed": 0, "tol": 1e3},
+     **_DEFAULT_BOX, "seed": 0, "tol": 1e3},
     verify.SWEEP_COLUMNS,
     "sweep norm-equivalence ratios over a test family and a list of powers",
 )

@@ -40,8 +40,8 @@ class KernelTriple:
     """Radial geometry of a pair of points: |x|, |y| and |x-y|.
 
     The three lengths must be nonnegative, finite, and satisfy the
-    triangle inequality up to a small relative slack (the slack absorbs
-    rounding when triples are generated from sampled angles).
+    triangle inequality up to a slack of 1e-9 times their sum (the slack
+    absorbs rounding when triples are generated from sampled angles).
     """
 
     rx: float
@@ -234,21 +234,24 @@ def m_envelope(t: float, q: KernelTriple, params: HardyParams) -> float:
     return t ** (1.0 - d / alpha) / rmin**alpha * tail
 
 
+ANGULAR_NODES = 48  # Gauss-Jacobi nodes of every angular average
+
+
 @lru_cache(maxsize=64)
 def _jacobi_rule(n: int, beta: float):
     x, w = roots_jacobi(n, beta, beta)
     return x, w, float(np.sum(w))
 
 
-def angular_average(fn, rx: float, ry: float, d: int, *, n_nodes: int = 48) -> float:
+def angular_average(fn, rx: float, ry: float, d: int) -> float:
     """Average fn(|x-y|) over the sphere angle between x and y.
 
     With xi = |x-y|^2 the uniform measure on the angle has density
     proportional to ((xi - xi_min)(xi_max - xi))^{(d-3)/2} on
-    [ (rx-ry)^2, (rx+ry)^2 ], so the average is a Gauss-Jacobi sum with
-    symmetric exponent (d-3)/2.  fn must accept an ndarray of distances.
-    Degenerate geometry (a vanishing radius) collapses to a point
-    evaluation.
+    [ (rx-ry)^2, (rx+ry)^2 ], so the average is a Gauss-Jacobi sum of
+    ``ANGULAR_NODES`` nodes with symmetric exponent (d-3)/2.  fn must
+    accept an ndarray of distances.  Degenerate geometry (a vanishing
+    radius) collapses to a point evaluation.
     """
     if isinstance(d, bool) or not isinstance(d, int) or d < 2:
         raise DomainError(f"dimension must be an integer >= 2, got {d!r}")
@@ -257,7 +260,7 @@ def angular_average(fn, rx: float, ry: float, d: int, *, n_nodes: int = 48) -> f
     if width <= 1e-300:
         return float(fn(np.asarray([math.sqrt(max(xi_min, 0.0))]))[0])
     beta = 0.5 * (d - 3)
-    x, w, wsum = _jacobi_rule(n_nodes, beta)
+    x, w, wsum = _jacobi_rule(ANGULAR_NODES, beta)
     xi = xi_min + width * 0.5 * (1.0 + x)
     vals = np.asarray(fn(np.sqrt(xi)), dtype=float)
     return float(np.dot(w, vals) / wsum)

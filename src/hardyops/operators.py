@@ -387,13 +387,19 @@ class SpectralOperator:
     label: str
 
 
-def _finalize_eigensystem(grid: RadialGrid, s_mat: np.ndarray, alpha: float,
-                          coupling: Optional[float], label: str,
+def _finalize_eigensystem(grid: RadialGrid, alpha: float, coupling: Optional[float],
+                          label: str, diagonal: Optional[np.ndarray] = None,
                           cache_key=None) -> SpectralOperator:
+    """Eigensystem of the free matrix plus an optional diagonal, looked up
+    in the grid cache before anything is assembled."""
     if cache_key is not None and cache_key in grid._cache:
         lam, modes = grid._cache[cache_key]
     else:
-        lam, q_mat = np.linalg.eigh(s_mat)
+        s_mat = _symmetric_free_matrix(grid, alpha)
+        if diagonal is not None:
+            s_mat = s_mat.copy()
+            s_mat.flat[:: grid.n + 1] += diagonal
+        lam, modes = np.linalg.eigh(s_mat)
         spec_radius = float(max(abs(lam[0]), abs(lam[-1])))
         tol_neg = 1e-8 * spec_radius
         if lam[0] < -tol_neg:
@@ -403,7 +409,7 @@ def _finalize_eigensystem(grid: RadialGrid, s_mat: np.ndarray, alpha: float,
                 f"operator this represents would not be semibounded here"
             )
         lam = np.maximum(lam, 0.0)
-        modes = q_mat / np.sqrt(grid.weights)[:, None]
+        modes /= np.sqrt(grid.weights)[:, None]
         if cache_key is not None:
             grid._cache[cache_key] = (lam, modes)
     return SpectralOperator(
@@ -418,9 +424,8 @@ def _finalize_eigensystem(grid: RadialGrid, s_mat: np.ndarray, alpha: float,
 
 def build_fractional_laplacian(grid: RadialGrid, alpha: float) -> SpectralOperator:
     """Discrete |p|^alpha restricted to radial functions on the grid."""
-    s_mat = _symmetric_free_matrix(grid, alpha)
     return _finalize_eigensystem(
-        grid, s_mat, float(alpha), 0.0,
+        grid, float(alpha), 0.0,
         label=f"fractional_laplacian(alpha={alpha})",
         cache_key=("eig", float(alpha), 0.0),
     )
@@ -439,11 +444,10 @@ def build_hardy_operator(grid: RadialGrid, params: HardyParams) -> SpectralOpera
         raise DomainError(
             f"grid dimension {grid.d} does not match params.d={params.d}"
         )
-    s_mat = _symmetric_free_matrix(grid, params.alpha)
-    s_mat = s_mat + np.diag(params.a * grid.nodes**-params.alpha)
     return _finalize_eigensystem(
-        grid, s_mat, params.alpha, params.a,
+        grid, params.alpha, params.a,
         label=f"hardy_operator(alpha={params.alpha}, a={params.a})",
+        diagonal=params.a * grid.nodes**-params.alpha,
         cache_key=("eig", float(params.alpha), float(params.a)),
     )
 
@@ -491,10 +495,10 @@ def build_potential_operator(grid: RadialGrid, alpha: float,
             f"potential escapes its sandwich at r={r[i]:.6g}: "
             f"V={v_vals[i]:.6g} outside [{lo[i]:.6g}, {hi[i]:.6g}]"
         )
-    s_mat = _symmetric_free_matrix(grid, alpha) + np.diag(v_vals)
     return _finalize_eigensystem(
-        grid, s_mat, alpha, None,
+        grid, alpha, None,
         label=f"potential_operator(alpha={alpha})",
+        diagonal=v_vals,
     )
 
 
@@ -504,12 +508,12 @@ def build_potential_operator(grid: RadialGrid, alpha: float,
 def apply_function(op: SpectralOperator, phi: Callable, f) -> np.ndarray:
     """Apply phi(operator) to the radial vector f through the eigensystem.
 
-    phi is evaluated on the eigenvalues (vectorized when possible).  On
-    eigenvalues clamped to zero a non-finite phi value is replaced by
-    zero, projecting onto the positive subspace, which is the right
-    convention for negative powers of operators with a critical zero
-    mode.  Non-finite phi on a strictly positive eigenvalue raises
-    DomainError.
+    phi maps the eigenvalue array to an array of the same shape; any
+    other shape raises DomainError.  On eigenvalues clamped to zero a
+    non-finite phi value is replaced by zero, projecting onto the
+    positive subspace, which is the right convention for negative powers
+    of operators with a critical zero mode.  Non-finite phi on a strictly
+    positive eigenvalue raises DomainError.
     """
     f = np.asarray(f, dtype=float)
     if f.shape != (op.grid.n,):
@@ -518,12 +522,11 @@ def apply_function(op: SpectralOperator, phi: Callable, f) -> np.ndarray:
         )
     lam = op.eigenvalues
     with np.errstate(all="ignore"):
-        try:
-            vals = np.asarray(phi(lam), dtype=float)
-            if vals.shape != lam.shape:
-                raise TypeError
-        except (TypeError, ValueError):
-            vals = np.array([float(phi(x)) for x in lam])
+        vals = np.asarray(phi(lam), dtype=float)
+    if vals.shape != lam.shape:
+        raise DomainError(
+            f"phi returned shape {vals.shape} for eigenvalues of shape {lam.shape}"
+        )
     bad = ~np.isfinite(vals)
     if np.any(bad & (lam > 0.0)):
         raise DomainError("phi is not finite on a positive eigenvalue")

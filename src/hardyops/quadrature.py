@@ -4,8 +4,9 @@ The integrator substitutes t = e^u, seeds panel edges at known kink
 locations, extends the window in both directions until the integrand is
 certifiably negligible, and then bisects the worst panel by a
 Gauss-Kronrod error estimate until the total estimate meets the
-tolerance.  Everything else in the module is a thin wrapper that prepares
-a specific integrand and kink set.
+tolerance or ``MAX_SPLITS`` bisections are spent.  The Riesz time integral
+and the Gamma check are thin wrappers that prepare a specific integrand
+and kink set; the Schur weight integral has a closed form.
 """
 
 from __future__ import annotations
@@ -49,6 +50,10 @@ _WG = np.array([
 _U_FLOOR = -690.0
 _U_CEIL = 690.0
 
+MAX_SPLITS = 4000  # panel bisections before the integrator gives up
+RIESZ_TOL = 1e-9  # absolute tolerance on the Riesz time integral I
+GAMMA_TOL = 1e-10  # absolute tolerance of the Gamma(-s/2) quadrature check
+
 
 @dataclass(frozen=True)
 class QuadResult:
@@ -81,7 +86,6 @@ def integrate_semiinfinite(
     f: Callable,
     tol: float,
     kinks: Iterable[float] = (),
-    max_splits: int = 4000,
 ) -> QuadResult:
     """Integrate f over (0, inf) to absolute tolerance tol.
 
@@ -143,7 +147,7 @@ def integrate_semiinfinite(
     total_err = sum(item[4] for item in heap)
     splits = 0
     while total_err > tol:
-        if splits >= max_splits:
+        if splits >= MAX_SPLITS:
             raise ConvergenceError(
                 f"refinement budget exhausted: error estimate {total_err:.3e} "
                 f"above tolerance {tol:.3e} after {splits} splits"
@@ -169,7 +173,6 @@ def riesz_time_integral(
     s: float,
     q: KernelTriple,
     params: HardyParams,
-    tol: float = 1e-9,
 ) -> float:
     """Time-integral representation of the Riesz kernel profile.
 
@@ -183,8 +186,8 @@ def riesz_time_integral(
     with kinks at t = 1 and t = (|x|/|x-y|)^alpha, (|y|/|x-y|)^alpha.
     Requires all three radial lengths positive and s inside the window
     (0, min(2d/alpha, 2(d - 2 delta)/alpha)), which is exactly the
-    condition making the integral converge.  tol is the absolute
-    tolerance passed to the adaptive integrator for I.
+    condition making the integral converge.  I is integrated to the
+    absolute tolerance ``RIESZ_TOL``.
     """
     s = float(s)
     smax = riesz_exponent_window(params)
@@ -207,7 +210,7 @@ def riesz_time_integral(
         return np.exp(le)
 
     kinks = (1.0, (q.rx / q.rxy) ** alpha, (q.ry / q.rxy) ** alpha)
-    res = integrate_semiinfinite(integrand, tol, kinks=kinks)
+    res = integrate_semiinfinite(integrand, RIESZ_TOL, kinks=kinks)
     return q.rxy ** (0.5 * alpha * s - d) * res.value
 
 
@@ -224,14 +227,14 @@ def schur_weight_integral(
     beta: float,
     delta_plus: float,
     d: int,
-    tol: float = 1e-10,
 ) -> SchurIntegral:
     """Weighted Schur test integral
 
         int_{R^d} dz / (|z|^beta (|z| v 1)^d) * ((|z| v 1)/(|z| ^ 1))^{delta_+},
 
-    reduced to a radial integral times the sphere area.  The integral is
-    finite exactly when delta_+ < beta < d - delta_+; divergence is
+    in closed form: |S^{d-1}| (1/(d-beta-delta_+) + 1/(beta-delta_+)), the
+    sphere area times two radial power integrals split at |z| = 1.  The
+    integral is finite exactly when delta_+ < beta < d - delta_+; divergence is
     reported through the flag, never raised.
     """
     beta = float(beta)
@@ -240,23 +243,13 @@ def schur_weight_integral(
         raise DomainError("beta and delta_plus must be finite")
     if not (delta_plus < beta < d - delta_plus):
         return SchurIntegral(value=math.inf, divergent=True)
-
-    area = sphere_area(d)
-
-    # Selecting the exponent first keeps the discarded branch from
-    # overflowing at the probing tails (np.where evaluates both sides).
-    def integrand(r):
-        expo = np.where(r <= 1.0, d - 1.0 - beta - delta_plus,
-                        -1.0 - beta + delta_plus)
-        return r**expo
-
-    res = integrate_semiinfinite(integrand, tol, kinks=(1.0,))
-    return SchurIntegral(value=area * res.value, divergent=False)
+    value = sphere_area(d) * (1.0 / (d - beta - delta_plus) + 1.0 / (beta - delta_plus))
+    return SchurIntegral(value=value, divergent=False)
 
 
-def gamma_negative_half_integral_check(s: float, tol: float = 1e-10) -> float:
+def gamma_negative_half_integral_check(s: float) -> float:
     """Quadrature value of int_0^inf t^{-s/2} (e^{-t} - 1) dt/t for
-    0 < s < 2, which equals Gamma(-s/2).
+    0 < s < 2, which equals Gamma(-s/2); absolute tolerance ``GAMMA_TOL``.
 
     The integrand is negative on all of (0, inf); the small-t side is
     evaluated through expm1 to keep the e^{-t} - 1 cancellation exact.
@@ -268,7 +261,7 @@ def gamma_negative_half_integral_check(s: float, tol: float = 1e-10) -> float:
     def integrand(t):
         return t ** (-0.5 * s - 1.0) * np.expm1(-t)
 
-    return integrate_semiinfinite(integrand, tol).value
+    return integrate_semiinfinite(integrand, GAMMA_TOL).value
 
 
 def gamma_reflection_oracle(s: float) -> float:

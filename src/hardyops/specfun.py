@@ -17,14 +17,12 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from scipy.special import digamma as _sc_digamma
 from scipy.special import gammaln as _sc_gammaln
 
 from .errors import ConvergenceError, DomainError
 
 __all__ = [
     "log_gamma",
-    "digamma",
     "sphere_area",
     "hardy_constant",
     "a_star",
@@ -49,14 +47,6 @@ def log_gamma(x: float) -> float:
     if not (x > 0.0) or math.isinf(x):
         raise DomainError(f"log_gamma requires a finite x > 0, got {x!r}")
     return float(_sc_gammaln(x))
-
-
-def digamma(x: float) -> float:
-    """Logarithmic derivative of Gamma at x > 0."""
-    x = float(x)
-    if not (x > 0.0) or math.isinf(x):
-        raise DomainError(f"digamma requires a finite x > 0, got {x!r}")
-    return float(_sc_digamma(x))
 
 
 def sphere_area(d: int) -> float:

@@ -4,9 +4,10 @@ Every public function here follows the same recipe: build the discrete
 operators it needs, measure an empirical constant over a family of test
 vectors or sampled node pairs, and compress the outcome into a
 :class:`VerificationReport` carrying a verdict.  A verdict is ``"pass"``
-when the measured quantity stays inside its configured bound, ``"diverging"``
-when it grows by at least the configured factor along the probe direction
-(shrinking cutoff, refinement ladder), and ``"fail"`` otherwise.
+when the measured quantity stays inside its bound, ``"diverging"`` when it
+grows by at least ``DIVERGING_FACTOR`` along the probe direction (shrinking
+cutoff, refinement ladder), and ``"fail"`` otherwise.  A measurement is
+stable when it moves by less than ``STABLE_FACTOR``.
 
 The checks never assume monotone convergence under refinement; ladders are
 recorded in the report notes and judged only against the stated thresholds.
@@ -61,6 +62,17 @@ SWEEP_COLUMNS = (
     "ratio_forward",
     "ratio_backward",
 )
+
+STABLE_FACTOR = 2.0
+DIVERGING_FACTOR = 10.0
+REFINE_FACTOR = 100.0  # inner radius shrinks by this factor per ladder rung
+SIGN_SLACK = 1e-10  # entrywise sign violation tolerated in a difference kernel
+RIESZ_DECADES = 2.0  # sampled Riesz radii are log-uniform in [10^-2, 10^2]
+PLATEAU_OUTER = 50.0  # outer ramp radius of the singular-cutoff family
+
+DEFAULT_R_MIN = 1e-3
+DEFAULT_R_MAX = 1e3
+DEFAULT_GRID_N = 1024
 
 
 @dataclass(frozen=True)
@@ -117,7 +129,8 @@ class TestFamily:
     ``sigma`` is the singularity exponent of the cutoff family; when left
     unset it is resolved at evaluation time to ``delta - 0.01`` so the
     member profile tracks the near-zero-mode power law of the operator
-    under test.
+    under test.  Cutoff members ramp down to zero between
+    ``PLATEAU_OUTER`` and twice that radius.
     """
 
     tag: str
@@ -125,7 +138,6 @@ class TestFamily:
     dilation_range: tuple = (0.25, 4.0)
     sigma: Optional[float] = None
     eps_range: tuple = (1e-4, 3e-2)
-    plateau_outer: float = 50.0
 
     def __post_init__(self):
         if self.tag not in FAMILY_TAGS:
@@ -136,8 +148,6 @@ class TestFamily:
             lo, hi = getattr(self, name)
             if not (0.0 < lo < hi) or not math.isfinite(hi):
                 raise DomainError(f"{name} must be an increasing pair of positive reals")
-        if not self.plateau_outer > 0.0:
-            raise DomainError("plateau_outer must be positive")
 
     def members(self, grid: RadialGrid, delta: float = 0.0) -> Iterator[tuple]:
         """Yield ``(member_id, values_on_grid)`` pairs in probe order."""
@@ -151,7 +161,7 @@ class TestFamily:
             # probe direction is eps -> 0, so iterate eps descending
             for eps in np.geomspace(self.eps_range[1], self.eps_range[0], self.n_members):
                 ramp_in = _smoothstep(r / eps - 1.0)
-                ramp_out = 1.0 - _smoothstep(r / self.plateau_outer - 1.0)
+                ramp_out = 1.0 - _smoothstep(r / PLATEAU_OUTER - 1.0)
                 yield f"eps={eps:.6g}", r ** (-sig) * ramp_in * ramp_out
         else:
             for center in np.geomspace(0.05, 20.0, self.n_members):
@@ -159,8 +169,8 @@ class TestFamily:
                 yield f"center={center:.6g}", np.exp(-(arg * arg) / (2.0 * 0.35**2))
 
 
-def _default_grid(params: HardyParams, n: int = 1024, r_min: float = 1e-3, r_max: float = 1e3) -> RadialGrid:
-    return build_log_grid(params.d, r_min, r_max, n)
+def _default_grid(params: HardyParams) -> RadialGrid:
+    return build_log_grid(params.d, DEFAULT_R_MIN, DEFAULT_R_MAX, DEFAULT_GRID_N)
 
 
 def _report_params(params: HardyParams, grid: Optional[RadialGrid] = None, **extra) -> dict:
@@ -249,14 +259,13 @@ def norm_ratio_sweep(
     grid: Optional[RadialGrid] = None,
     *,
     pass_bound: float = 1e3,
-    diverging_factor: float = 10.0,
 ) -> VerificationReport:
     """Two-sided norm comparison between the free and the coupled operator.
 
     For each s the forward ratio ||T^{s/2} f|| / ||L^{s/2} f|| is expected
     to stay bounded when s < (d - 2 delta)/alpha and the backward ratio
     (its reciprocal) when s < d/alpha.  Outside a window the family is
-    expected to exhibit growth by ``diverging_factor`` between its first
+    expected to exhibit growth by ``DIVERGING_FACTOR`` between its first
     and last member; absence of that growth is reported as a failure since
     the family then certifies nothing.
     """
@@ -299,14 +308,14 @@ def norm_ratio_sweep(
                     verdicts.append("pass")
             else:
                 growth = vals[-1] / vals[0] if vals[0] > 0.0 else math.inf
-                if growth >= diverging_factor:
+                if growth >= DIVERGING_FACTOR:
                     verdicts.append("diverging")
                     notes.append(f"s={s} {label}: outside window, ratio grew {growth:.4g}x along family")
                 else:
                     verdicts.append("fail")
                     notes.append(
                         f"s={s} {label}: outside window but growth {growth:.4g}x "
-                        f"below {diverging_factor:.4g}x, family inconclusive"
+                        f"below {DIVERGING_FACTOR:.4g}x, family inconclusive"
                     )
     if "diverging" in verdicts:
         overall = "diverging"
@@ -330,19 +339,19 @@ def norm_ratio_sweep(
 # refinement-ladder constants
 
 
-def _ladder_verdict(values: Sequence[float], stable_factor: float, diverging_factor: float) -> str:
+def _ladder_verdict(values: Sequence[float]) -> str:
     vmin, vmax = min(values), max(values)
     if vmin <= 0.0 or not math.isfinite(vmax):
         return "fail"
-    if vmax / vmin < stable_factor:
+    if vmax / vmin < STABLE_FACTOR:
         return "pass"
-    if values[-1] / values[0] >= diverging_factor:
+    if values[-1] / values[0] >= DIVERGING_FACTOR:
         return "diverging"
     return "fail"
 
 
 # One-slot memo of the Hardy eigensystems of the latest ladder: at most one
-# entry, (params, n_rungs, r_min, r_max, grid_n, refine_factor) -> tuple of
+# entry, (params, n_rungs, r_min, r_max, grid_n) -> tuple of
 # SpectralOperators, one per rung.  Both ladder functions read their rungs
 # from it, so a generalized and a reverse ladder on the same parameters
 # share every Hardy eigh.
@@ -358,16 +367,16 @@ def _hardy_rung(params: HardyParams, r_min: float, r_max: float, grid_n: int):
 
 
 def _hardy_rungs(params: HardyParams, n_rungs: int, r_min: float, r_max: float,
-                 grid_n: int, refine_factor: float) -> tuple:
-    """Hardy operators on the ladder's rungs, inner radius r_min / refine_factor**k."""
-    key = (params, n_rungs, r_min, r_max, grid_n, refine_factor)
+                 grid_n: int) -> tuple:
+    """Hardy operators on the ladder's rungs, inner radius r_min / REFINE_FACTOR**k."""
+    key = (params, n_rungs, r_min, r_max, grid_n)
     rungs = _ladder_slot.get(key)
     if rungs is None:
         # Release the previous ladder before building the next, so two
         # ladders' eigensystems are never held at once.
         _ladder_slot.clear()
         rungs = tuple(
-            _hardy_rung(params, r_min * refine_factor ** (-k), r_max, grid_n)
+            _hardy_rung(params, r_min * REFINE_FACTOR ** (-k), r_max, grid_n)
             for k in range(n_rungs)
         )
         _ladder_slot[key] = rungs
@@ -397,31 +406,29 @@ def generalized_hardy_constant(
     s: float,
     n_refinements: int = 3,
     *,
-    r_min: float = 1e-3,
-    r_max: float = 1e3,
-    grid_n: int = 1024,
-    refine_factor: float = 100.0,
-    stable_factor: float = 2.0,
-    diverging_factor: float = 10.0,
+    r_min: float = DEFAULT_R_MIN,
+    r_max: float = DEFAULT_R_MAX,
+    grid_n: int = DEFAULT_GRID_N,
 ) -> VerificationReport:
     """Best constant C in ||r^{-alpha s/2} f|| <= C ||L^{s/2} f||.
 
     Measured as the square root of the largest eigenvalue of the weighted
     resolvent power restricted to the strictly positive spectral subspace,
-    on a ladder of grids whose inner radius shrinks by ``refine_factor``
-    per refinement.  A stable ladder passes; growth by
-    ``diverging_factor`` between the first and last rung is the expected
-    signature above the critical exponent.
+    on a ladder of grids whose inner radius shrinks by ``REFINE_FACTOR``
+    per refinement.  A ladder whose values stay within ``STABLE_FACTOR``
+    of each other passes; growth by ``DIVERGING_FACTOR`` between the
+    first and last rung is the expected signature above the critical
+    exponent.
 
     The subspace cut must sit between the rounding-level kernel eigenvalue
     and the lowest genuine excited level (set by the outer radius, around
     1e-3 for the default box).  1e-15 of the spectral radius keeps orders
     of margin on both sides down the default ladder; ladders much deeper
-    than ``r_min * refine_factor**-4`` would push the cut into the
+    than ``r_min * REFINE_FACTOR**-4`` would push the cut into the
     physical spectrum and need this revisited.
 
     The rungs' Hardy eigensystems are kept in a one-slot memo keyed by
-    ``(params, n_refinements + 1, r_min, r_max, grid_n, refine_factor)``
+    ``(params, n_refinements + 1, r_min, r_max, grid_n)``
     and shared with :func:`reverse_hardy_constant`.  The slot holds
     ``(n_refinements + 1) * grid_n**2`` doubles (34 MB at the defaults)
     and is released when a ladder with a different key is requested,
@@ -432,9 +439,9 @@ def generalized_hardy_constant(
         raise DomainError(f"s={s} outside (0, 2]")
     if n_refinements < 1:
         raise DomainError("need at least one refinement")
-    rungs = _hardy_rungs(params, n_refinements + 1, r_min, r_max, grid_n, refine_factor)
+    rungs = _hardy_rungs(params, n_refinements + 1, r_min, r_max, grid_n)
     values = [_generalized_rung_value(op, params, s) for op in rungs]
-    verdict = _ladder_verdict(values, stable_factor, diverging_factor)
+    verdict = _ladder_verdict(values)
     ladder = ", ".join(f"{v:.6g}" for v in values)
     return VerificationReport(
         check_name="generalized_hardy_constant",
@@ -478,12 +485,9 @@ def reverse_hardy_constant(
     s: float,
     n_refinements: int = 3,
     *,
-    r_min: float = 1e-3,
-    r_max: float = 1e3,
-    grid_n: int = 1024,
-    refine_factor: float = 100.0,
-    stable_factor: float = 2.0,
-    diverging_factor: float = 10.0,
+    r_min: float = DEFAULT_R_MIN,
+    r_max: float = DEFAULT_R_MAX,
+    grid_n: int = DEFAULT_GRID_N,
 ) -> VerificationReport:
     """Best constant C in ||(L^{s/2} - T^{s/2}) f|| <= C ||r^{-alpha s/2} f||.
 
@@ -491,7 +495,8 @@ def reverse_hardy_constant(
     diagonal, so the constant is |a| independent of the grid; that case is
     evaluated from the assembled matrices directly because routing the
     identity map through an eigendecomposition only adds reconstruction
-    noise.  Fractional s goes through the spectral calculus.
+    noise.  Fractional s goes through the spectral calculus.  The rungs
+    and the verdict follow :func:`generalized_hardy_constant`.
 
     The Hardy eigensystems L come from the same one-slot memo as
     :func:`generalized_hardy_constant`, so after that function on the same
@@ -508,17 +513,17 @@ def reverse_hardy_constant(
     if s == 2.0:
         values = []
         for k in range(n_refinements + 1):
-            r = build_log_grid(params.d, r_min * refine_factor ** (-k), r_max, grid_n).nodes
+            r = build_log_grid(params.d, r_min * REFINE_FACTOR ** (-k), r_max, grid_n).nodes
             values.append(float(np.max(np.abs(params.a * r ** (-params.alpha) * r ** params.alpha))))
     else:
-        rungs = _hardy_rungs(params, n_refinements + 1, r_min, r_max, grid_n, refine_factor)
+        rungs = _hardy_rungs(params, n_refinements + 1, r_min, r_max, grid_n)
         values = [_reverse_rung_value(full, params, s) for full in rungs]
     if params.a == 0.0:
         # difference operator vanishes identically; the ladder is all zeros
         verdict = "pass" if max(values) == 0.0 else "fail"
         notes = ("coupling is zero, difference operator vanishes",)
     else:
-        verdict = _ladder_verdict(values, stable_factor, diverging_factor)
+        verdict = _ladder_verdict(values)
         notes = ("ladder: " + ", ".join(f"{v:.6g}" for v in values),)
     return VerificationReport(
         check_name="reverse_hardy_constant",
@@ -697,8 +702,6 @@ def difference_envelope_check(
     potential: Optional[PotentialSpec] = None,
     grid: Optional[RadialGrid] = None,
     seed: int = 0,
-    stable_factor: float = 2.0,
-    sign_slack: float = 1e-10,
 ) -> VerificationReport:
     """Envelope bound on the difference of heat kernels.
 
@@ -706,8 +709,9 @@ def difference_envelope_check(
     its entries must carry the sign of the coupling.  With a potential
     sandwiched between two inverse-power couplings, the difference against
     the weaker coupling's kernel is compared instead and must be
-    nonnegative.  The sup of |difference| / envelope must be finite and
-    stable when the inner grid radius shrinks tenfold.
+    nonnegative, up to ``SIGN_SLACK``.  The sup of |difference| / envelope
+    must be finite and move by at most ``STABLE_FACTOR`` when the inner
+    grid radius shrinks tenfold.
 
     The envelope is always evaluated with the exponent of the stronger
     (lower) coupling: the potential's difference kernel sits inside the
@@ -748,11 +752,11 @@ def difference_envelope_check(
         params, subtract_params, env_params, times, sample_pairs, finer, seed, potential, notes
     )
     worst_violation = min(viol_base, viol_fine) if potential or params.a > 0 else max(viol_base, viol_fine)
-    sign_ok = abs(worst_violation) <= sign_slack
+    sign_ok = abs(worst_violation) <= SIGN_SLACK
     if not sign_ok:
-        notes.append(f"entrywise sign violation {worst_violation:.3e} beyond slack {sign_slack:.1e}")
+        notes.append(f"entrywise sign violation {worst_violation:.3e} beyond slack {SIGN_SLACK:.1e}")
     lo, hi = sorted((sup_base, sup_fine))
-    stable = math.isfinite(hi) and (lo == 0.0 and hi == 0.0 or (lo > 0.0 and hi / lo <= stable_factor))
+    stable = math.isfinite(hi) and (lo == 0.0 and hi == 0.0 or (lo > 0.0 and hi / lo <= STABLE_FACTOR))
     if not stable:
         notes.append(f"sup ratio moved from {sup_base:.4g} to {sup_fine:.4g} under refinement")
     notes.append(f"sup|K_diff|/envelope: base {sup_base:.6g}, refined {sup_fine:.6g}")
@@ -777,13 +781,12 @@ def riesz_equivalence_check(
     n_triples: int = 200,
     *,
     seed: int = 0,
-    tol: float = 1e-9,
     band_bound: float = 50.0,
-    radius_decades: float = 2.0,
 ) -> VerificationReport:
     """Ratio of the kernel time integral to the closed comparison profile.
 
-    Samples random geometric triples (two radii and an enclosed angle),
+    Samples random geometric triples (two radii, log-uniform over
+    ``RIESZ_DECADES`` decades either side of 1, and an enclosed angle),
     splits them by lambda = min(rx, ry)/rxy at 1/4, and requires the ratio
     band within each sampled case to satisfy C/c <= ``band_bound``.
     """
@@ -796,12 +799,12 @@ def riesz_equivalence_check(
     rng = np.random.default_rng(seed)
     cases: dict = {"lam>=1/4": [], "lam<=1/4": []}
     for _ in range(n_triples):
-        rx = 10.0 ** rng.uniform(-radius_decades, radius_decades)
-        ry = 10.0 ** rng.uniform(-radius_decades, radius_decades)
+        rx = 10.0 ** rng.uniform(-RIESZ_DECADES, RIESZ_DECADES)
+        ry = 10.0 ** rng.uniform(-RIESZ_DECADES, RIESZ_DECADES)
         mu = rng.uniform(-1.0, 1.0)
         rxy = math.sqrt((rx - ry) ** 2 + 2.0 * rx * ry * (1.0 - mu))
         triple = KernelTriple(rx, ry, rxy)
-        value = riesz_time_integral(s, triple, params, tol=tol)
+        value = riesz_time_integral(s, triple, params)
         profile = riesz_profile(s, triple, params)
         ratio = value / profile
         lam = min(rx, ry) / rxy

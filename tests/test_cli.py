@@ -1,4 +1,7 @@
 import json
+import math
+
+import pytest
 
 from hardyops.cli import main
 
@@ -73,6 +76,18 @@ def test_schur_finite_and_divergent(capsys):
     assert rc == 0
     assert "status = divergent" in out
     assert "inf" in out
+
+
+def test_schur_is_closed_form_without_tolerance(capsys, tmp_path):
+    out_json = tmp_path / "schur.json"
+    rc, _, _ = run(capsys, "schur", "--d", "3", "--beta", "1", "--out-json", str(out_json))
+    assert rc == 0
+    payload = json.loads(out_json.read_text())
+    assert "tol" not in payload["config"]
+    assert payload["reports"][0]["values"]["value"] == pytest.approx(6.0 * math.pi, rel=1e-15)
+    rc, _, err = run(capsys, "schur", "--d", "3", "--beta", "1", "--tol", "1e-8")
+    assert rc == 1
+    assert "--tol" in err
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from hardyops import operators
 from hardyops import (
     ConstructionError,
     DomainError,
@@ -184,6 +185,11 @@ def test_apply_function_rejects_bad_phi(medium_grid, rng):
         apply_function(op, lambda lam: np.full_like(lam, np.nan), f)
     with pytest.raises(DomainError):
         apply_function(op, lambda lam: lam, f[:-1])
+    # phi must map the eigenvalue array to an array of the same shape
+    with pytest.raises(DomainError):
+        apply_function(op, lambda lam: 1.0, f)
+    with pytest.raises(DomainError):
+        apply_function(op, lambda lam: lam[:-1], f)
 
 
 def test_inverse_power_from_heat_integral(small_grid):
@@ -291,3 +297,52 @@ def test_jump_profile_singular_head():
 def test_jump_profile_rejects_zero():
     with pytest.raises(DomainError):
         jump_profile(0.0, 3, 1.0)
+
+
+# ---------------------------------------------------------------------------
+# lean eigensystem builds
+
+
+def _dense_sum_eigensystem(grid, alpha, diagonal):
+    """Reference eigensystem of free + np.diag(diagonal), formed densely;
+    the builds add the diagonal in place and must match it bit for bit."""
+    s_mat = operators._symmetric_free_matrix(grid, alpha) + np.diag(diagonal)
+    lam, q_mat = np.linalg.eigh(s_mat)
+    return np.maximum(lam, 0.0), q_mat / np.sqrt(grid.weights)[:, None]
+
+
+@pytest.mark.parametrize("scale", [1.0, 0.5, 0.0, -2.0])
+def test_hardy_build_is_bitwise_the_dense_sum_formula(scale):
+    grid = build_log_grid(3, 1e-2, 1e2, 128)
+    params = make_params(3, 1.0, scale * a_star(3, 1.0))
+    op = build_hardy_operator(grid, params)
+    lam, modes = _dense_sum_eigensystem(grid, 1.0, params.a * grid.nodes**-1.0)
+    assert np.array_equal(op.eigenvalues, lam)
+    assert np.array_equal(op.modes, modes)
+
+
+def test_potential_build_is_bitwise_the_dense_sum_formula():
+    grid = build_log_grid(3, 1e-2, 1e2, 128)
+    lower, upper = a_star(3, 1.0), 0.5 * a_star(3, 1.0)
+
+    def profile(r):
+        return r**-1.0 * (lower * np.exp(-r) + upper * (1.0 - np.exp(-r)))
+
+    op = build_potential_operator(grid, 1.0, PotentialSpec(profile, lower, upper))
+    lam, modes = _dense_sum_eigensystem(grid, 1.0, profile(grid.nodes))
+    assert np.array_equal(op.eigenvalues, lam)
+    assert np.array_equal(op.modes, modes)
+
+
+def test_cached_hardy_build_assembles_nothing(params_half_critical, monkeypatch):
+    grid = build_log_grid(3, 1e-2, 1e2, 128)
+    first = build_hardy_operator(grid, params_half_critical)
+
+    def no_assembly(*args):
+        raise AssertionError("a cached eigensystem should need no matrix")
+
+    monkeypatch.setattr(operators, "_symmetric_free_matrix", no_assembly)
+    monkeypatch.setattr(operators.np.linalg, "eigh", no_assembly)
+    second = build_hardy_operator(grid, params_half_critical)
+    assert second.eigenvalues is first.eigenvalues
+    assert second.modes is first.modes

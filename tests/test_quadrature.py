@@ -156,18 +156,25 @@ def test_schur_anchor_six_pi():
 
 
 def test_schur_closed_form(rng):
-    # For delta_+ < beta < d - delta_+ the radial integral splits into
-    # two exact power integrals.
+    # An independent route: adaptive quadrature of the radial integrand
+    # r^{d-1} / (r^beta (r v 1)^d) ((r v 1)/(r ^ 1))^{delta_+}, split at
+    # the kink r = 1.  In u = ln r both halves decay exponentially, which
+    # QUADPACK resolves even where the exponents in r approach -1.
     for _ in range(10):
         d = int(rng.integers(2, 6))
         delta_plus = float(rng.uniform(0.0, 0.4 * d))
         beta = float(rng.uniform(delta_plus + 0.05, d - delta_plus - 0.05))
         res = schur_weight_integral(beta, delta_plus, d)
-        expected = sphere_area(d) * (
-            1.0 / (d - beta - delta_plus) + 1.0 / (beta - delta_plus)
-        )
+
+        def radial_du(u):
+            # The integrand times dr/du = r at r = e^u, assembled in logs:
+            # ln(r v 1) = max(u, 0) and ln((r v 1)/(r ^ 1)) = |u|.
+            return math.exp(d * u - beta * u - d * max(u, 0.0) + delta_plus * abs(u))
+
+        inner, _ = sp_integrate.quad(radial_du, -math.inf, 0.0, epsabs=0.0, epsrel=1e-13)
+        outer, _ = sp_integrate.quad(radial_du, 0.0, math.inf, epsabs=0.0, epsrel=1e-13)
         assert not res.divergent
-        assert res.value == pytest.approx(expected, rel=1e-8)
+        assert res.value == pytest.approx(sphere_area(d) * (inner + outer), rel=1e-10)
 
 
 def test_schur_divergence_flag_exact():

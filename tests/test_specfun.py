@@ -10,7 +10,6 @@ from hardyops import (
     HardyParams,
     a_star,
     a_star_star,
-    digamma,
     hardy_constant,
     log_gamma,
     make_params,
@@ -33,13 +32,6 @@ def test_log_gamma_against_mpmath(rng):
     for x in xs:
         expected = float(mpmath.loggamma(mpmath.mpf(float(x))))
         assert log_gamma(float(x)) == pytest.approx(expected, rel=1e-13, abs=1e-13)
-
-
-def test_digamma_against_mpmath(rng):
-    xs = 10.0 ** rng.uniform(-2, 2, 40)
-    for x in xs:
-        expected = float(mpmath.digamma(mpmath.mpf(float(x))))
-        assert digamma(float(x)) == pytest.approx(expected, rel=1e-12, abs=1e-12)
 
 
 def test_sphere_area_closed_forms():
