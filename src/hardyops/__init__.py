@@ -44,7 +44,6 @@ from .operators import (
     build_hardy_operator,
     build_log_grid,
     build_potential_operator,
-    duhamel_check,
     heat_kernel_matrix,
     jump_profile,
 )

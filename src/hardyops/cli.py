@@ -466,10 +466,13 @@ def _cmd_sweep(cfg: dict, em: _Emitter) -> int:
     for note in notes:
         em.lines.append(f"  {note}")
 
+    # sweep_rows lists its rows power by power, one block of members each.
+    block = len(rows) // len(cfg["s"])
     all_pass = True
-    for s in cfg["s"]:
-        report = verify.norm_ratio_sweep(
-            params, [s], family, grid, pass_bound=cfg["tol"]
+    for k, s in enumerate(cfg["s"]):
+        report = verify.sweep_verdict(
+            params, [s], family, grid, rows[k * block:(k + 1) * block], notes,
+            pass_bound=cfg["tol"],
         )
         em.lines.append(
             f"s={s:g}: {report.verdict} "

@@ -7,6 +7,12 @@ averaging over the sphere is provided through a chord-variable quadrature
 (substituting xi = |x-y|^2 turns the sphere average into a weighted
 one-dimensional integral with Jacobi-type endpoint weights), which is how
 profile values get compared against rotation-invariant discrete kernels.
+
+A triple's distance may also be a 1-D array of chord lengths for one pair
+of radii.  ``stable_heat_profile``, ``hardy_heat_profile``, ``l_envelope``
+and ``m_envelope`` then return one value per chord, equal bit for bit to
+the scalar profile at that chord, so one triple serves a whole angular
+average.  The Riesz profile takes scalar triples only.
 """
 
 from __future__ import annotations
@@ -42,6 +48,8 @@ class KernelTriple:
     The three lengths must be nonnegative, finite, and satisfy the
     triangle inequality up to a slack of 1e-9 times their sum (the slack
     absorbs rounding when triples are generated from sampled angles).
+    rxy may instead be a 1-D real ndarray of chord lengths for the one
+    pair of radii; each chord is then checked by the same rules.
     """
 
     rx: float
@@ -49,20 +57,41 @@ class KernelTriple:
     rxy: float
 
     def __post_init__(self):
-        for name in ("rx", "ry", "rxy"):
+        for name in ("rx", "ry"):
             v = getattr(self, name)
             if not (isinstance(v, (int, float)) and math.isfinite(v)) or v < 0:
                 raise DomainError(f"{name} must be finite and >= 0, got {v!r}")
-        slack = 1e-9 * (self.rx + self.ry + self.rxy) + 1e-300
-        if self.rxy > self.rx + self.ry + slack:
+        rx, ry, rxy = self.rx, self.ry, self.rxy
+        if isinstance(rxy, np.ndarray):
+            rxy = _first_bad_chord(rx, ry, rxy)
+            if rxy is None:
+                return
+        if not (isinstance(rxy, (int, float)) and math.isfinite(rxy)) or rxy < 0:
             raise DomainError(
-                f"triangle violation: rxy={self.rxy} > rx+ry={self.rx + self.ry}"
+                f"rxy must be finite and >= 0 (a number or a 1-D array), got {rxy!r}"
             )
-        if self.rxy < abs(self.rx - self.ry) - slack:
+        slack = 1e-9 * (rx + ry + rxy) + 1e-300
+        if rxy > rx + ry + slack:
+            raise DomainError(f"triangle violation: rxy={rxy} > rx+ry={rx + ry}")
+        if rxy < abs(rx - ry) - slack:
             raise DomainError(
-                f"triangle violation: rxy={self.rxy} < |rx-ry|="
-                f"{abs(self.rx - self.ry)}"
+                f"triangle violation: rxy={rxy} < |rx-ry|={abs(rx - ry)}"
             )
+
+
+def _first_bad_chord(rx: float, ry: float, chords: np.ndarray):
+    """None when every chord passes KernelTriple's scalar checks, else the
+    first that fails, as a float for those checks to report.  Arrays that
+    are not 1-D and real come back unchanged, to be rejected."""
+    if chords.ndim != 1 or chords.dtype.kind not in "fiu":
+        return chords
+    ok = np.isfinite(chords) & (chords >= 0)
+    if ok.all():
+        slack = 1e-9 * (rx + ry + chords) + 1e-300
+        ok = (chords <= rx + ry + slack) & (chords >= abs(rx - ry) - slack)
+        if ok.all():
+            return None
+    return float(chords[ok.argmin()])
 
 
 def _check_time(t: float) -> float:
@@ -72,18 +101,37 @@ def _check_time(t: float) -> float:
     return t
 
 
-def stable_heat_profile(t: float, q: KernelTriple, d: int, alpha: float) -> float:
+def _free_tail(t: float, rxy, d: int, alpha: float):
+    """min(1, t^{1+d/alpha} / rxy^{d+alpha}), and 1 at rxy = 0.
+
+    The one factor of the heat profiles that depends on the chord; a float
+    for scalar rxy, else an array of rxy's shape.  rxy^{d+alpha} goes
+    through numpy's array power either way (its rounding can differ from
+    Python's float power), so the two agree bit for bit.
+    """
+    den = np.asarray(rxy, dtype=float) ** (d + alpha)
+    if den.ndim == 0:
+        den = float(den)
+        return min(1.0, t ** (1.0 + d / alpha) / den) if den > 0.0 else 1.0
+    tail = np.ones_like(den)
+    np.divide(t ** (1.0 + d / alpha), den, out=tail, where=den > 0.0)
+    return np.minimum(tail, 1.0, out=tail)
+
+
+def _on_chords(value: float, rxy):
+    """A profile value that does not depend on the chord, in rxy's shape."""
+    return value if np.ndim(rxy) == 0 else np.full(np.shape(rxy), value)
+
+
+def stable_heat_profile(t: float, q: KernelTriple, d: int, alpha: float):
     """Heat kernel profile of the free operator |p|^alpha.
 
     t^{-d/alpha} * min(1, t^{1+d/alpha} / |x-y|^{d+alpha}); depends on the
-    triple only through rxy.
+    triple only through rxy, and returns one value per chord when rxy is
+    an array.
     """
     t = _check_time(t)
-    if q.rxy == 0.0:
-        tail = 1.0
-    else:
-        tail = min(1.0, t ** (1.0 + d / alpha) / q.rxy ** (d + alpha))
-    return t ** (-d / alpha) * tail
+    return t ** (-d / alpha) * _free_tail(t, q.rxy, d, alpha)
 
 
 def _hardy_weight(t: float, r: float, alpha: float, delta: float) -> float:
@@ -97,13 +145,13 @@ def _hardy_weight(t: float, r: float, alpha: float, delta: float) -> float:
     return max(1.0, t ** (1.0 / alpha) / r) ** delta
 
 
-def hardy_heat_profile(t: float, q: KernelTriple, params: HardyParams) -> float:
+def hardy_heat_profile(t: float, q: KernelTriple, params: HardyParams):
     """Two-sided heat kernel comparison profile for |p|^alpha + a|x|^{-alpha}.
 
     The free profile multiplied by the weight (1 v t^{1/alpha}/|x|)^delta
     at each of the two points, with delta = psi_inv(d, alpha, a).  Raises
     DomainError when delta > 0 and one of the radii vanishes, since the
-    profile is genuinely singular there.
+    profile is genuinely singular there.  Broadcasts over a chord array.
     """
     t = _check_time(t)
     base = stable_heat_profile(t, q, params.d, params.alpha)
@@ -163,16 +211,16 @@ def riesz_profile(s: float, q: KernelTriple, params: HardyParams) -> float:
 
         |x-y|^{alpha s/2 - d} * (1 ^ |x|/|x-y| ^ |y|/|x-y|)^{-delta}
 
-    for s inside (0, min(2d/alpha, 2(d-2 delta)/alpha)).  Requires
-    rxy > 0; a vanishing radius makes the value +inf when delta > 0 and 0
-    when delta < 0, both returned rather than raised.
+    for s inside (0, min(2d/alpha, 2(d-2 delta)/alpha)).  Requires one
+    chord rxy > 0; a vanishing radius makes the value +inf when delta > 0
+    and 0 when delta < 0, both returned rather than raised.
     """
     s = float(s)
     smax = riesz_exponent_window(params)
     if not (0.0 < s < smax):
         raise DomainError(f"s must lie in (0, {smax}), got {s!r}")
-    if q.rxy <= 0.0:
-        raise DomainError("riesz_profile requires rxy > 0")
+    if isinstance(q.rxy, np.ndarray) or q.rxy <= 0.0:
+        raise DomainError("riesz_profile requires one chord rxy > 0")
     base = q.rxy ** (0.5 * params.alpha * s - params.d)
     m = min(1.0, q.rx / q.rxy, q.ry / q.rxy)
     if m == 0.0:
@@ -182,7 +230,7 @@ def riesz_profile(s: float, q: KernelTriple, params: HardyParams) -> float:
     return base * m ** (-params.delta)
 
 
-def l_envelope(t: float, q: KernelTriple, params: HardyParams) -> float:
+def l_envelope(t: float, q: KernelTriple, params: HardyParams):
     """Long-range envelope for the difference of heat kernels.
 
     Sum of a small-radius branch, active when (|x| v |y|)^alpha <= t,
@@ -194,7 +242,8 @@ def l_envelope(t: float, q: KernelTriple, params: HardyParams) -> float:
         t / (|x| v |y|)^{d+alpha} * (1 v t^{1/alpha}/(|x| ^ |y|))^{delta_+}.
 
     With delta_+ > 0 both branches are singular when the smaller radius
-    vanishes, which raises DomainError.
+    vanishes, which raises DomainError.  The envelope does not depend on
+    rxy; a chord array gets the value repeated in its shape.
     """
     t = _check_time(t)
     d, alpha, dp = params.d, params.alpha, params.delta_plus
@@ -210,28 +259,26 @@ def l_envelope(t: float, q: KernelTriple, params: HardyParams) -> float:
     if rmax**alpha >= t:
         w = 1.0 if dp == 0.0 else max(1.0, t ** (1.0 / alpha) / rmin) ** dp
         val += t / rmax ** (d + alpha) * w
-    return val
+    return _on_chords(val, q.rxy)
 
 
-def m_envelope(t: float, q: KernelTriple, params: HardyParams) -> float:
+def m_envelope(t: float, q: KernelTriple, params: HardyParams):
     """Short-range envelope for the difference of heat kernels.
 
     Supported where (|x| v |y|)^alpha >= t and the radii are comparable
     (|x|/2 <= |y| <= 2|x|), where it equals
 
         t^{1 - d/alpha} / (|x| ^ |y|)^alpha * min(1, t^{1+d/alpha}/|x-y|^{d+alpha}).
+
+    Broadcasts over a chord array.
     """
     t = _check_time(t)
     d, alpha = params.d, params.alpha
     rmax = max(q.rx, q.ry)
     rmin = min(q.rx, q.ry)
     if rmax**alpha < t or not (0.5 * q.rx <= q.ry <= 2.0 * q.rx):
-        return 0.0
-    if q.rxy == 0.0:
-        tail = 1.0
-    else:
-        tail = min(1.0, t ** (1.0 + d / alpha) / q.rxy ** (d + alpha))
-    return t ** (1.0 - d / alpha) / rmin**alpha * tail
+        return _on_chords(0.0, q.rxy)
+    return t ** (1.0 - d / alpha) / rmin**alpha * _free_tail(t, q.rxy, d, alpha)
 
 
 ANGULAR_NODES = 48  # Gauss-Jacobi nodes of every angular average
@@ -250,17 +297,18 @@ def angular_average(fn, rx: float, ry: float, d: int) -> float:
     proportional to ((xi - xi_min)(xi_max - xi))^{(d-3)/2} on
     [ (rx-ry)^2, (rx+ry)^2 ], so the average is a Gauss-Jacobi sum of
     ``ANGULAR_NODES`` nodes with symmetric exponent (d-3)/2.  fn must
-    accept an ndarray of distances.  Degenerate geometry (a vanishing
-    radius) collapses to a point evaluation.
+    accept an ndarray of distances; its result is broadcast to their
+    shape, so a chord-independent scalar is allowed.  Degenerate geometry
+    (a vanishing radius) collapses to a point evaluation.
     """
     if isinstance(d, bool) or not isinstance(d, int) or d < 2:
         raise DomainError(f"dimension must be an integer >= 2, got {d!r}")
     xi_min = (rx - ry) ** 2
     width = 4.0 * rx * ry  # (rx+ry)^2 - (rx-ry)^2, exact in this form
     if width <= 1e-300:
-        return float(fn(np.asarray([math.sqrt(max(xi_min, 0.0))]))[0])
+        return float(np.ravel(fn(np.asarray([math.sqrt(max(xi_min, 0.0))])))[0])
     beta = 0.5 * (d - 3)
     x, w, wsum = _jacobi_rule(ANGULAR_NODES, beta)
-    xi = xi_min + width * 0.5 * (1.0 + x)
-    vals = np.asarray(fn(np.sqrt(xi)), dtype=float)
+    chords = np.sqrt(xi_min + width * 0.5 * (1.0 + x))
+    vals = np.broadcast_to(np.asarray(fn(chords), dtype=float), chords.shape)
     return float(np.dot(w, vals) / wsum)

@@ -61,7 +61,6 @@ __all__ = [
     "build_potential_operator",
     "apply_function",
     "heat_kernel_matrix",
-    "duhamel_check",
     "jump_profile",
 ]
 
@@ -124,10 +123,11 @@ def build_log_grid(d: int, r_min: float, r_max: float, n: int) -> RadialGrid:
 
 
 def _log_step(grid: RadialGrid) -> float:
-    u = np.log(grid.nodes)
-    du = np.diff(u)
-    h = float(du.mean())
-    if h <= 0 or np.max(np.abs(du - h)) > 1e-8 * h:
+    # From the endpoints, as build_log_grid computes it, so grids that are
+    # translates of each other in log coordinates get the same step.
+    h = math.log(grid.r_max / grid.r_min) / (grid.n - 1)
+    du = np.diff(np.log(grid.nodes))
+    if not h > 0 or np.max(np.abs(du - h)) > 1e-8 * h:
         raise ConstructionError(
             "operator assembly requires a log-uniform grid "
             "(build it with build_log_grid)"
@@ -163,57 +163,62 @@ def _gauss_rule(kind: str, n: int, expo: float):
     return x, w
 
 
-def _chord_power_integral(xm: float, width: float, e_pow: float, beta: float,
-                          n_gj: int = 64, n_gl: int = 24) -> float:
-    """int_xm^{xm+width} ((xi-xm)(xm+width-xi))^beta xi^{-e_pow} dxi.
+def _chord_power_integrals(xm: np.ndarray, width: float, e_pow: float, beta: float,
+                           n_gj: int = 64, n_gl: int = 24) -> np.ndarray:
+    """int_xm^{xm+width} ((xi-xm)(xm+width-xi))^beta xi^{-e_pow} dxi for
+    every left endpoint in the array xm.
 
     The interval is passed as (left endpoint, width) because in the
     calling geometry the width is known exactly while the difference of
     the endpoints cancels catastrophically once xm is large.  A single
     symmetric Gauss-Jacobi rule suffices unless the interval spans many
     octaves (xm << width), in which case the endpoint neighbourhoods get
-    one-sided Jacobi panels and the interior is covered by doubling
-    Gauss-Legendre panels.
+    one-sided Jacobi panels and the interior [2 xm, xM/2] is covered by
+    doubling Gauss-Legendre panels.  All endpoints are evaluated at once:
+    the doubling panels form a (endpoints x panels x nodes) array whose
+    panels are clamped at xM/2, so the ones an endpoint does not need
+    have zero width and add exactly nothing.
     """
-    if width <= 0.0:
-        return 0.0
-    xM = xm + width
-    if xm > 0.05 * width / 0.95:
-        x, w = _gauss_rule("jacobi_sym", n_gj, beta)
-        xi = xm + width * 0.5 * (1.0 + x)
-        return (0.5 * width) ** (2.0 * beta + 1.0) * float(np.dot(w, xi**-e_pow))
+    xm = np.asarray(xm, dtype=float)
+    out = np.empty_like(xm)
+    sym = xm > 0.05 * width / 0.95
+    x, w = _gauss_rule("jacobi_sym", n_gj, beta)
+    xi = xm[sym, None] + width * 0.5 * (1.0 + x)
+    out[sym] = (0.5 * width) ** (2.0 * beta + 1.0) * (xi**-e_pow @ w)
 
-    total = 0.0
-    c_left = 2.0 * xm
-    c_right = 0.5 * xM
+    # Graded branch; one row per endpoint, columns are quadrature nodes.
+    lo_end = xm[~sym, None]
+    hi_end = lo_end + width
+    c_left = 2.0 * lo_end
+    c_right = 0.5 * hi_end
     xl, wl = _gauss_rule("jacobi_left", n_gj, beta)
-    xi = xm + (c_left - xm) * 0.5 * (1.0 + xl)
-    total += (0.5 * (c_left - xm)) ** (beta + 1.0) * float(
-        np.dot(wl, (xM - xi) ** beta * xi**-e_pow)
+    xi = lo_end + (c_left - lo_end) * 0.5 * (1.0 + xl)
+    left = (0.5 * (c_left - lo_end)) ** (beta + 1.0) * (
+        ((hi_end - xi) ** beta * xi**-e_pow) @ wl[:, None]
     )
     xr, wr = _gauss_rule("jacobi_right", n_gj, beta)
-    xi = c_right + (xM - c_right) * 0.5 * (1.0 + xr)
-    total += (0.5 * (xM - c_right)) ** (beta + 1.0) * float(
-        np.dot(wr, (xi - xm) ** beta * xi**-e_pow)
+    xi = c_right + (hi_end - c_right) * 0.5 * (1.0 + xr)
+    right = (0.5 * (hi_end - c_right)) ** (beta + 1.0) * (
+        ((xi - lo_end) ** beta * xi**-e_pow) @ wr[:, None]
     )
     xg, wg = _gauss_rule("legendre", n_gl, 0.0)
-    lo = c_left
-    while lo < c_right:
-        hi = min(2.0 * lo, c_right)
-        xi = lo + (hi - lo) * 0.5 * (1.0 + xg)
-        vals = (xi - xm) ** beta * (xM - xi) ** beta * xi**-e_pow
-        total += 0.5 * (hi - lo) * float(np.dot(wg, vals))
-        lo = hi
-    return total
+    n_panels = int(np.ceil(np.log2(np.max(c_right / c_left, initial=1.0)))) + 1
+    lo = np.minimum(c_left * 2.0 ** np.arange(n_panels), c_right)
+    hi = np.minimum(2.0 * lo, c_right)
+    xi = lo[..., None] + (hi - lo)[..., None] * 0.5 * (1.0 + xg)
+    vals = (xi - lo_end[..., None]) ** beta * (hi_end[..., None] - xi) ** beta * xi**-e_pow
+    panels = 0.5 * (hi - lo) * (vals @ wg)
+    out[~sym] = (left + right)[:, 0] + panels.sum(axis=1)
+    return out
 
 
-def _kappa_exact(s: float, d: int, alpha: float) -> float:
-    """Jump profile at log separation s by direct chord quadrature."""
-    xm = (2.0 * math.sinh(0.5 * abs(s))) ** 2
+def _kappa_table(s: np.ndarray, d: int, alpha: float) -> np.ndarray:
+    """Jump profile at the log separations s by direct chord quadrature."""
+    xm = (2.0 * np.sinh(0.5 * np.abs(s))) ** 2
     # The chord interval is [4 sinh^2(s/2), 4 cosh^2(s/2)]; its width is
     # exactly 4 by the hyperbolic identity.
     beta = 0.5 * (d - 3)
-    chord = _chord_power_integral(xm, 4.0, 0.5 * (d + alpha), beta)
+    chord = _chord_power_integrals(xm, 4.0, 0.5 * (d + alpha), beta)
     c = (
         _jump_normalization(d, alpha)
         * sphere_area(d)
@@ -228,7 +233,7 @@ def _kappa_interpolant(d: int, alpha: float):
     from scipy.interpolate import CubicSpline
 
     knots = np.geomspace(1e-6, 120.0, 800)
-    vals = np.array([_kappa_exact(s, d, alpha) for s in knots])
+    vals = _kappa_table(knots, d, alpha)
     if not np.all(vals > 0.0):
         raise ConstructionError("jump profile evaluation lost positivity")
     spline = CubicSpline(np.log(knots), np.log(vals))
@@ -312,6 +317,26 @@ def _near_field_symbol(h: float, d: int, alpha: float) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # assembly
 
+def _lag_weights(grid: RadialGrid, alpha: float) -> np.ndarray:
+    """Jump weights of lags 1 .. n-1 on a log-uniform grid."""
+    d, n = grid.d, grid.n
+    h = _log_step(grid)
+    lag_weights = h * h * jump_profile(h * np.arange(1, n), d, alpha)
+
+    # Replace the first few lags by weights that reproduce the exact
+    # one-dimensional symbol at eight frequencies up to the Nyquist.
+    j = np.arange(1, _NEAR_LAGS + 1)
+    thetas = _COLLOCATION_THETAS
+    phi_vals = _near_field_symbol(h, d, alpha)
+    b_far = np.arange(_NEAR_LAGS + 1, n)
+    far_sum = (
+        2.0 * (1.0 - np.cos(np.outer(thetas, b_far))) @ lag_weights[_NEAR_LAGS:]
+    )
+    coll = 2.0 * (1.0 - np.cos(np.outer(thetas, j)))
+    lag_weights[:_NEAR_LAGS] = np.linalg.solve(coll, h * phi_vals - far_sum)
+    return lag_weights
+
+
 def _symmetric_free_matrix(grid: RadialGrid, alpha: float) -> np.ndarray:
     """Symmetrized matrix of |p|^alpha on the grid (weighted coordinates)."""
     key = ("free_sym", float(alpha))
@@ -329,41 +354,32 @@ def _symmetric_free_matrix(grid: RadialGrid, alpha: float) -> np.ndarray:
             f"grid too coarse for the near-field solve: need n >= "
             f"{3 * _NEAR_LAGS}, got {n}"
         )
-    h = _log_step(grid)
     r = grid.nodes
     w = grid.weights
+    lag_weights = _lag_weights(grid, alpha)
 
-    lag_weights = h * h * jump_profile(h * np.arange(1, n), d, alpha)
-
-    # Replace the first few lags by weights that reproduce the exact
-    # one-dimensional symbol at eight frequencies up to the Nyquist.
-    j = np.arange(1, _NEAR_LAGS + 1)
-    thetas = _COLLOCATION_THETAS
-    phi_vals = _near_field_symbol(h, d, alpha)
-    b_far = np.arange(_NEAR_LAGS + 1, n)
-    far_sum = (
-        2.0 * (1.0 - np.cos(np.outer(thetas, b_far))) @ lag_weights[_NEAR_LAGS:]
-    )
-    coll = 2.0 * (1.0 - np.cos(np.outer(thetas, j)))
-    lag_weights[:_NEAR_LAGS] = np.linalg.solve(coll, h * phi_vals - far_sum)
-
+    # Toeplitz jump matrix T[i, j] = lag weight |i - j| (zero diagonal), as
+    # reversed sliding windows over the mirrored lag sequence, with the
+    # trapezoid end factors on both sides.
+    mirrored = np.concatenate([lag_weights[::-1], [0.0], lag_weights])
+    toeplitz = np.lib.stride_tricks.sliding_window_view(mirrored, n)[::-1]
     c_end = np.ones(n)
     c_end[0] = c_end[-1] = 0.5
-    idx = np.abs(np.arange(n)[:, None] - np.arange(n)[None, :])
-    lookup = np.concatenate([[0.0], lag_weights])
-    jump = lookup[idx] * np.outer(c_end, c_end)
-    mg = np.diag(jump.sum(axis=1)) - jump
-
-    ground = r ** (-0.5 * (d - alpha))
-    denom = np.outer(ground * np.sqrt(w), ground * np.sqrt(w))
-    s_mat = mg / denom + np.diag(hardy_constant(d, alpha) * r**-alpha)
+    jump = toeplitz * np.outer(c_end, c_end)
+    # Divide out the ground state and the weights: -jump / (gw_i gw_j) off
+    # the diagonal, the jump row sums on it.  Every factor is bitwise
+    # symmetric, so the matrix is too.
+    ground_w = r ** (-0.5 * (d - alpha)) * np.sqrt(w)
+    s_mat = jump / np.outer(-ground_w, ground_w)
+    s_mat.flat[:: n + 1] = (
+        jump.sum(axis=1) / (ground_w * ground_w) + hardy_constant(d, alpha) * r**-alpha
+    )
 
     defect = np.linalg.norm(s_mat - s_mat.T) / np.linalg.norm(s_mat)
     if defect > 1e-6:
         raise ConstructionError(
             f"assembled operator asymmetric: relative defect {defect:.2e}"
         )
-    s_mat = 0.5 * (s_mat + s_mat.T)
     grid._cache[key] = s_mat
     return s_mat
 
@@ -541,56 +557,8 @@ def heat_kernel_matrix(op: SpectralOperator, t: float) -> np.ndarray:
     t = float(t)
     if not (t >= 0.0) or math.isinf(t):
         raise DomainError(f"time must be finite and >= 0, got {t!r}")
-    damp = np.exp(-t * op.eigenvalues)
-    k_mat = (op.modes * damp) @ op.modes.T
-    return 0.5 * (k_mat + k_mat.T)
+    # Gram form B @ B.T with B = modes exp(-t lam / 2): numpy runs it as a
+    # symmetric rank-k update, so the kernel is exactly symmetric.
+    b_mat = op.modes * np.exp(-0.5 * t * op.eigenvalues)
+    return b_mat @ b_mat.T
 
-
-def duhamel_check(grid: RadialGrid, params: HardyParams, t: float,
-                  n_panels: int = 64) -> float:
-    """Relative defect of the Duhamel identity at time t.
-
-    Compares exp(-t T) - exp(-t L) against
-    a * int_0^t exp(-(t-s) T) r^{-alpha} exp(-s L) ds
-    (T the free operator, L the coupled one), with the time integral
-    done by Simpson's rule on n_panels panels.  Returns the Frobenius
-    norm of the mismatch relative to the left-hand side; exact up to
-    quadrature error in s, so the value reflects time resolution only.
-    """
-    t = float(t)
-    if not (t > 0.0) or math.isinf(t):
-        raise DomainError(f"time must be finite and > 0, got {t!r}")
-    if n_panels < 2:
-        n_panels = 2
-    if n_panels % 2:
-        n_panels += 1
-    free = build_fractional_laplacian(grid, params.alpha)
-    coupled = build_hardy_operator(grid, params)
-    sqw = np.sqrt(grid.weights)
-    q_free = free.modes * sqw[:, None]
-    q_coup = coupled.modes * sqw[:, None]
-    lam_f = free.eigenvalues
-    lam_c = coupled.eigenvalues
-
-    lhs = (q_free * np.exp(-t * lam_f)) @ q_free.T
-    lhs -= (q_coup * np.exp(-t * lam_c)) @ q_coup.T
-
-    bridge = q_free.T @ (grid.nodes[:, None] ** -params.alpha * q_coup)
-    s_nodes = np.linspace(0.0, t, n_panels + 1)
-    coef = np.ones(n_panels + 1)
-    coef[1:-1:2] = 4.0
-    coef[2:-1:2] = 2.0
-    coef *= t / n_panels / 3.0
-    z_mat = np.zeros_like(bridge)
-    for s_k, c_k in zip(s_nodes, coef):
-        z_mat += c_k * (
-            np.exp(-(t - s_k) * lam_f)[:, None]
-            * bridge
-            * np.exp(-s_k * lam_c)[None, :]
-        )
-    rhs = params.a * (q_free @ z_mat @ q_coup.T)
-
-    denom = np.linalg.norm(lhs)
-    if denom == 0.0:
-        return float(np.linalg.norm(rhs))
-    return float(np.linalg.norm(lhs - rhs) / denom)

@@ -184,17 +184,17 @@ def riesz_time_integral(
             (1 v (|x-y|/|y|) t^{1/alpha})^delta  dt/t,
 
     with kinks at t = 1 and t = (|x|/|x-y|)^alpha, (|y|/|x-y|)^alpha.
-    Requires all three radial lengths positive and s inside the window
-    (0, min(2d/alpha, 2(d - 2 delta)/alpha)), which is exactly the
-    condition making the integral converge.  I is integrated to the
+    Requires all three radial lengths positive (one chord, not an array)
+    and s inside the window (0, min(2d/alpha, 2(d - 2 delta)/alpha)),
+    which is exactly the condition making the integral converge.  I is integrated to the
     absolute tolerance ``RIESZ_TOL``.
     """
     s = float(s)
     smax = riesz_exponent_window(params)
     if not (0.0 < s < smax):
         raise DomainError(f"s must lie in (0, {smax}), got {s!r}")
-    if not (q.rx > 0.0 and q.ry > 0.0 and q.rxy > 0.0):
-        raise DomainError("riesz_time_integral requires rx, ry, rxy > 0")
+    if isinstance(q.rxy, np.ndarray) or not (q.rx > 0.0 and q.ry > 0.0 and q.rxy > 0.0):
+        raise DomainError("riesz_time_integral requires rx, ry and one chord rxy > 0")
     d, alpha, delta = params.d, params.alpha, params.delta
     lcx = math.log(q.rxy / q.rx)
     lcy = math.log(q.rxy / q.ry)

@@ -269,15 +269,38 @@ def norm_ratio_sweep(
     and last member; absence of that growth is reported as a failure since
     the family then certifies nothing.
     """
+    s_list = _sweep_powers(s_values)
+    if grid is None:
+        grid = _default_grid(params)
+    rows, notes = sweep_rows(params, s_list, family, grid)
+    return sweep_verdict(params, s_list, family, grid, rows, notes, pass_bound=pass_bound)
+
+
+def _sweep_powers(s_values: Sequence[float]) -> list:
     s_list = [float(s) for s in s_values]
     if not s_list:
         raise DomainError("need at least one s value")
     for s in s_list:
         if not (0.0 < s <= 2.0):
             raise DomainError(f"s={s} outside (0, 2]")
-    if grid is None:
-        grid = _default_grid(params)
-    rows, notes = sweep_rows(params, s_list, family, grid)
+    return s_list
+
+
+def sweep_verdict(
+    params: HardyParams,
+    s_values: Sequence[float],
+    family: TestFamily,
+    grid: RadialGrid,
+    rows: Sequence[dict],
+    notes: Sequence[str],
+    *,
+    pass_bound: float = 1e3,
+) -> VerificationReport:
+    """The :func:`norm_ratio_sweep` report from ``(rows, notes)`` that
+    :func:`sweep_rows` returned for exactly these s values on ``grid``,
+    so a caller that already has the rows computes no norm twice."""
+    s_list = _sweep_powers(s_values)
+    notes = list(notes)
     if not rows:
         return VerificationReport(
             check_name="norm_ratio_sweep",
@@ -391,13 +414,10 @@ def _generalized_rung_value(op, params: HardyParams, s: float) -> float:
     # at rounding level, far below any genuine excited level.
     cut = 1e-15 * float(lam.max())
     keep = lam > cut
-    sqrt_w = np.sqrt(grid.weights)
-    q = op.modes[:, keep] * sqrt_w[:, None]
-    phi = q * lam[keep] ** (-0.5 * s)
-    weight = grid.nodes ** (-params.alpha * s)
-    mat = phi.T @ (weight[:, None] * phi)
-    mat = 0.5 * (mat + mat.T)
-    top = float(np.linalg.eigvalsh(mat)[-1])
+    # Y.T @ Y runs as a symmetric rank-k update, exactly symmetric.
+    row_scale = np.sqrt(grid.weights) * grid.nodes ** (-0.5 * params.alpha * s)
+    y_mat = op.modes[:, keep] * row_scale[:, None] * lam[keep] ** (-0.5 * s)
+    top = float(np.linalg.eigvalsh(y_mat.T @ y_mat)[-1])
     return math.sqrt(max(top, 0.0))
 
 
@@ -455,13 +475,13 @@ def generalized_hardy_constant(
 
 
 def _sym_power_matrix(op, s: float) -> np.ndarray:
-    sqrt_w = np.sqrt(op.grid.weights)
-    q = op.modes * sqrt_w[:, None]
     lam = op.eigenvalues
     scale = np.zeros_like(lam)
     pos = lam > 0.0
-    scale[pos] = lam[pos] ** (0.5 * s)
-    return (q * scale) @ q.T
+    scale[pos] = lam[pos] ** (0.25 * s)
+    # Gram form B @ B.T: a symmetric rank-k update, exactly symmetric.
+    b_mat = op.modes * np.sqrt(op.grid.weights)[:, None] * scale
+    return b_mat @ b_mat.T
 
 
 def _reverse_rung_value(full, params: HardyParams, s: float) -> float:
@@ -474,9 +494,7 @@ def _reverse_rung_value(full, params: HardyParams, s: float) -> float:
     right = grid.nodes ** (0.5 * params.alpha * s)
     diff_mat = _sym_power_matrix(full, s) - _sym_power_matrix(free, s)
     weighted = diff_mat * right[None, :]
-    gram = weighted.T @ weighted
-    gram = 0.5 * (gram + gram.T)
-    top = float(np.linalg.eigvalsh(gram)[-1])
+    top = float(np.linalg.eigvalsh(weighted.T @ weighted)[-1])
     return math.sqrt(max(top, 0.0))
 
 
@@ -560,17 +578,6 @@ def _interior_pairs(rng: np.random.Generator, n: int, count: int) -> np.ndarray:
     return rng.integers(lo, hi, size=(count, 2))
 
 
-def _profile_on_chords(fn, rx: float, ry: float):
-    """Adapt a scalar triple -> value profile to the vectorized chord
-    argument that angular averaging supplies."""
-
-    def evaluate(rxy_values):
-        arr = np.atleast_1d(np.asarray(rxy_values, dtype=float))
-        return np.array([fn(KernelTriple(rx, ry, float(x))) for x in arr])
-
-    return evaluate
-
-
 def heat_sandwich_check(
     params: HardyParams,
     t_values: Sequence[float],
@@ -613,7 +620,7 @@ def heat_sandwich_check(
                 profile = poisson_radial_average(t, rx, ry, params.d)
             else:
                 profile = angular_average(
-                    _profile_on_chords(lambda tr: hardy_heat_profile(t, tr, params), rx, ry),
+                    lambda chords: hardy_heat_profile(t, KernelTriple(rx, ry, chords), params),
                     rx,
                     ry,
                     params.d,
@@ -637,6 +644,10 @@ def heat_sandwich_check(
         samples=len(ratios),
         notes=tuple(notes),
     )
+
+
+def _envelope(t: float, q: KernelTriple, params: HardyParams):
+    return l_envelope(t, q, params) + m_envelope(t, q, params)
 
 
 def _difference_ratio_sup(
@@ -678,11 +689,7 @@ def _difference_ratio_sup(
             elif expected_sign < 0.0 and entry > 0.0:
                 violation = max(violation, entry)
             env = angular_average(
-                _profile_on_chords(
-                    lambda tr: l_envelope(t, tr, env_params) + m_envelope(t, tr, env_params),
-                    rx,
-                    ry,
-                ),
+                lambda chords: _envelope(t, KernelTriple(rx, ry, chords), env_params),
                 rx,
                 ry,
                 params.d,

@@ -144,6 +144,60 @@ def test_sweep_byte_identical_reruns(capsys, tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
+def test_sweep_computes_each_power_norm_once(capsys, tmp_path, monkeypatch):
+    from hardyops import verify
+    from hardyops.operators import build_log_grid
+    from hardyops.specfun import make_params
+
+    power_norm = verify._power_norm
+    calls = []
+
+    def counting(op, vec, s):
+        calls.append(s)
+        return power_norm(op, vec, s)
+
+    monkeypatch.setattr(verify, "_power_norm", counting)
+    out_json = tmp_path / "sweep.json"
+    rc, _, _ = run(
+        capsys, "sweep", "--d", "3", "--alpha", "1", "--a", CRITICAL,
+        "--s", "0.5,1.5", "--family", "singular-cutoff", "--grid-n", "256",
+        "--out-json", str(out_json),
+    )
+    assert rc == 2
+    # two powers x eight members x (free, coupled) operator
+    assert len(calls) == 2 * 8 * 2
+    monkeypatch.undo()
+
+    # Each power's report is the one norm_ratio_sweep computes on its own.
+    params = make_params(3, 1.0, float(CRITICAL))
+    family = verify.TestFamily("singular-cutoff")
+    grid = build_log_grid(3, verify.DEFAULT_R_MIN, verify.DEFAULT_R_MAX, 256)
+    reports = json.loads(out_json.read_text())["reports"]
+    for s, report in zip((0.5, 1.5), reports):
+        alone = verify.norm_ratio_sweep(params, [s], family, grid).to_dict()
+        assert json.loads(json.dumps(alone)) == report
+
+
+def test_importing_the_cli_loads_no_heavy_scipy_module():
+    # scipy's linalg, integrate and interpolate are imported where they are
+    # used, so that they stay out of every command's start-up time.
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = (
+        "import sys, hardyops.cli; "
+        "print(sorted(m for m in ('scipy.linalg', 'scipy.integrate', 'scipy.interpolate') "
+        "if m in sys.modules))"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True, timeout=120)
+    assert proc.stdout.strip() == "[]"
+
+
 # ---------------------------------------------------------------------------
 # json reports and failure markers
 

@@ -172,3 +172,77 @@ def test_envelopes_positive_where_supported(params_critical, rng):
 def test_l_envelope_rejects_vanishing_radius_at_positive_delta(params_critical):
     with pytest.raises(DomainError):
         l_envelope(1.0, KernelTriple(0.0, 1.0, 1.0), params_critical)
+
+
+# ---------------------------------------------------------------------------
+# chord arrays
+
+
+def _chords(rx: float, ry: float, count: int = 48) -> np.ndarray:
+    # Every chord of the pair, from coincident directions to antipodal ones.
+    mu = np.cos(np.linspace(0.0, math.pi, count))
+    return np.sqrt((rx - ry) ** 2 + 2.0 * rx * ry * (1.0 - mu))
+
+
+@pytest.mark.parametrize("d,alpha,a", [(3, 1.0, -0.3), (2, 0.7, 0.4), (5, 1.9, -2.0), (4, 1.2, 0.0)])
+def test_profiles_on_chord_arrays_equal_scalar_profiles_bitwise(d, alpha, a, rng):
+    params = make_params(d, alpha, a)
+    profiles = (
+        lambda t, q: stable_heat_profile(t, q, d, alpha),
+        lambda t, q: hardy_heat_profile(t, q, params),
+        lambda t, q: l_envelope(t, q, params),
+        lambda t, q: m_envelope(t, q, params),
+    )
+    radii = [(1.0, 1.0), (0.3, 0.45), (2.0, 7.0), (1e-3, 1e2)]
+    radii += [tuple(10.0 ** rng.uniform(-2, 2, 2)) for _ in range(4)]
+    for rx, ry in radii:
+        chords = _chords(rx, ry)
+        for t in (1e-2, 0.7, 30.0):
+            triple = KernelTriple(rx, ry, chords)
+            for profile in profiles:
+                values = profile(t, triple)
+                assert isinstance(values, np.ndarray) and values.shape == chords.shape
+                scalars = [profile(t, KernelTriple(rx, ry, float(x))) for x in chords]
+                assert all(isinstance(v, float) for v in scalars)
+                assert np.array_equal(values, np.array(scalars))
+
+
+def test_free_profile_tail_is_one_at_coincidence():
+    chords = np.array([0.0, 1e-200, 0.5])
+    values = stable_heat_profile(2.0, KernelTriple(1.0, 1.0, chords), 3, 1.0)
+    assert values[0] == values[1] == 2.0 ** -3
+    assert stable_heat_profile(2.0, KernelTriple(1.0, 1.0, 0.0), 3, 1.0) == 2.0 ** -3
+
+
+def test_triple_rejects_bad_chord_arrays():
+    good = _chords(1.0, 2.0)
+    KernelTriple(1.0, 2.0, good)
+    for bad in (
+        good.reshape(6, 8),
+        np.append(good, math.nan),
+        np.append(good, math.inf),
+        np.append(good, -1.0),
+        np.append(good, 3.5),   # beyond rx + ry
+        np.append(good, 0.5),   # below |rx - ry|
+        good.astype(complex),
+        np.array(2.5),
+        [2.5],
+    ):
+        with pytest.raises(DomainError):
+            KernelTriple(1.0, 2.0, bad)
+
+
+def test_angular_average_broadcasts_chord_independent_values():
+    for d in (2, 3, 5):
+        assert angular_average(lambda chords: 3.5, 1.0, 2.0, d) == pytest.approx(3.5, rel=1e-14)
+        assert angular_average(lambda chords: 3.5, 0.0, 2.0, d) == 3.5
+
+
+def test_riesz_functions_reject_chord_arrays(params_half_critical):
+    from hardyops import riesz_time_integral
+
+    triple = KernelTriple(1.0, 2.0, _chords(1.0, 2.0))
+    with pytest.raises(DomainError):
+        riesz_profile(0.5, triple, params_half_critical)
+    with pytest.raises(DomainError):
+        riesz_time_integral(0.5, triple, params_half_critical)

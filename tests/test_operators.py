@@ -14,7 +14,6 @@ from hardyops import (
     build_hardy_operator,
     build_log_grid,
     build_potential_operator,
-    duhamel_check,
     heat_kernel_matrix,
     integrate_semiinfinite,
     jump_profile,
@@ -153,6 +152,45 @@ def test_heat_kernel_time_validation(small_grid):
     k0 = heat_kernel_matrix(op, 0.0)
     ident = k0 @ (small_grid.weights[:, None] * k0) - k0
     assert np.max(np.abs(ident)) < 1e-8 * np.max(np.abs(k0))
+
+
+def duhamel_check(grid, params, t: float, n_panels: int = 64) -> float:
+    """Relative defect of the Duhamel identity at time t.
+
+    Compares exp(-t T) - exp(-t L) against
+    a * int_0^t exp(-(t-s) T) r^{-alpha} exp(-s L) ds
+    (T the free operator, L the coupled one), with the time integral
+    done by Simpson's rule on n_panels panels (an even number).  Returns
+    the Frobenius norm of the mismatch relative to the left-hand side;
+    exact up to quadrature error in s, so the value reflects time
+    resolution only.
+    """
+    free = build_fractional_laplacian(grid, params.alpha)
+    coupled = build_hardy_operator(grid, params)
+    sqw = np.sqrt(grid.weights)
+    q_free = free.modes * sqw[:, None]
+    q_coup = coupled.modes * sqw[:, None]
+    lam_f = free.eigenvalues
+    lam_c = coupled.eigenvalues
+
+    lhs = (q_free * np.exp(-t * lam_f)) @ q_free.T
+    lhs -= (q_coup * np.exp(-t * lam_c)) @ q_coup.T
+
+    bridge = q_free.T @ (grid.nodes[:, None] ** -params.alpha * q_coup)
+    s_nodes = np.linspace(0.0, t, n_panels + 1)
+    coef = np.ones(n_panels + 1)
+    coef[1:-1:2] = 4.0
+    coef[2:-1:2] = 2.0
+    coef *= t / n_panels / 3.0
+    z_mat = np.zeros_like(bridge)
+    for s_k, c_k in zip(s_nodes, coef):
+        z_mat += c_k * (
+            np.exp(-(t - s_k) * lam_f)[:, None]
+            * bridge
+            * np.exp(-s_k * lam_c)[None, :]
+        )
+    rhs = params.a * (q_free @ z_mat @ q_coup.T)
+    return float(np.linalg.norm(lhs - rhs) / np.linalg.norm(lhs))
 
 
 def test_duhamel_identity_small_defect(small_grid):
@@ -297,6 +335,77 @@ def test_jump_profile_singular_head():
 def test_jump_profile_rejects_zero():
     with pytest.raises(DomainError):
         jump_profile(0.0, 3, 1.0)
+
+
+@pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+@pytest.mark.parametrize("d", [2, 4, 5])
+@pytest.mark.parametrize("alpha", [0.5, 1.9])
+def test_chord_integrals_match_adaptive_quadrature(d, alpha):
+    # The integrals behind the kappa table, on both sides of s ~ 0.46 where
+    # the graded panels take over from the single symmetric rule.
+    from scipy.integrate import quad
+
+    beta, e_pow = 0.5 * (d - 3), 0.5 * (d + alpha)
+    s = np.array([1e-4, 0.05, 0.3, 0.45, 0.5, 2.0, 30.0])
+    xm = (2.0 * np.sinh(0.5 * s)) ** 2
+    table = operators._chord_power_integrals(xm, 4.0, e_pow, beta)
+    for x, value in zip(xm, table):
+        ref, _ = quad(lambda xi: xi**-e_pow, x, x + 4.0, weight="alg",
+                      wvar=(beta, beta), epsabs=0.0, epsrel=1e-13, limit=500)
+        assert value == pytest.approx(ref, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 1.9])
+def test_kappa_table_matches_the_closed_form_in_three_dimensions(alpha):
+    # Below s ~ 1e-3 the closed form itself loses digits (1 - exp(-s)
+    # carries a relative rounding error of about 1e-16 / s).
+    s = np.geomspace(1e-3, 100.0, 60)
+    table = operators._kappa_table(s, 3, alpha)
+    assert np.allclose(table, jump_profile(s, 3, alpha), rtol=1e-12, atol=0.0)
+
+
+# ---------------------------------------------------------------------------
+# assembly and Gram-form products
+
+
+@pytest.mark.parametrize("d,alpha", [(3, 1.0), (2, 0.7), (5, 1.9)])
+def test_free_matrix_is_bitwise_symmetric_and_matches_the_gather_formula(d, alpha):
+    grid = build_log_grid(d, 1e-2, 1e2, 160)
+    s_mat = operators._symmetric_free_matrix(grid, alpha)
+    assert np.array_equal(s_mat, s_mat.T)
+
+    # The n x n index gather the Toeplitz assembly replaced.
+    n, r, w = grid.n, grid.nodes, grid.weights
+    lookup = np.concatenate([[0.0], operators._lag_weights(grid, alpha)])
+    c_end = np.ones(n)
+    c_end[0] = c_end[-1] = 0.5
+    jump = lookup[np.abs(np.arange(n)[:, None] - np.arange(n)[None, :])] * np.outer(c_end, c_end)
+    mg = np.diag(jump.sum(axis=1)) - jump
+    ground = r ** (-0.5 * (d - alpha))
+    denom = np.outer(ground * np.sqrt(w), ground * np.sqrt(w))
+    ref = mg / denom + np.diag(operators.hardy_constant(d, alpha) * r**-alpha)
+    ref = 0.5 * (ref + ref.T)
+    # Same arithmetic per entry, so the match is exact; that keeps every
+    # output built on the free matrix byte-identical.
+    assert np.array_equal(s_mat, ref)
+
+
+@pytest.mark.parametrize("t", [0.0, 0.05, 1.0, 40.0])
+def test_heat_kernel_is_a_bitwise_symmetric_gram_product(small_grid, params_half_critical, t):
+    op = build_hardy_operator(small_grid, params_half_critical)
+    kernel = heat_kernel_matrix(op, t)
+    assert np.array_equal(kernel, kernel.T)
+    ref = (op.modes * np.exp(-t * op.eigenvalues)) @ op.modes.T
+    assert np.max(np.abs(kernel - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
+def test_log_step_memo_hits_for_log_translated_grids():
+    alpha = 1.37
+    operators._near_field_symbol.cache_clear()
+    operators._symmetric_free_matrix(build_log_grid(3, 1e-2, 1e2, 256), alpha)
+    operators._symmetric_free_matrix(build_log_grid(3, 1e-1, 1e3, 256), alpha)
+    info = operators._near_field_symbol.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
 
 
 # ---------------------------------------------------------------------------

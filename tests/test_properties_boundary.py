@@ -4,7 +4,8 @@
 the distance between the points.  It accepts every triple realized by two
 radii and an enclosed angle, and rejects lengths that are negative or not
 finite and triples outside the triangle inequality by more than its slack
-of 1e-9 times the summed lengths.
+of 1e-9 times the summed lengths.  A 1-D array of distances for one pair
+of radii is accepted exactly when each of its elements would be.
 
 ``cli._read_config_file`` parses ``key = value`` lines with ``#`` comments
 and blank lines, and rejects any other non-blank line with its line number.
@@ -15,6 +16,7 @@ import os
 import string
 import tempfile
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -78,6 +80,57 @@ def test_triple_rejects_distance_below_the_difference(rx, ry, shortfall):
     assume(rxy >= 0.0)
     with pytest.raises(DomainError):
         KernelTriple(rx, ry, rxy)
+
+
+def _accepts(rx, ry, rxy) -> bool:
+    try:
+        KernelTriple(rx, ry, rxy)
+    except DomainError:
+        return False
+    return True
+
+
+# Chords of the pair from sampled angles, scaled by up to 1e-8 either way so
+# that some fall outside the triangle slack, plus arbitrary lengths.
+chord_lists = st.lists(
+    st.one_of(
+        st.tuples(angles, st.floats(min_value=-1e-8, max_value=1e-8)),
+        st.floats(allow_nan=True, allow_infinity=True),
+    ),
+    max_size=12,
+)
+
+
+@property_settings
+@given(rx=radii, ry=radii, entries=chord_lists)
+def test_chord_array_accepted_exactly_when_every_chord_is(rx, ry, entries):
+    chords = np.array(
+        [_chord(rx, ry, e[0]) * (1.0 + e[1]) if isinstance(e, tuple) else e for e in entries],
+        dtype=float,
+    )
+    expected = all(_accepts(rx, ry, float(x)) for x in chords)
+    assert _accepts(rx, ry, chords) == expected
+
+
+@property_settings
+@given(
+    rx=radii,
+    ry=radii,
+    thetas=st.lists(angles, min_size=1, max_size=12),
+    bad=st.sampled_from([math.inf, -math.inf, math.nan]),
+    data=st.data(),
+)
+def test_chord_array_rejects_non_finite_and_two_dimensional(rx, ry, thetas, bad, data):
+    chords = np.array([_chord(rx, ry, theta) for theta in thetas])
+    KernelTriple(rx, ry, chords)
+    with pytest.raises(DomainError):
+        KernelTriple(rx, ry, chords[None, :])
+    with pytest.raises(DomainError):
+        KernelTriple(rx, ry, chords.reshape(-1, 1))
+    at = data.draw(st.integers(min_value=0, max_value=len(chords) - 1))
+    chords[at] = bad
+    with pytest.raises(DomainError):
+        KernelTriple(rx, ry, chords)
 
 
 # ---------------------------------------------------------------------------

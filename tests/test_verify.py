@@ -250,3 +250,29 @@ def test_sobolev_preconditions(medium_grid):
     crit = make_params(3, 1.0, a_star(3, 1.0))
     with pytest.raises(DomainError):
         sobolev_check(crit, 1.5, fam, grid=medium_grid)
+
+
+# ---------------------------------------------------------------------------
+# Gram-form ladder products
+
+
+def test_ladder_products_are_bitwise_symmetric_gram_forms(small_grid, params_half_critical):
+    from hardyops import build_hardy_operator
+    from hardyops import verify
+
+    op = build_hardy_operator(small_grid, params_half_critical)
+    q = op.modes * np.sqrt(small_grid.weights)[:, None]
+    lam = op.eigenvalues
+    for s in (0.5, 1.0, 1.7):
+        power = verify._sym_power_matrix(op, s)
+        assert np.array_equal(power, power.T)
+        ref = (q * np.where(lam > 0.0, lam, 0.0) ** (0.5 * s)) @ q.T
+        assert np.max(np.abs(power - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+        # ||r^{-alpha s/2} L^{-s/2}|| on the positive subspace, the old way.
+        keep = lam > 1e-15 * lam.max()
+        phi = q[:, keep] * lam[keep] ** (-0.5 * s)
+        mat = phi.T @ (small_grid.nodes[:, None] ** (-params_half_critical.alpha * s) * phi)
+        ref_top = math.sqrt(np.linalg.eigvalsh(0.5 * (mat + mat.T))[-1])
+        value = verify._generalized_rung_value(op, params_half_critical, s)
+        assert value == pytest.approx(ref_top, rel=1e-12)
