@@ -59,6 +59,7 @@ from .verify import (
     reverse_hardy_constant,
     riesz_equivalence_check,
     sobolev_check,
+    sweep_by_power,
     sweep_rows,
 )
 

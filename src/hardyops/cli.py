@@ -460,20 +460,16 @@ def _cmd_sweep(cfg: dict, em: _Emitter) -> int:
     family = verify.TestFamily(tag=family_tag, **fam_kwargs)
     grid = build_log_grid(params.d, cfg["r_min"], cfg["r_max"], cfg["grid_n"])
 
-    rows, notes = verify.sweep_rows(params, cfg["s"], family, grid)
+    rows, notes, reports = verify.sweep_by_power(
+        params, cfg["s"], family, grid, pass_bound=cfg["tol"]
+    )
     for row in rows:
         em.rows.append(tuple(row[column] for column in verify.SWEEP_COLUMNS))
     for note in notes:
         em.lines.append(f"  {note}")
 
-    # sweep_rows lists its rows power by power, one block of members each.
-    block = len(rows) // len(cfg["s"])
     all_pass = True
-    for k, s in enumerate(cfg["s"]):
-        report = verify.sweep_verdict(
-            params, [s], family, grid, rows[k * block:(k + 1) * block], notes,
-            pass_bound=cfg["tol"],
-        )
+    for s, report in zip(cfg["s"], reports):
         em.lines.append(
             f"s={s:g}: {report.verdict} "
             f"(ratio band [{report.empirical_lower:.6g}, {report.empirical_upper:.6g}])"

@@ -9,10 +9,13 @@ one-dimensional integral with Jacobi-type endpoint weights), which is how
 profile values get compared against rotation-invariant discrete kernels.
 
 A triple's distance may also be a 1-D array of chord lengths for one pair
-of radii.  ``stable_heat_profile``, ``hardy_heat_profile``, ``l_envelope``
-and ``m_envelope`` then return one value per chord, equal bit for bit to
-the scalar profile at that chord, so one triple serves a whole angular
-average.  The Riesz profile takes scalar triples only.
+of radii.  ``stable_heat_profile``, ``hardy_heat_profile`` and
+``m_envelope`` then return one value per chord, equal bit for bit to the
+scalar profile at that chord, so one triple serves a whole angular
+average.  Values that do not depend on the chord (``l_envelope``, and
+``m_envelope`` off its support) stay one float, which ``angular_average``
+and numpy arithmetic broadcast.  The Riesz profile takes scalar triples
+only.
 """
 
 from __future__ import annotations
@@ -105,22 +108,15 @@ def _free_tail(t: float, rxy, d: int, alpha: float):
     """min(1, t^{1+d/alpha} / rxy^{d+alpha}), and 1 at rxy = 0.
 
     The one factor of the heat profiles that depends on the chord; a float
-    for scalar rxy, else an array of rxy's shape.  rxy^{d+alpha} goes
-    through numpy's array power either way (its rounding can differ from
-    Python's float power), so the two agree bit for bit.
+    for scalar rxy, else an array of rxy's shape.  Scalars take the same
+    numpy array arithmetic as arrays (numpy's power can round differently
+    from Python's), so the two agree bit for bit.
     """
     den = np.asarray(rxy, dtype=float) ** (d + alpha)
-    if den.ndim == 0:
-        den = float(den)
-        return min(1.0, t ** (1.0 + d / alpha) / den) if den > 0.0 else 1.0
     tail = np.ones_like(den)
     np.divide(t ** (1.0 + d / alpha), den, out=tail, where=den > 0.0)
-    return np.minimum(tail, 1.0, out=tail)
-
-
-def _on_chords(value: float, rxy):
-    """A profile value that does not depend on the chord, in rxy's shape."""
-    return value if np.ndim(rxy) == 0 else np.full(np.shape(rxy), value)
+    np.minimum(tail, 1.0, out=tail)
+    return float(tail) if tail.ndim == 0 else tail
 
 
 def stable_heat_profile(t: float, q: KernelTriple, d: int, alpha: float):
@@ -243,7 +239,7 @@ def l_envelope(t: float, q: KernelTriple, params: HardyParams):
 
     With delta_+ > 0 both branches are singular when the smaller radius
     vanishes, which raises DomainError.  The envelope does not depend on
-    rxy; a chord array gets the value repeated in its shape.
+    rxy, so it is one float for a chord array too.
     """
     t = _check_time(t)
     d, alpha, dp = params.d, params.alpha, params.delta_plus
@@ -259,7 +255,7 @@ def l_envelope(t: float, q: KernelTriple, params: HardyParams):
     if rmax**alpha >= t:
         w = 1.0 if dp == 0.0 else max(1.0, t ** (1.0 / alpha) / rmin) ** dp
         val += t / rmax ** (d + alpha) * w
-    return _on_chords(val, q.rxy)
+    return val
 
 
 def m_envelope(t: float, q: KernelTriple, params: HardyParams):
@@ -270,14 +266,15 @@ def m_envelope(t: float, q: KernelTriple, params: HardyParams):
 
         t^{1 - d/alpha} / (|x| ^ |y|)^alpha * min(1, t^{1+d/alpha}/|x-y|^{d+alpha}).
 
-    Broadcasts over a chord array.
+    Broadcasts over a chord array where supported; the 0.0 outside the
+    support is one float.
     """
     t = _check_time(t)
     d, alpha = params.d, params.alpha
     rmax = max(q.rx, q.ry)
     rmin = min(q.rx, q.ry)
     if rmax**alpha < t or not (0.5 * q.rx <= q.ry <= 2.0 * q.rx):
-        return _on_chords(0.0, q.rxy)
+        return 0.0
     return t ** (1.0 - d / alpha) / rmin**alpha * _free_tail(t, q.rxy, d, alpha)
 
 

@@ -213,11 +213,18 @@ def sweep_rows(
     """Compute per-member ratio rows for the sweep CSV.
 
     Returns ``(rows, notes)`` where each row is a dict keyed exactly by
-    ``SWEEP_COLUMNS``.  Degenerate members (zero or non-finite weighted
-    norm on the grid) are skipped and recorded in ``notes``.
+    ``SWEEP_COLUMNS``, power by power in the order of ``s_values``.
+    Degenerate members (zero or non-finite weighted norm on the grid) are
+    skipped and recorded in ``notes``.
     """
     if grid is None:
         grid = _default_grid(params)
+    blocks, notes = _rows_by_power(params, s_values, family, grid)
+    return [row for block in blocks for row in block], notes
+
+
+def _rows_by_power(params, s_values, family, grid) -> tuple:
+    """``(blocks, notes)``: one list of :func:`sweep_rows` rows per s."""
     free = build_fractional_laplacian(grid, params.alpha)
     full = build_hardy_operator(grid, params)
     notes: list = []
@@ -228,9 +235,10 @@ def sweep_rows(
             notes.append(f"member {member_id} skipped: degenerate weighted norm")
             continue
         members.append((member_id, vec))
-    rows = []
+    blocks = []
     for s in s_values:
         s = float(s)
+        rows = []
         for member_id, vec in members:
             norm_free = _power_norm(free, vec, s)
             norm_full = _power_norm(full, vec, s)
@@ -249,7 +257,8 @@ def sweep_rows(
                     "ratio_backward": backward,
                 }
             )
-    return rows, notes
+        blocks.append(rows)
+    return blocks, notes
 
 
 def norm_ratio_sweep(
@@ -273,7 +282,30 @@ def norm_ratio_sweep(
     if grid is None:
         grid = _default_grid(params)
     rows, notes = sweep_rows(params, s_list, family, grid)
-    return sweep_verdict(params, s_list, family, grid, rows, notes, pass_bound=pass_bound)
+    return _sweep_verdict(params, s_list, family, grid, rows, notes, pass_bound)
+
+
+def sweep_by_power(
+    params: HardyParams,
+    s_values: Sequence[float],
+    family: TestFamily,
+    grid: Optional[RadialGrid] = None,
+    *,
+    pass_bound: float = 1e3,
+) -> tuple:
+    """``(rows, notes, reports)``: the :func:`sweep_rows` rows and notes,
+    and for each s the report ``norm_ratio_sweep(params, [s], ...)``
+    gives, with each power norm computed once.  Every s is checked before
+    any norm is computed."""
+    s_list = _sweep_powers(s_values)
+    if grid is None:
+        grid = _default_grid(params)
+    blocks, notes = _rows_by_power(params, s_list, family, grid)
+    reports = [
+        _sweep_verdict(params, [s], family, grid, block, notes, pass_bound)
+        for s, block in zip(s_list, blocks)
+    ]
+    return [row for block in blocks for row in block], notes, reports
 
 
 def _sweep_powers(s_values: Sequence[float]) -> list:
@@ -286,20 +318,9 @@ def _sweep_powers(s_values: Sequence[float]) -> list:
     return s_list
 
 
-def sweep_verdict(
-    params: HardyParams,
-    s_values: Sequence[float],
-    family: TestFamily,
-    grid: RadialGrid,
-    rows: Sequence[dict],
-    notes: Sequence[str],
-    *,
-    pass_bound: float = 1e3,
-) -> VerificationReport:
-    """The :func:`norm_ratio_sweep` report from ``(rows, notes)`` that
-    :func:`sweep_rows` returned for exactly these s values on ``grid``,
-    so a caller that already has the rows computes no norm twice."""
-    s_list = _sweep_powers(s_values)
+def _sweep_verdict(params, s_list, family, grid, rows, notes, pass_bound):
+    """The :func:`norm_ratio_sweep` report on ``rows``, which hold every
+    row of exactly the powers ``s_list``."""
     notes = list(notes)
     if not rows:
         return VerificationReport(

@@ -144,6 +144,18 @@ def test_sweep_byte_identical_reruns(capsys, tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
+def test_sweep_rejects_a_bad_power_before_any_row(capsys, tmp_path):
+    out_csv = tmp_path / "bad.csv"
+    rc, _, err = run(
+        capsys, "sweep", "--d", "3", "--alpha", "1", "--a", "0",
+        "--s", "0.5,2.5", "--grid-n", "256", "--out-csv", str(out_csv),
+    )
+    assert rc == 1
+    assert "s=2.5 outside (0, 2]" in err
+    lines = out_csv.read_text().splitlines()
+    assert len(lines) == 2 and lines[1].startswith("FAILURE,")
+
+
 def test_sweep_computes_each_power_norm_once(capsys, tmp_path, monkeypatch):
     from hardyops import verify
     from hardyops.operators import build_log_grid

@@ -19,6 +19,7 @@ from hardyops import (
     reverse_hardy_constant,
     riesz_equivalence_check,
     sobolev_check,
+    sweep_by_power,
     sweep_rows,
 )
 
@@ -119,6 +120,30 @@ def test_norm_ratio_sweep_validation(params_zero, small_grid):
         norm_ratio_sweep(params_zero, [], fam, small_grid)
     with pytest.raises(DomainError):
         norm_ratio_sweep(params_zero, [2.5], fam, small_grid)
+
+
+def test_sweep_by_power_matches_sweep_rows_and_one_sweep_per_power(params_half_critical, small_grid):
+    fam = TestFamily("singular-cutoff", n_members=4)
+    s_values = [0.5, 1.5, 0.5]
+    rows, notes, reports = sweep_by_power(params_half_critical, s_values, fam, small_grid)
+    assert (rows, notes) == sweep_rows(params_half_critical, s_values, fam, small_grid)
+    assert len(reports) == len(s_values)
+    for s, report in zip(s_values, reports):
+        alone = norm_ratio_sweep(params_half_critical, [s], fam, small_grid)
+        assert report.to_dict() == alone.to_dict()
+
+
+def test_sweep_by_power_checks_every_power_before_any_norm(params_zero, small_grid, monkeypatch):
+    from hardyops import verify
+
+    def no_norms(*args):
+        raise AssertionError("a norm was computed")
+
+    monkeypatch.setattr(verify, "_power_norm", no_norms)
+    fam = TestFamily("gaussian-dilates", n_members=4)
+    for bad in ([], [0.5, 2.5], [0.0]):
+        with pytest.raises(DomainError):
+            sweep_by_power(params_zero, bad, fam, small_grid)
 
 
 # ---------------------------------------------------------------------------
