@@ -20,7 +20,8 @@ class ConvergenceError(RuntimeError):
 class ConstructionError(RuntimeError):
     """A discrete operator failed a structural sanity check.
 
-    Raised when an assembled matrix is asymmetric beyond tolerance, loses
-    the nonnegativity guaranteed by the continuum theory, or when a
-    potential escapes its declared sandwich bounds.
+    Raised when a grid is not log-uniform or too coarse for the near-field
+    solve, when an operator loses the nonnegativity guaranteed by the
+    continuum theory, or when a potential escapes its declared sandwich
+    bounds.
     """

@@ -4,14 +4,18 @@ The integrator substitutes t = e^u, seeds panel edges at known kink
 locations, extends the window in both directions until the integrand is
 certifiably negligible, and then bisects the worst panel by a
 Gauss-Kronrod error estimate until the total estimate meets the
-tolerance or ``MAX_SPLITS`` bisections are spent.  The Riesz time integral
-and the Gamma check are thin wrappers that prepare a specific integrand
-and kink set; the Schur weight integral has a closed form.
+tolerance or ``MAX_SPLITS`` bisections are spent.  It integrates a batch
+of independent integrals in lockstep: each phase step evaluates the next
+panels of every integral still in that phase with one integrand call,
+while every integral keeps to the sequential rule above, so its panels,
+value and error estimate do not depend on the rest of the batch.  The
+Riesz time integral and the Gamma check are thin wrappers that prepare a
+specific integrand and kink set; the Schur weight integral has a closed
+form.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
@@ -26,6 +30,7 @@ __all__ = [
     "QuadResult",
     "integrate_semiinfinite",
     "riesz_time_integral",
+    "riesz_time_integrals",
     "SchurIntegral",
     "schur_weight_integral",
     "gamma_negative_half_integral_check",
@@ -46,6 +51,8 @@ _WG = np.array([
     0.129484966168870, 0.279705391489277, 0.381830050505119,
     0.417959183673469,
 ])
+# The 15 Kronrod abscissae on [-1, 1] in increasing order.
+_NODES = np.concatenate([-_XK[:-1], _XK[::-1]])
 
 _U_FLOOR = -690.0
 _U_CEIL = 690.0
@@ -57,116 +64,242 @@ GAMMA_TOL = 1e-10  # absolute tolerance of the Gamma(-s/2) quadrature check
 
 @dataclass(frozen=True)
 class QuadResult:
-    """Outcome of an adaptive integration."""
+    """Outcome of an adaptive integration: floats for one integral, arrays
+    with one entry per integral for a batch.  ``evaluations`` is the number
+    of integrand evaluations summed over the batch; ``evaluations_each``
+    splits it by integral."""
 
-    value: float
-    abs_error_estimate: float
+    value: float | np.ndarray
+    abs_error_estimate: float | np.ndarray
     evaluations: int
+    evaluations_each: int | np.ndarray
 
 
-def _panel(g: Callable, lo: float, hi: float):
-    """One G7K15 evaluation of g on [lo, hi]; returns (value, error)."""
-    mid = 0.5 * (lo + hi)
-    hl = 0.5 * (hi - lo)
-    u = np.concatenate([mid - hl * _XK[:-1], [mid], mid + hl * _XK[-2::-1]])
-    with np.errstate(all="ignore"):
-        f = np.asarray(g(u), dtype=float)
-    if f.shape != u.shape or not np.all(np.isfinite(f)):
-        raise DomainError(
-            f"integrand returned a non-finite or misshaped value on "
-            f"[{math.exp(lo):.3g}, {math.exp(hi):.3g}]"
-        )
-    sym = f[:7] + f[-1:7:-1]
-    k15 = hl * (np.dot(_WK[:-1], sym) + _WK[-1] * f[7])
-    g7 = hl * (np.dot(_WG[:-1], sym[1::2]) + _WG[-1] * f[7])
-    return float(k15), abs(float(k15) - float(g7))
+def _kink_seed(k) -> float:
+    k = float(k)
+    if not (k > 0.0) or math.isinf(k):
+        raise DomainError(f"kink locations must be finite and > 0: {k!r}")
+    return math.log(k)
+
+
+def _row_dot(rows: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    # One BLAS dot per row, rounded as np.dot(weights, row) rounds it, so a
+    # row's value does not depend on the rows around it; a matrix-vector
+    # product rounds a row by its place in the block.
+    return (rows[:, None, :] @ weights)[:, 0]
+
+
+def _panel_table(made, n):
+    """One table of the panels made so far, listed in ``made`` as columns
+    (row, lo, hi, val, err) of arrays, one array per phase step, which are
+    emptied on the way to keep the peak memory down.
+
+    The table holds each row's panels side by side in increasing u, rows
+    in order, so row r has entries starts[r] to starts[r] + count[r] of lo,
+    hi (edges in u = ln t), val and err (G7K15 value and error estimate).
+    Also returns each row's error total, summed over its panels in the
+    order they were made.
+    """
+
+    def drain(column):
+        joined = np.concatenate(column)
+        column.clear()
+        return joined
+
+    owner, lo, hi, val, err = made
+    owner, lo, err = drain(owner), drain(lo), drain(err)
+    total = np.bincount(owner, weights=err, minlength=n)
+    count = np.bincount(owner, minlength=n)
+    order = np.lexsort((lo, owner))
+    del owner
+    lo = lo[order]
+    err = err[order]
+    hi = drain(hi)[order]
+    val = drain(val)[order]
+    return total, count, lo, hi, val, err
 
 
 def integrate_semiinfinite(
     f: Callable,
     tol: float,
-    kinks: Iterable[float] = (),
+    kinks: Iterable[float] | Sequence[Sequence[float]] = (),
+    args: Sequence = (),
 ) -> QuadResult:
     """Integrate f over (0, inf) to absolute tolerance tol.
 
-    f must accept an ndarray of positive abscissae and return values of
-    the same shape.  kinks lists interior points where f loses smoothness
-    (panel edges are seeded there so each panel sees an analytic
-    integrand).  Raises ConvergenceError when either tail refuses to
-    decay before the underflow boundary or the refinement budget is
-    exhausted, and DomainError if f produces non-finite values.
+    One integral: kinks is a flat sequence of interior points where f loses
+    smoothness (panel edges are seeded there so each panel sees an analytic
+    integrand), and f(t) must map an ndarray of positive abscissae to values
+    of the same shape.
+
+    A batch of m integrals: kinks is an (m, k) array, one row of kink
+    locations per integral (k may be 0), and each entry of args holds one
+    parameter per integral (length m, or a scalar shared by all).  f(t, *a)
+    is called on a (p, 15) array t of panel abscissae, with each a the
+    matching parameters of the panels' integrals as a (p, 1) column, and
+    must return values broadcast to t's shape.  Every integral is refined
+    exactly as it would be alone; the result holds one value per integral
+    and the evaluations summed over the batch.
+
+    Raises ConvergenceError when either tail refuses to decay before the
+    underflow boundary or the refinement budget is exhausted, and
+    DomainError if f produces non-finite values.  In a batch the error is
+    that of the lowest-index failing integral, as it would raise alone.
     """
     tol = float(tol)
     if not (tol > 0.0) or math.isinf(tol):
         raise DomainError(f"tolerance must be finite and > 0, got {tol!r}")
+    batch = np.ndim(kinks) == 2
+    kink_rows = kinks if batch else [kinks]
+    m = len(kink_rows)
+    args = [np.broadcast_to(np.asarray(a, dtype=float), (m,)) for a in args]
 
-    def g(u):
-        t = np.exp(u)
-        return np.asarray(f(t), dtype=float) * t
-
+    # Work row r refines integral ids[r].  Rows stay sorted by integral, so
+    # the lowest failing integral is the lowest failing row; the rows from
+    # it on are dropped, since no result past it can be returned.
+    failure = None
     seeds = []
-    for k in kinks:
-        k = float(k)
-        if not (k > 0.0) or math.isinf(k):
-            raise DomainError(f"kink locations must be finite and > 0: {k!r}")
-        seeds.append(math.log(k))
-    seeds.append(0.0)
-    lo0, hi0 = min(seeds) - 2.0, max(seeds) + 2.0
-    edges = sorted(set(seeds + [lo0, hi0]))
+    for row in kink_rows:
+        try:
+            seeds.append([_kink_seed(k) for k in row] + [0.0])
+        except DomainError as exc:
+            failure = exc
+            break
+    n = len(seeds)
+    if n == 0:  # an empty batch, or the first integral's kinks are invalid
+        if failure is not None:
+            raise failure
+        return QuadResult(np.zeros(0), np.zeros(0), 0, np.zeros(0, dtype=int))
+    ids = np.arange(n)
+    alive = np.ones(n, dtype=bool)
 
-    evals = 0
-    heap = []  # entries (-err, lo, hi, value, err)
+    def fail(row, exc):
+        nonlocal failure
+        failure = exc
+        alive[row:] = False
 
-    def push(lo, hi):
-        nonlocal evals
-        val, err = _panel(g, lo, hi)
-        evals += 15
-        heapq.heappush(heap, (-err, lo, hi, val, err))
-        return val, err
+    def evaluate(rows, lo, hi):
+        # One integrand call for the panels [lo, hi] of the given rows.  A
+        # row's panels come in the order it would evaluate them alone, so
+        # the first bad panel is the one its own error names.
+        mid = 0.5 * (lo + hi)
+        hl = 0.5 * (hi - lo)
+        u = mid[:, None] + hl[:, None] * _NODES
+        with np.errstate(all="ignore"):
+            t = np.exp(u)
+            g = np.asarray(f(t, *(a[ids[rows], None] for a in args)), dtype=float) * t
+        shaped = g.shape == u.shape
+        if not (shaped and np.isfinite(g).all()):
+            j = np.argmin(np.isfinite(g).all(axis=1)) if shaped else 0
+            fail(rows[j], DomainError(
+                f"integrand returned a non-finite or misshaped value on "
+                f"[{math.exp(lo[j]):.3g}, {math.exp(hi[j]):.3g}]"
+            ))
+            if not shaped:
+                return np.zeros_like(lo), np.zeros_like(lo)
+        sym = g[:, :7] + g[:, :7:-1]
+        k15 = hl * (_row_dot(sym, _WK[:-1]) + _WK[-1] * g[:, 7])
+        g7 = hl * (_row_dot(sym[:, 1::2], _WG[:-1]) + _WG[-1] * g[:, 7])
+        return k15, np.abs(k15 - g7)
 
-    for a, b in zip(edges[:-1], edges[1:]):
-        push(a, b)
+    # Seed panels between consecutive distinct edges, in increasing order.
+    edges = np.sort([[min(r) - 2.0, *r, max(r) + 2.0] for r in seeds], axis=1)
+    fresh = edges[:, 1:] > edges[:, :-1]
+    rows = np.nonzero(fresh)[0]
+    lo, hi = edges[:, :-1][fresh], edges[:, 1:][fresh]
+    made = tuple([x] for x in (rows, lo, hi, *evaluate(rows, lo, hi)))
 
     # Extend each tail until two consecutive panels are negligible.
-    for direction in (+1, -1):
-        u = hi0 if direction > 0 else lo0
-        quiet = 0
-        while quiet < 2:
-            if direction > 0 and u >= _U_CEIL:
-                raise ConvergenceError("right tail did not decay before "
-                                       "the overflow boundary")
-            if direction < 0 and u <= _U_FLOOR:
-                raise ConvergenceError("left tail did not decay before "
-                                       "the underflow boundary")
-            nxt = u + 2.0 * direction
-            a, b = (u, nxt) if direction > 0 else (nxt, u)
-            val, err = push(a, b)
-            quiet = quiet + 1 if abs(val) + err < 0.1 * tol else 0
-            u = nxt
+    tails = (
+        (+1, edges[:, -1], "right tail did not decay before the overflow boundary"),
+        (-1, edges[:, 0], "left tail did not decay before the underflow boundary"),
+    )
+    for direction, start, stuck in tails:
+        u = start.copy()
+        quiet = np.zeros(n, dtype=int)
+        rows = np.flatnonzero(alive)
+        while rows.size:
+            beyond = u[rows] >= _U_CEIL if direction > 0 else u[rows] <= _U_FLOOR
+            if beyond.any():
+                first = rows[np.argmax(beyond)]
+                fail(first, ConvergenceError(stuck))
+                rows = rows[rows < first]
+                continue
+            nxt = u[rows] + 2.0 * direction
+            a, b = (u[rows], nxt) if direction > 0 else (nxt, u[rows])
+            val, err = evaluate(rows, a, b)
+            for column, x in zip(made, (rows, a, b, val, err)):
+                column.append(x)
+            quiet[rows] = np.where(np.abs(val) + err < 0.1 * tol, quiet[rows] + 1, 0)
+            u[rows] = nxt
+            rows = rows[alive[rows] & (quiet[rows] < 2)]
 
-    total_err = sum(item[4] for item in heap)
-    splits = 0
-    while total_err > tol:
-        if splits >= MAX_SPLITS:
-            raise ConvergenceError(
-                f"refinement budget exhausted: error estimate {total_err:.3e} "
-                f"above tolerance {tol:.3e} after {splits} splits"
-            )
-        _, lo, hi, _, err = heapq.heappop(heap)
-        if hi - lo < 1e-13:
-            raise ConvergenceError(
-                f"panel at t ~ {math.exp(lo):.3e} shrank below resolution "
-                f"with error {err:.3e} remaining"
-            )
-        total_err -= err
-        mid = 0.5 * (lo + hi)
-        _, e1 = push(lo, mid)
-        _, e2 = push(mid, hi)
-        total_err += e1 + e2
+    total, count, lo, hi, val, err = _panel_table(made, n)
+    splits = np.zeros(n, dtype=int)
+    value, error = np.zeros(m), np.zeros(m)
+    evals = np.zeros(m, dtype=int)
+    while True:
+        done = alive & ~(total > tol)
+        ends = np.cumsum(count)
+        for r in np.flatnonzero(done):
+            value[ids[r]] = math.fsum(val[ends[r] - count[r] : ends[r]].tolist())
+        error[ids[done]] = total[done]
+        evals[ids[done]] = 15 * (count[done] + splits[done])  # a split discards one panel
+        keep = alive & ~done
+        if not keep.all():
+            # One column at a time, so only one old column is held with the new.
+            kept = np.repeat(keep, count)
+            lo = lo[kept]
+            hi = hi[kept]
+            val = val[kept]
+            err = err[kept]
+            ids, alive, total, splits, count = (
+                x[keep] for x in (ids, alive, total, splits, count))
+        if not ids.size:
+            break
+        spent = splits >= MAX_SPLITS
+        if spent.any():
+            r = np.argmax(spent)
+            fail(r, ConvergenceError(
+                f"refinement budget exhausted: error estimate {total[r]:.3e} "
+                f"above tolerance {tol:.3e} after {splits[r]} splits"
+            ))
+            continue
+        # Every remaining row bisects its worst panel: the largest error,
+        # ties to the smallest lo (the first in the row), as a heap keyed on
+        # (-err, lo) pops them.
+        starts = np.cumsum(count) - count
+        at = np.flatnonzero(err == np.repeat(np.maximum.reduceat(err, starts), count))
+        row = np.searchsorted(starts, at, side="right") - 1
+        worst = at[np.diff(row, prepend=-1) > 0]
+        a, b, e = lo[worst], hi[worst], err[worst]
+        narrow = b - a < 1e-13
+        if narrow.any():
+            r = np.argmax(narrow)
+            fail(r, ConvergenceError(
+                f"panel at t ~ {math.exp(a[r]):.3e} shrank below resolution "
+                f"with error {e[r]:.3e} remaining"
+            ))
+            continue
+        mid = 0.5 * (a + b)
+        halves = evaluate(np.repeat(np.arange(ids.size), 2),
+                          np.column_stack([a, mid]).ravel(), np.column_stack([mid, b]).ravel())
+        (v1, v2), (e1, e2) = (x.reshape(-1, 2).T for x in halves)
+        total = (total - e) + (e1 + e2)
+        # The left half replaces the worst panel, the right half follows it.
+        hi[worst], val[worst], err[worst] = mid, v1, e1
+        lo = np.insert(lo, worst + 1, mid)
+        hi = np.insert(hi, worst + 1, b)
+        val = np.insert(val, worst + 1, v2)
+        err = np.insert(err, worst + 1, e2)
+        count += 1
         splits += 1
 
-    value = math.fsum(item[3] for item in heap)
-    return QuadResult(value=value, abs_error_estimate=total_err, evaluations=evals)
+    if failure is not None:
+        raise failure
+    if batch:
+        return QuadResult(value, error, int(evals.sum()), evals)
+    return QuadResult(float(value[0]), float(error[0]), int(evals[0]), int(evals[0]))
 
 
 def riesz_time_integral(
@@ -186,32 +319,65 @@ def riesz_time_integral(
     with kinks at t = 1 and t = (|x|/|x-y|)^alpha, (|y|/|x-y|)^alpha.
     Requires all three radial lengths positive (one chord, not an array)
     and s inside the window (0, min(2d/alpha, 2(d - 2 delta)/alpha)),
-    which is exactly the condition making the integral converge.  I is integrated to the
-    absolute tolerance ``RIESZ_TOL``.
+    which is exactly the condition making the integral converge.  I is
+    integrated to the absolute tolerance ``RIESZ_TOL``, as a batch of one
+    of ``riesz_time_integrals``.
+    """
+    if isinstance(q.rxy, np.ndarray):
+        raise DomainError("riesz_time_integral requires rx, ry and one chord rxy > 0")
+    return float(riesz_time_integrals(s, [q.rx], [q.ry], [q.rxy], params)[0])
+
+
+def riesz_time_integrals(
+    s: float,
+    rx: Sequence[float],
+    ry: Sequence[float],
+    rxy: Sequence[float],
+    params: HardyParams,
+) -> np.ndarray:
+    """``riesz_time_integral`` for many geometries (rx[i], ry[i], rxy[i])
+    at one s and params, with all time integrals in one batched
+    ``integrate_semiinfinite`` call.  Returns one value per geometry, each
+    bit for bit the value of its geometry alone; on failure raises the
+    error of the lowest-index geometry that fails.
     """
     s = float(s)
     smax = riesz_exponent_window(params)
     if not (0.0 < s < smax):
         raise DomainError(f"s must lie in (0, {smax}), got {s!r}")
-    if isinstance(q.rxy, np.ndarray) or not (q.rx > 0.0 and q.ry > 0.0 and q.rxy > 0.0):
-        raise DomainError("riesz_time_integral requires rx, ry and one chord rxy > 0")
+    # Per-geometry scalars in Python floats: numpy's log and power can round
+    # the last bit differently and so move panel edges.
+    rx, ry, rxy = (np.asarray(v, dtype=float).reshape(-1).tolist() for v in (rx, ry, rxy))
+    if not len(rx) == len(ry) == len(rxy):
+        raise DomainError("rx, ry and rxy must have the same length")
+    geometries = list(zip(rx, ry, rxy))
+    bad = next((i for i, g in enumerate(geometries) if not all(v > 0.0 for v in g)), None)
+    if bad is not None:
+        # Geometries before the bad one still integrate, so a failure among
+        # them is the one raised, as it would be one geometry at a time.
+        riesz_time_integrals(s, rx[:bad], ry[:bad], rxy[:bad], params)
+        raise DomainError(
+            f"riesz_time_integral requires rx, ry and one chord rxy > 0, got "
+            f"{geometries[bad]} at index {bad}"
+        )
     d, alpha, delta = params.d, params.alpha, params.delta
-    lcx = math.log(q.rxy / q.rx)
-    lcy = math.log(q.rxy / q.ry)
+    lcx = [math.log(z / x) for x, _, z in geometries]
+    lcy = [math.log(z / y) for _, y, z in geometries]
+    kinks = np.reshape([(1.0, (x / z) ** alpha, (y / z) ** alpha) for x, y, z in geometries],
+                       (len(geometries), 3))
     half_s = 0.5 * s
 
     # Assembled in log space: the factored powers can overflow near the
     # probing tails even though the product is tiny there.
-    def integrand(t):
+    def integrand(t, lcx, lcy):
         lt = np.log(t)
         le = (half_s - 1.0) * lt + np.minimum(0.0, (-d / alpha - 1.0) * lt)
         le = le + delta * np.maximum(0.0, lcx + lt / alpha)
         le = le + delta * np.maximum(0.0, lcy + lt / alpha)
         return np.exp(le)
 
-    kinks = (1.0, (q.rx / q.rxy) ** alpha, (q.ry / q.rxy) ** alpha)
-    res = integrate_semiinfinite(integrand, RIESZ_TOL, kinks=kinks)
-    return q.rxy ** (0.5 * alpha * s - d) * res.value
+    res = integrate_semiinfinite(integrand, RIESZ_TOL, kinks=kinks, args=(lcx, lcy))
+    return np.array([z ** (0.5 * alpha * s - d) * v for z, v in zip(rxy, res.value.tolist())])
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,12 @@
 import math
+from contextlib import contextmanager
+from unittest import mock
 
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate as sp_integrate
 
 from hardyops import (
@@ -10,14 +14,22 @@ from hardyops import (
     DomainError,
     KernelTriple,
     QuadResult,
+    a_star,
     gamma_negative_half_integral_check,
+    hardy_constant,
     integrate_semiinfinite,
     make_params,
+    quadrature,
+    riesz_equivalence_check,
+    riesz_exponent_window,
     riesz_time_integral,
+    riesz_time_integrals,
     schur_weight_integral,
     sphere_area,
+    verify,
 )
-from hardyops.quadrature import gamma_reflection_oracle
+from hardyops.cli import main
+from hardyops.quadrature import RIESZ_TOL, gamma_reflection_oracle
 
 mpmath.mp.dps = 30
 
@@ -79,6 +91,8 @@ def test_riesz_time_anchor_sixteen_sevenths():
     params = make_params(3, 1.0, 0.0)
     value = riesz_time_integral(1.0, KernelTriple(1.0, 1.0, 1.0), params)
     assert value == pytest.approx(16.0 / 7.0, rel=1e-10)
+    assert type(value) is float
+    assert value == 2.2857142857040604  # as integrated one panel at a time
 
 
 def test_riesz_time_integral_geometry_independent_at_zero_coupling(rng):
@@ -193,3 +207,177 @@ def test_schur_rejects_non_finite_inputs():
         schur_weight_integral(float("inf"), 0.0, 3)
     with pytest.raises(DomainError):
         schur_weight_integral(1.0, float("nan"), 3)
+
+
+# ---------------------------------------------------------------------------
+# batches: every integral is refined as it would be alone
+
+dims = st.integers(min_value=2, max_value=5)
+orders = st.floats(min_value=0.5, max_value=1.9)
+couplings = st.floats(min_value=0.15, max_value=1.0)  # u: a = a_star + u (H/2 - a_star)
+window_shares = st.floats(min_value=0.05, max_value=0.95)
+radii = st.floats(min_value=-2.0, max_value=2.0).map(lambda e: 10.0**e)
+geometry = st.tuples(radii, radii, st.floats(min_value=-1.0, max_value=0.99))
+batches = st.lists(geometry, min_size=1, max_size=6)
+
+
+def _riesz_case(d, alpha, u, share):
+    low = a_star(d, alpha)
+    params = make_params(d, alpha, low + u * (0.5 * hardy_constant(d, alpha) - low))
+    return params, share * riesz_exponent_window(params)
+
+
+def _lengths(batch):
+    """rx, ry and the chord rxy of each (rx, ry, cosine of the angle)."""
+    rx, ry, mu = (list(v) for v in zip(*batch))
+    rxy = [math.sqrt((x - y) ** 2 + 2.0 * x * y * (1.0 - m)) for x, y, m in zip(rx, ry, mu)]
+    return rx, ry, rxy
+
+
+@contextmanager
+def _recorded_integrations():
+    results = []
+    original = quadrature.integrate_semiinfinite
+
+    def spy(*args, **kwargs):
+        results.append(original(*args, **kwargs))
+        return results[-1]
+
+    with mock.patch.object(quadrature, "integrate_semiinfinite", spy):
+        yield results
+
+
+def _outcome(fn, *args, **kwargs):
+    try:
+        return fn(*args, **kwargs)
+    except (ConvergenceError, DomainError) as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=40, deadline=None)
+@given(d=dims, alpha=orders, u=couplings, share=window_shares, batch=batches)
+def test_batched_riesz_integrals_equal_each_integral_alone(d, alpha, u, share, batch):
+    params, s = _riesz_case(d, alpha, u, share)
+    rx, ry, rxy = _lengths(batch)
+    with _recorded_integrations() as results:
+        values = riesz_time_integrals(s, rx, ry, rxy, params)
+        (together,) = results
+        for i, lengths in enumerate(zip(rx, ry, rxy)):
+            alone = riesz_time_integral(s, KernelTriple(*lengths), params)
+            assert alone == values[i]  # bitwise
+            assert results[-1].value == together.value[i]
+            assert results[-1].abs_error_estimate == together.abs_error_estimate[i]
+            assert results[-1].evaluations == together.evaluations_each[i]
+    assert together.evaluations == sum(r.evaluations for r in results[1:])
+
+
+@settings(max_examples=8, deadline=None)
+@given(d=dims, alpha=orders, u=couplings, share=window_shares,
+       seed=st.integers(min_value=0, max_value=2**32 - 1))
+def test_riesz_check_equals_a_loop_of_scalar_integrals(d, alpha, u, share, seed):
+    params, s = _riesz_case(d, alpha, u, share)
+
+    def one_at_a_time(s, rx, ry, rxy, params):
+        return np.array([riesz_time_integral(s, KernelTriple(*lengths), params)
+                         for lengths in zip(rx, ry, rxy)])
+
+    batched = _outcome(riesz_equivalence_check, params, s, n_triples=24, seed=seed)
+    with mock.patch.object(verify, "riesz_time_integrals", one_at_a_time):
+        looped = _outcome(riesz_equivalence_check, params, s, n_triples=24, seed=seed)
+    assert batched == looped
+
+
+def _time_integral_by_quad(s, rx, ry, rxy, params):
+    """I of riesz_time_integral by QUADPACK in u = ln t, split at the kinks;
+    returns the value and QUADPACK's error estimate."""
+    d, alpha, delta = params.d, params.alpha, params.delta
+    lcx, lcy = math.log(rxy / rx), math.log(rxy / ry)
+
+    def integrand(u):
+        le = 0.5 * s * u + min(0.0, -d / alpha * u - u)
+        return math.exp(le + delta * (max(0.0, lcx + u / alpha) + max(0.0, lcy + u / alpha)))
+
+    edges = [-math.inf, *sorted({0.0, -alpha * lcx, -alpha * lcy}), math.inf]
+    pieces = [sp_integrate.quad(integrand, a, b, epsabs=1e-13, epsrel=1e-13, limit=200)
+              for a, b in zip(edges[:-1], edges[1:])]
+    return sum(v for v, _ in pieces), sum(e for _, e in pieces)
+
+
+@settings(max_examples=25, deadline=None)
+@given(d=dims, alpha=orders, u=couplings, share=window_shares, batch=batches)
+def test_batched_riesz_integrals_match_scipy_quad(d, alpha, u, share, batch):
+    params, s = _riesz_case(d, alpha, u, share)
+    rx, ry, rxy = _lengths(batch)
+    values = riesz_time_integrals(s, rx, ry, rxy, params)
+    for value, lengths in zip(values, zip(rx, ry, rxy)):
+        reference, quad_error = _time_integral_by_quad(s, *lengths, params)
+        time_integral = value / lengths[2] ** (0.5 * params.alpha * s - params.d)
+        assert abs(time_integral - reference) <= RIESZ_TOL + quad_error
+
+
+def test_single_integral_is_a_batch_of_one():
+    alone = integrate_semiinfinite(lambda t: np.exp(-t), 1e-10, kinks=(3.0,))
+    pair = integrate_semiinfinite(lambda t, c: c * np.exp(-t), 1e-10,
+                                  kinks=[[3.0], [3.0]], args=([1.0, 1.0],))
+    assert type(alone.value) is float and type(alone.evaluations) is int
+    assert alone.evaluations_each == alone.evaluations
+    assert pair.value.tolist() == [alone.value, alone.value]
+    assert pair.evaluations_each.tolist() == [alone.evaluations] * 2
+    assert pair.evaluations == 2 * alone.evaluations
+    empty = integrate_semiinfinite(lambda t: np.exp(-t), 1e-10, kinks=np.zeros((0, 1)))
+    assert empty.value.shape == (0,) and empty.evaluations == 0
+
+
+# ---------------------------------------------------------------------------
+# failures in a batch
+
+
+def test_riesz_budget_reproducer_still_exits_three(capsys):
+    rc = main([
+        "riesz-verify", "--d=5", "--alpha=1.1975915514046693", "--a=-1.6356399056289268",
+        "--s=0.7868220546998024,2.478680856865038,1.916793778594522", "--seed=716877914",
+    ])
+    assert rc == 3
+    assert "refinement budget exhausted" in capsys.readouterr().err
+
+
+def _alone_error(f, c, kinks):
+    with pytest.raises((ConvergenceError, DomainError)) as alone:
+        integrate_semiinfinite(lambda t: f(t, c), 1e-10, kinks=kinks)
+    return alone.value
+
+
+def _scaled_exponential(t, c):
+    return c * np.exp(-t)
+
+
+def test_batch_names_the_panel_of_its_non_finite_row():
+    # The NaN row's first panel is [1e-3 e^-2, 1e-3]; the other rows start
+    # at [e^-2, 1].
+    with pytest.raises(DomainError) as batch:
+        integrate_semiinfinite(_scaled_exponential, 1e-10, kinks=[[2.0], [1e-3], [5.0]],
+                               args=([1.0, math.nan, 1.0],))
+    assert "[0.000135, 0.001]" in str(batch.value)
+    assert str(batch.value) == str(_alone_error(_scaled_exponential, math.nan, [1e-3]))
+
+
+def _flat_or_nan(t, c):
+    # c = 0: a tail that never decays; c = NaN: non-finite everywhere.
+    return np.where(c == 0.0, 1.0, c * np.exp(-t))
+
+
+@pytest.mark.parametrize("first, second", [(0.0, math.nan), (math.nan, 0.0)])
+def test_batch_raises_the_lowest_failing_integral(first, second):
+    # A NaN row fails on its first panel, before a flat row reaches the
+    # overflow boundary, yet only the lower row's error is raised.
+    with pytest.raises((ConvergenceError, DomainError)) as batch:
+        integrate_semiinfinite(_flat_or_nan, 1e-10, kinks=np.ones((4, 1)),
+                               args=([1.0, first, second, 1.0],))
+    alone = _alone_error(_flat_or_nan, first, [1.0])
+    assert type(batch.value) is type(alone)
+    assert str(batch.value) == str(alone)
+
+
+def test_riesz_integrals_name_the_first_non_positive_length(params_zero):
+    with pytest.raises(DomainError, match="at index 1"):
+        riesz_time_integrals(1.0, [1.0, 2.0, 1.0], [1.0, 2.0, 1.0], [1.0, 0.0, -1.0], params_zero)
