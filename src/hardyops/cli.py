@@ -16,6 +16,7 @@ same effective config and seed.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -63,6 +64,13 @@ def _parse_int(text) -> int:
         return int(str(text).strip())
     except ValueError:
         raise CliError(f"expected an integer, got {text!r}") from None
+
+
+def _parse_seed(text) -> int:
+    value = _parse_int(text)
+    if value < 0:
+        raise CliError(f"expected a non-negative integer, got {text!r}")
+    return value
 
 
 def _parse_float(text) -> float:
@@ -119,7 +127,7 @@ _OPTIONS = {
     "tol": _Option(_parse_float, "per-command tolerance or pass bound"),
     "out_csv": _Option(_parse_str, "write result rows to this CSV file"),
     "out_json": _Option(_parse_str, "write a JSON summary to this file"),
-    "seed": _Option(_parse_int, "seed for the sampling generator"),
+    "seed": _Option(_parse_seed, "seed for the sampling generator"),
     "config": _Option(_parse_str, "read defaults from a key = value config file"),
     "rx": _Option(_parse_float, "radius of the first point"),
     "ry": _Option(_parse_float, "radius of the second point"),
@@ -776,7 +784,10 @@ _register(
 )
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand, built once per process; parsing
+    leaves it unchanged, so every call of ``main`` shares it."""
     parser = _ArgumentParser(
         prog="hardyops",
         description="Verification toolkit for fractional Hardy operators.",

@@ -75,11 +75,27 @@ class QuadResult:
     evaluations_each: int | np.ndarray
 
 
-def _kink_seed(k) -> float:
-    k = float(k)
-    if not (k > 0.0) or math.isinf(k):
-        raise DomainError(f"kink locations must be finite and > 0: {k!r}")
-    return math.log(k)
+def _seed_edges(kinks: np.ndarray):
+    """Seed panel edges in u = ln t for an (m, k) array of kink locations.
+
+    Row r's edges are its kinks' logs and 0, sorted, with one more edge 2
+    below the lowest and 2 above the highest.  Returns the edges of the
+    rows before the first row holding a non-positive or non-finite kink,
+    as an (n, k + 3) array, and that row's DomainError (None if every row
+    is valid).  The logs are Python's: numpy's can differ by an ulp and so
+    move a panel edge.
+    """
+    bad = ~((kinks > 0.0) & (kinks < math.inf))
+    first = bad.any(axis=1)
+    n = int(np.argmax(first)) if first.any() else len(kinks)
+    failure = None
+    if n < len(kinks):
+        k = float(kinks[n, np.argmax(bad[n])])
+        failure = DomainError(f"kink locations must be finite and > 0: {k!r}")
+    logs = np.reshape(list(map(math.log, kinks[:n].ravel().tolist())), (n, kinks.shape[1]))
+    seeds = np.column_stack([logs, np.zeros(n)])
+    edges = np.column_stack([seeds.min(axis=1) - 2.0, seeds, seeds.max(axis=1) + 2.0])
+    return np.sort(edges, axis=1), failure
 
 
 def _row_dot(rows: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -150,22 +166,15 @@ def integrate_semiinfinite(
     if not (tol > 0.0) or math.isinf(tol):
         raise DomainError(f"tolerance must be finite and > 0, got {tol!r}")
     batch = np.ndim(kinks) == 2
-    kink_rows = kinks if batch else [kinks]
-    m = len(kink_rows)
+    kinks = np.asarray(kinks if batch else [list(kinks)], dtype=float)
+    m = len(kinks)
     args = [np.broadcast_to(np.asarray(a, dtype=float), (m,)) for a in args]
 
     # Work row r refines integral ids[r].  Rows stay sorted by integral, so
     # the lowest failing integral is the lowest failing row; the rows from
     # it on are dropped, since no result past it can be returned.
-    failure = None
-    seeds = []
-    for row in kink_rows:
-        try:
-            seeds.append([_kink_seed(k) for k in row] + [0.0])
-        except DomainError as exc:
-            failure = exc
-            break
-    n = len(seeds)
+    edges, failure = _seed_edges(kinks)
+    n = len(edges)
     if n == 0:  # an empty batch, or the first integral's kinks are invalid
         if failure is not None:
             raise failure
@@ -203,7 +212,6 @@ def integrate_semiinfinite(
         return k15, np.abs(k15 - g7)
 
     # Seed panels between consecutive distinct edges, in increasing order.
-    edges = np.sort([[min(r) - 2.0, *r, max(r) + 2.0] for r in seeds], axis=1)
     fresh = edges[:, 1:] > edges[:, :-1]
     rows = np.nonzero(fresh)[0]
     lo, hi = edges[:, :-1][fresh], edges[:, 1:][fresh]

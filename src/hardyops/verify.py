@@ -594,6 +594,14 @@ def _admissible_times(grid: RadialGrid, alpha: float, t_values: Sequence[float],
     return kept
 
 
+def _check_band_bound(band_bound: float) -> None:
+    # C/c >= 1 for every band, so a bound below 1 could never pass.
+    if not band_bound >= 1.0:
+        raise DomainError(
+            f"band_bound must be >= 1, since C/c is never below 1; got {band_bound!r}"
+        )
+
+
 def _interior_pairs(rng: np.random.Generator, n: int, count: int) -> np.ndarray:
     lo, hi = n // 4, 3 * n // 4
     return rng.integers(lo, hi, size=(count, 2))
@@ -613,7 +621,7 @@ def heat_sandwich_check(
     Samples interior node pairs, angular-averages the comparison profile
     over the chord distance, and reports the min/max of kernel/profile.
     Passes when every sampled entry is positive and the band has
-    C/c <= ``band_bound``.
+    C/c <= ``band_bound``, which must be at least 1.
 
     The comparison profile carries unspecified structural constants, so
     the band is informative only through its width.  The one exception is
@@ -622,6 +630,7 @@ def heat_sandwich_check(
     """
     if sample_pairs < 1:
         raise DomainError("sample_pairs must be positive")
+    _check_band_bound(band_bound)
     if grid is None:
         grid = _default_grid(params)
     notes: list = []
@@ -816,8 +825,8 @@ def riesz_equivalence_check(
     Samples random geometric triples (two radii, log-uniform over
     ``RIESZ_DECADES`` decades either side of 1, and an enclosed angle),
     splits them by lambda = min(rx, ry)/rxy at 1/4, and requires the ratio
-    band within each sampled case to satisfy C/c <= ``band_bound``.  The
-    time integrals of all triples are computed in one batch.
+    band within each sampled case to satisfy C/c <= ``band_bound`` (at
+    least 1).  The time integrals of all triples are computed in one batch.
     """
     s = float(s)
     lo_s, hi_s = 0.0, riesz_exponent_window(params)
@@ -825,12 +834,16 @@ def riesz_equivalence_check(
         raise DomainError(f"s={s} outside the convergence window (0, {hi_s:.6g})")
     if n_triples < 2:
         raise DomainError("need at least two triples")
-    rng = np.random.default_rng(seed)
+    _check_band_bound(band_bound)
+    # One draw for all triples, scaled as Generator.uniform scales it, so
+    # the triples are bit for bit those of three uniform calls per triple;
+    # the powers stay Python float powers, which numpy's may not round alike.
+    span = 2.0 * RIESZ_DECADES
     triples, profiles = [], []
-    for _ in range(n_triples):
-        rx = 10.0 ** rng.uniform(-RIESZ_DECADES, RIESZ_DECADES)
-        ry = 10.0 ** rng.uniform(-RIESZ_DECADES, RIESZ_DECADES)
-        mu = rng.uniform(-1.0, 1.0)
+    for ux, uy, umu in np.random.default_rng(seed).random((n_triples, 3)).tolist():
+        rx = 10.0 ** (-RIESZ_DECADES + span * ux)
+        ry = 10.0 ** (-RIESZ_DECADES + span * uy)
+        mu = -1.0 + 2.0 * umu
         rxy = math.sqrt((rx - ry) ** 2 + 2.0 * rx * ry * (1.0 - mu))
         triple = KernelTriple(rx, ry, rxy)
         triples.append(triple)

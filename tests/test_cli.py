@@ -1,9 +1,19 @@
+import contextlib
+import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hardyops.cli import main
+from hardyops.cli import build_parser, main
+from hardyops.kernels import riesz_exponent_window
+from hardyops.specfun import a_star, hardy_constant, make_params
 
 CRITICAL = "-0.6366197723675814"
 
@@ -244,6 +254,115 @@ def test_failure_marker_row_after_partial_success(capsys, tmp_path):
     doc = json.loads(out_json.read_text())
     assert doc["verdict"] == "error"
     assert "failure" in doc
+
+
+@pytest.mark.parametrize("command", ["riesz-verify", "heat-verify", "diff-verify"])
+def test_negative_seed_is_a_bad_option_value(capsys, tmp_path, command):
+    out_json = tmp_path / "rep.json"
+    rc, out, err = run(capsys, command, "--d=3", "--alpha=1", "--seed=-1",
+                       f"--out-json={out_json}")
+    assert rc == 1
+    assert err == "error: expected a non-negative integer, got '-1'\n"
+    assert out == "" and not out_json.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ("riesz-verify", "--d=3", "--alpha=1", "--tol=0.5"),
+    ("heat-verify", "--d=3", "--alpha=1", "--tol=0"),
+])
+def test_band_bound_below_one_is_a_domain_error(capsys, tmp_path, argv):
+    out_json = tmp_path / "rep.json"
+    rc, _, err = run(capsys, *argv, f"--out-json={out_json}")
+    assert rc == 1
+    assert err.startswith("error: band_bound must be >= 1")
+    doc = json.loads(out_json.read_text())
+    assert doc["verdict"] == "error"
+    assert doc["failure"].startswith("DomainError: band_bound must be >= 1")
+
+
+# ---------------------------------------------------------------------------
+# one parser per process: what main writes does not depend on earlier calls
+
+_FRESH_MAIN = "import sys; from hardyops.cli import main; sys.exit(main(sys.argv[1:]))"
+_WIDTH = "100"  # argparse wraps help text to COLUMNS
+
+
+def _fresh_interpreter(argv, cwd):
+    """Exit code and stdout bytes of main(argv) in a new Python process."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, COLUMNS=_WIDTH,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", _FRESH_MAIN, *argv], cwd=cwd, env=env,
+                          capture_output=True, timeout=300)
+    return proc.returncode, proc.stdout
+
+
+def _this_interpreter(argv):
+    """Exit code and stdout bytes of main(argv) in this process."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        rc = main(list(argv))
+    return rc, out.getvalue().encode()
+
+
+# Commands run in this process before the one compared: passes, failed
+# checks, validation errors of each kind and help output.
+_EARLIER = [
+    ("constants", "--d=3", "--alpha=1", "--a=0"),
+    ("psi", "--d=4", "--alpha=1.5", "--sigma=0.25"),
+    ("riesz-verify", "--d=2", "--alpha=0.75", "--s=0.3,0.6", "--seed=3", "--tol=1"),
+    ("riesz-verify", "--d=3", "--alpha=1", "--s=50"),
+    ("riesz-verify", "--d=3", "--alpha=1", "--seed=-4"),
+    ("riesz-verify", "--d=3", "--bogus=1"),
+    ("riesz-verify", "--help"),
+    ("schur", "--d=3", "--beta=1"),
+    ("no-such-command",),
+]
+
+
+@st.composite
+def riesz_argv(draw):
+    d = draw(st.integers(min_value=2, max_value=5))
+    alpha = draw(st.floats(min_value=0.5, max_value=1.9))
+    low = a_star(d, alpha)
+    a = low + draw(st.floats(min_value=0.15, max_value=1.0)) * (0.5 * hardy_constant(d, alpha) - low)
+    window = riesz_exponent_window(make_params(d, alpha, a))
+    shares = draw(st.lists(st.floats(min_value=0.05, max_value=0.95), min_size=1, max_size=2))
+    argv = ["riesz-verify", f"--d={d}", f"--alpha={alpha!r}", f"--a={a!r}",
+            "--s=" + ",".join(repr(u * window) for u in shares),
+            f"--seed={draw(st.integers(min_value=0, max_value=2**32 - 1))}"]
+    if draw(st.booleans()):
+        argv.append(f"--tol={draw(st.floats(min_value=1.0, max_value=100.0))!r}")
+    return argv
+
+
+@settings(max_examples=4, deadline=None)
+@given(argv=riesz_argv(), earlier=st.permutations(_EARLIER))
+def test_riesz_outputs_do_not_depend_on_earlier_calls(argv, earlier, tmp_path_factory):
+    out = tmp_path_factory.mktemp("riesz")
+    argv = argv + [f"--out-json={out / 'rep.json'}", f"--out-csv={out / 'rep.csv'}"]
+
+    def written():
+        files = [(out / name).read_bytes() for name in ("rep.json", "rep.csv")]
+        for name in ("rep.json", "rep.csv"):
+            (out / name).unlink()
+        return files
+
+    fresh = _fresh_interpreter(argv, out), written()
+    for other in earlier:
+        _this_interpreter(other)
+    shared = _this_interpreter(argv), written()
+    assert shared == fresh  # exit code, stdout, JSON and CSV, byte for byte
+
+
+@pytest.mark.parametrize("argv", [("--help",), ("riesz-verify", "--help")])
+def test_help_text_does_not_depend_on_earlier_calls(argv, tmp_path, monkeypatch):
+    monkeypatch.setenv("COLUMNS", _WIDTH)
+    fresh = _fresh_interpreter(argv, tmp_path)
+    for other in _EARLIER:
+        _this_interpreter(other)
+    assert _this_interpreter(argv) == fresh
+    assert build_parser() is build_parser()
 
 
 # ---------------------------------------------------------------------------

@@ -381,3 +381,78 @@ def test_batch_raises_the_lowest_failing_integral(first, second):
 def test_riesz_integrals_name_the_first_non_positive_length(params_zero):
     with pytest.raises(DomainError, match="at index 1"):
         riesz_time_integrals(1.0, [1.0, 2.0, 1.0], [1.0, 2.0, 1.0], [1.0, 0.0, -1.0], params_zero)
+
+
+# ---------------------------------------------------------------------------
+# kink seeding: one array pass, as a row-by-row scalar loop seeds them
+
+
+def _kink_seed(k):
+    k = float(k)
+    if not (k > 0.0) or math.isinf(k):
+        raise DomainError(f"kink locations must be finite and > 0: {k!r}")
+    return math.log(k)
+
+
+def _edges_row_by_row(kinks):
+    """Edges and the first error, seeded one kink at a time with Python's log."""
+    seeds, failure = [], None
+    for row in kinks:
+        try:
+            seeds.append([_kink_seed(k) for k in row] + [0.0])
+        except DomainError as exc:
+            failure = exc
+            break
+    edges = [[min(r) - 2.0, *r, max(r) + 2.0] for r in seeds]
+    return np.sort(np.reshape(edges, (len(seeds), np.shape(kinks)[1] + 3)), axis=1), failure
+
+
+positive_kinks = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+# Kinks at which the integral of e^-t converges, so a failure can only be a kink's.
+moderate_kinks = st.floats(min_value=-3.0, max_value=3.0).map(lambda e: 10.0**e)
+bad_kinks = st.sampled_from([0.0, -0.0, -1e-300, -2.5, math.nan, math.inf, -math.inf])
+
+
+@st.composite
+def kink_batches(draw, kinks=positive_kinks):
+    m = draw(st.integers(min_value=1, max_value=6))
+    k = draw(st.integers(min_value=1, max_value=4))
+    rows = draw(st.lists(st.lists(kinks, min_size=k, max_size=k),
+                         min_size=m, max_size=m))
+    return np.array(rows, dtype=float).reshape(m, k)
+
+
+@settings(max_examples=150, deadline=None)
+@given(kinks=kink_batches())
+def test_kink_edges_equal_row_by_row_seeding(kinks):
+    edges, failure = quadrature._seed_edges(kinks)
+    reference, _ = _edges_row_by_row(kinks)
+    assert failure is None
+    assert edges.tobytes() == reference.tobytes()
+
+
+def test_kink_edges_of_a_large_batch_equal_row_by_row_seeding(rng):
+    # Riesz-shaped kinks (1, (rx/rxy)^alpha, (ry/rxy)^alpha); numpy's log
+    # differs from Python's on about one of these in a thousand.
+    rx, ry, rxy = (10.0 ** rng.uniform(-2.0, 2.0, 20000) for _ in range(3))
+    alpha = rng.uniform(0.5, 1.9, 20000)
+    kinks = np.column_stack([np.ones(20000), (rx / rxy) ** alpha, (ry / rxy) ** alpha])
+    edges, failure = quadrature._seed_edges(kinks)
+    assert failure is None
+    assert edges.tobytes() == _edges_row_by_row(kinks)[0].tobytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(kinks=kink_batches(moderate_kinks), data=st.data())
+def test_bad_kink_names_the_lowest_bad_row(kinks, data):
+    m, k = kinks.shape
+    for _ in range(data.draw(st.integers(min_value=1, max_value=3))):
+        row = data.draw(st.integers(min_value=0, max_value=m - 1))
+        kinks[row, data.draw(st.integers(min_value=0, max_value=k - 1))] = data.draw(bad_kinks)
+    edges, failure = quadrature._seed_edges(kinks)
+    reference, expected = _edges_row_by_row(kinks)
+    assert type(failure) is DomainError and str(failure) == str(expected)
+    assert edges.tobytes() == reference.tobytes()  # the rows before it, bitwise
+    with pytest.raises(DomainError) as raised:
+        integrate_semiinfinite(_scaled_exponential, 1e-10, kinks=kinks, args=(1.0,))
+    assert str(raised.value) == str(expected)

@@ -1,7 +1,10 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hardyops import (
     FAMILY_TAGS,
@@ -21,6 +24,7 @@ from hardyops import (
     sobolev_check,
     sweep_by_power,
     sweep_rows,
+    verify,
 )
 
 
@@ -203,6 +207,15 @@ def test_heat_sandwich_deterministic(params_critical, medium_grid):
     assert rep1.empirical_upper == rep2.empirical_upper
 
 
+@pytest.mark.parametrize("bound", [0.0, 0.999, -1.0, math.nan])
+def test_band_checks_reject_a_bound_below_one(params_zero, medium_grid, bound):
+    # C/c >= 1 for every band, so such a bound could never pass.
+    with pytest.raises(DomainError, match="band_bound must be >= 1"):
+        heat_sandwich_check(params_zero, [1.0], grid=medium_grid, band_bound=bound)
+    with pytest.raises(DomainError, match="band_bound must be >= 1"):
+        riesz_equivalence_check(params_zero, 1.0, n_triples=10, band_bound=bound)
+
+
 def test_heat_sandwich_rejects_out_of_window_times(params_zero, medium_grid):
     with pytest.raises(DomainError):
         heat_sandwich_check(params_zero, [1e9], grid=medium_grid)
@@ -256,6 +269,33 @@ def test_riesz_equivalence_rejects_exponent_outside_window(params_critical):
         riesz_equivalence_check(params_critical, 2.5, n_triples=10)
     with pytest.raises(DomainError):
         riesz_equivalence_check(params_critical, -1.0, n_triples=10)
+
+
+def _uniform_triples(seed, n_triples):
+    """The triples as three scalar ``uniform`` draws per triple make them."""
+    rng = np.random.default_rng(seed)
+    lengths = []
+    for _ in range(n_triples):
+        rx = 10.0 ** rng.uniform(-verify.RIESZ_DECADES, verify.RIESZ_DECADES)
+        ry = 10.0 ** rng.uniform(-verify.RIESZ_DECADES, verify.RIESZ_DECADES)
+        mu = rng.uniform(-1.0, 1.0)
+        lengths.append((rx, ry, math.sqrt((rx - ry) ** 2 + 2.0 * rx * ry * (1.0 - mu))))
+    return lengths
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**64 - 1),
+       n_triples=st.integers(min_value=2, max_value=300))
+def test_riesz_triples_equal_scalar_uniform_draws(params_zero, seed, n_triples):
+    drawn = []
+
+    def record(s, rx, ry, rxy, params):
+        drawn.extend(zip(rx, ry, rxy))
+        return np.ones(len(rx))
+
+    with mock.patch.object(verify, "riesz_time_integrals", record):
+        riesz_equivalence_check(params_zero, 1.0, n_triples=n_triples, seed=seed)
+    assert drawn == _uniform_triples(seed, n_triples)  # bitwise
 
 
 # ---------------------------------------------------------------------------
