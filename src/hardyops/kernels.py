@@ -25,10 +25,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import roots_jacobi
 
 from .errors import DomainError
-from .specfun import HardyParams, log_gamma
+from .specfun import HardyParams, gauss_jacobi, log_gamma
 
 __all__ = [
     "KernelTriple",
@@ -283,7 +282,7 @@ ANGULAR_NODES = 48  # Gauss-Jacobi nodes of every angular average
 
 @lru_cache(maxsize=64)
 def _jacobi_rule(n: int, beta: float):
-    x, w = roots_jacobi(n, beta, beta)
+    x, w = gauss_jacobi(n, beta, beta)
     return x, w, float(np.sum(w))
 
 

@@ -39,13 +39,13 @@ from functools import lru_cache
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.special import roots_jacobi, roots_legendre
 
 from .errors import ConstructionError, DomainError
 from .specfun import (
     HardyParams,
     _check_dimension,
     a_star,
+    gauss_jacobi,
     hardy_constant,
     log_gamma,
     sphere_area,
@@ -150,19 +150,6 @@ def _jump_normalization(d: int, alpha: float) -> float:
     )
 
 
-@lru_cache(maxsize=64)
-def _gauss_rule(kind: str, n: int, expo: float):
-    if kind == "legendre":
-        x, w = roots_legendre(n)
-    elif kind == "jacobi_sym":
-        x, w = roots_jacobi(n, expo, expo)
-    elif kind == "jacobi_left":
-        x, w = roots_jacobi(n, 0.0, expo)
-    else:
-        x, w = roots_jacobi(n, expo, 0.0)
-    return x, w
-
-
 def _chord_power_integrals(xm: np.ndarray, width: float, e_pow: float, beta: float,
                            n_gj: int = 64, n_gl: int = 24) -> np.ndarray:
     """int_xm^{xm+width} ((xi-xm)(xm+width-xi))^beta xi^{-e_pow} dxi for
@@ -182,7 +169,7 @@ def _chord_power_integrals(xm: np.ndarray, width: float, e_pow: float, beta: flo
     xm = np.asarray(xm, dtype=float)
     out = np.empty_like(xm)
     sym = xm > 0.05 * width / 0.95
-    x, w = _gauss_rule("jacobi_sym", n_gj, beta)
+    x, w = gauss_jacobi(n_gj, beta, beta)
     xi = xm[sym, None] + width * 0.5 * (1.0 + x)
     out[sym] = (0.5 * width) ** (2.0 * beta + 1.0) * (xi**-e_pow @ w)
 
@@ -191,17 +178,17 @@ def _chord_power_integrals(xm: np.ndarray, width: float, e_pow: float, beta: flo
     hi_end = lo_end + width
     c_left = 2.0 * lo_end
     c_right = 0.5 * hi_end
-    xl, wl = _gauss_rule("jacobi_left", n_gj, beta)
+    xl, wl = gauss_jacobi(n_gj, 0.0, beta)
     xi = lo_end + (c_left - lo_end) * 0.5 * (1.0 + xl)
     left = (0.5 * (c_left - lo_end)) ** (beta + 1.0) * (
         ((hi_end - xi) ** beta * xi**-e_pow) @ wl[:, None]
     )
-    xr, wr = _gauss_rule("jacobi_right", n_gj, beta)
+    xr, wr = gauss_jacobi(n_gj, beta, 0.0)
     xi = c_right + (hi_end - c_right) * 0.5 * (1.0 + xr)
     right = (0.5 * (hi_end - c_right)) ** (beta + 1.0) * (
         ((xi - lo_end) ** beta * xi**-e_pow) @ wr[:, None]
     )
-    xg, wg = _gauss_rule("legendre", n_gl, 0.0)
+    xg, wg = gauss_jacobi(n_gl, 0.0, 0.0)
     n_panels = int(np.ceil(np.log2(np.max(c_right / c_left, initial=1.0)))) + 1
     lo = np.minimum(c_left * 2.0 ** np.arange(n_panels), c_right)
     hi = np.minimum(2.0 * lo, c_right)
@@ -228,17 +215,64 @@ def _kappa_table(s: np.ndarray, d: int, alpha: float) -> np.ndarray:
     return c * chord
 
 
+def _solve_tridiagonal(sub: np.ndarray, diag: np.ndarray, sup: np.ndarray,
+                       rhs: np.ndarray) -> np.ndarray:
+    """Solve the tridiagonal system with row i reading
+    sub[i] x[i-1] + diag[i] x[i] + sup[i] x[i+1] = rhs[i] (Thomas
+    elimination without pivoting; sub[0] and sup[-1] are ignored)."""
+    sub, diag, sup, rhs = sub.tolist(), diag.tolist(), sup.tolist(), rhs.tolist()
+    n = len(diag)
+    ratio, x = [0.0] * n, [0.0] * n
+    ratio[0], x[0] = sup[0] / diag[0], rhs[0] / diag[0]
+    for i in range(1, n):
+        pivot = diag[i] - sub[i] * ratio[i - 1]
+        ratio[i] = sup[i] / pivot
+        x[i] = (rhs[i] - sub[i] * x[i - 1]) / pivot
+    for i in range(n - 2, -1, -1):
+        x[i] -= ratio[i] * x[i + 1]
+    return np.array(x)
+
+
+def _not_a_knot_cubic(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Coefficients of the not-a-knot cubic spline through (x, y).
+
+    Column i holds c with y(u) = ((c0 t + c1) t + c2) t + c3 for
+    t = u - x[i] on [x[i], x[i+1]]: the spline of
+    ``scipy.interpolate.CubicSpline(x, y)``, with the same tridiagonal
+    system for the knot slopes.  Needs at least four knots.
+    """
+    dx = np.diff(x)
+    slope = np.diff(y) / dx
+    n = len(x)
+    sub, diag, sup, rhs = np.empty(n), np.empty(n), np.empty(n), np.empty(n)
+    sub[1:-1] = dx[1:]
+    diag[1:-1] = 2.0 * (dx[:-1] + dx[1:])
+    sup[1:-1] = dx[:-1]
+    rhs[1:-1] = 3.0 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])
+    # Not-a-knot ends: the third derivative is continuous at x[1] and x[-2].
+    span = x[2] - x[0]
+    diag[0], sup[0] = dx[1], span
+    rhs[0] = ((dx[0] + 2.0 * span) * dx[1] * slope[0] + dx[0] ** 2 * slope[1]) / span
+    span = x[-1] - x[-3]
+    sub[-1], diag[-1] = span, dx[-2]
+    rhs[-1] = (dx[-1] ** 2 * slope[-2] + (2.0 * span + dx[-1]) * dx[-2] * slope[-1]) / span
+    m = _solve_tridiagonal(sub, diag, sup, rhs)
+    t = (m[:-1] + m[1:] - 2.0 * slope) / dx
+    return np.stack([t / dx, (slope - m[:-1]) / dx - t, m[:-1], y[:-1]])
+
+
 @lru_cache(maxsize=8)
 def _kappa_interpolant(d: int, alpha: float):
-    from scipy.interpolate import CubicSpline
-
+    """Knots and coefficients of the cubic of log kappa in log s, and the
+    amplitude of the power-law head below the first knot."""
     knots = np.geomspace(1e-6, 120.0, 800)
     vals = _kappa_table(knots, d, alpha)
     if not np.all(vals > 0.0):
         raise ConstructionError("jump profile evaluation lost positivity")
-    spline = CubicSpline(np.log(knots), np.log(vals))
+    log_knots = np.log(knots)
+    coeffs = _not_a_knot_cubic(log_knots, np.log(vals))
     head_amp = float(vals[0] * knots[0] ** (1.0 + alpha))
-    return spline, head_amp
+    return log_knots, coeffs, head_amp
 
 
 def jump_profile(s, d: int, alpha: float):
@@ -266,13 +300,17 @@ def jump_profile(s, d: int, alpha: float):
         far = (2.0 * np.cosh(0.5 * s_arr)) ** (-1.0 - alpha)
         out = c * far * bracket
     else:
-        spline, head_amp = _kappa_interpolant(d, float(alpha))
+        log_knots, coeffs, head_amp = _kappa_interpolant(d, float(alpha))
         out = np.zeros_like(s_arr)
         tiny = s_arr < 1e-6
         big = s_arr > 115.0
         mid = ~(tiny | big)
         out[tiny] = head_amp * s_arr[tiny] ** (-1.0 - alpha)
-        out[mid] = np.exp(spline(np.log(s_arr[mid])))
+        u = np.log(s_arr[mid])
+        i = np.clip(np.searchsorted(log_knots, u, side="right") - 1, 0, len(log_knots) - 2)
+        t = u - log_knots[i]
+        c = coeffs[:, i]
+        out[mid] = np.exp(((c[0] * t + c[1]) * t + c[2]) * t + c[3])
     return float(out[0]) if scalar else out
 
 

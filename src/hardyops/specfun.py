@@ -8,21 +8,25 @@ inverse of that symbol, whose value ``delta`` is the singularity exponent
 appearing in every kernel bound downstream.
 
 All Gamma evaluations go through ``log_gamma`` so that ratios of large
-Gamma values never overflow.
+Gamma values never overflow.  The module also provides the one Gauss rule
+family the package integrates with, ``gauss_jacobi``.  Both run on the
+standard library and numpy alone.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional
 
-from scipy.special import gammaln as _sc_gammaln
+import numpy as np
 
 from .errors import ConvergenceError, DomainError
 
 __all__ = [
     "log_gamma",
+    "gauss_jacobi",
     "sphere_area",
     "hardy_constant",
     "a_star",
@@ -34,6 +38,7 @@ __all__ = [
 ]
 
 _LN2 = math.log(2.0)
+_LOG_SQRT_2PI = 0.91893853320467274178
 
 
 def log_gamma(x: float) -> float:
@@ -42,11 +47,112 @@ def log_gamma(x: float) -> float:
     Raises DomainError for nonpositive or non-finite arguments; the
     package never needs log-Gamma on the negative axis directly (negative
     arguments are reached through explicit recurrences at call sites).
+
+    This is the Cephes ``lgam`` routine (S. L. Moshier, *Methods and
+    Programs for Mathematical Functions*, 1989) restricted to x > 0, with
+    its Horner steps written out, so it returns the same double as
+    ``scipy.special.gammaln``: below 13 a recurrence into [2, 3) and a
+    rational approximation there; above, Stirling's series, truncated
+    at 1000 and dropped above 1e8.  It overflows to inf above 2.556348e305
+    and, through 1/x, below about 5.6e-309.
     """
     x = float(x)
     if not (x > 0.0) or math.isinf(x):
         raise DomainError(f"log_gamma requires a finite x > 0, got {x!r}")
-    return float(_sc_gammaln(x))
+    if x < 13.0:
+        z = 1.0
+        p = 0.0
+        u = x
+        while u >= 3.0:
+            p -= 1.0
+            u = x + p
+            z *= u
+        while u < 2.0:
+            z /= u
+            p += 1.0
+            u = x + p
+        if u == 2.0:
+            return math.log(z)
+        x += p - 2.0
+        num = (((((-1.37825152569120859100e3 * x - 3.88016315134637840924e4) * x
+                  - 3.31612992738871184744e5) * x - 1.16237097492762307383e6) * x
+                - 1.72173700820839662146e6) * x - 8.53555664245765465627e5)
+        den = ((((((x - 3.51815701436523470549e2) * x - 1.70642106651881159223e4) * x
+                  - 2.20528590553854454839e5) * x - 1.13933444367982507207e6) * x
+                - 2.53252307177582951285e6) * x - 2.01889141433532773231e6)
+        return math.log(z) + x * num / den
+    if x > 2.556348e305:
+        return math.inf
+    q = (x - 0.5) * math.log(x) - x + _LOG_SQRT_2PI
+    if x > 1.0e8:
+        return q
+    p = 1.0 / (x * x)
+    if x >= 1000.0:
+        return q + ((7.9365079365079365079365e-4 * p - 2.7777777777777777777778e-3) * p
+                    + 0.0833333333333333333333) / x
+    return q + ((((8.11614167470508450300e-4 * p - 5.95061904284301438324e-4) * p
+                  + 7.93650340457716943945e-4) * p - 2.77777777730099687205e-3) * p
+                + 8.33333333333331927722e-2) / x
+
+
+@lru_cache(maxsize=64)
+def gauss_jacobi(n: int, a: float, b: float) -> tuple:
+    """Nodes and weights of the n-point Gauss rule for the weight
+    (1 - x)^a (1 + x)^b on [-1, 1], for a, b > -1 (Legendre is (0, 0)).
+
+    Golub-Welsch: the nodes are the eigenvalues of the n x n Jacobi
+    matrix of the monic Jacobi recurrence, each polished by one Newton
+    step on that recurrence.  The weights are the reciprocals of the
+    Christoffel-Darboux form P_{n-1} P_n' - P_n P_{n-1}' at the nodes
+    (equal to P_{n-1} P_n' at an exact node; the second term cancels
+    most of the error of rounding the node to a double), scaled to sum
+    to mu0 = 2^{a+b+1} Gamma(a+1) Gamma(b+1) / Gamma(a+b+2).  The first
+    off-diagonal is written in closed form, because the general formula
+    is 0/0 at a + b = -1.  Symmetric rules (a == b) are made exactly
+    symmetric.  Memoized; the arrays are read-only because every caller
+    shares them.
+    """
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
+        raise DomainError(f"rule size must be an integer >= 1, got {n!r}")
+    if not (-1.0 < a < math.inf and -1.0 < b < math.inf):
+        raise DomainError(f"Jacobi exponents must be finite and > -1, got a={a!r}, b={b!r}")
+    k = np.arange(n, dtype=float)
+    s = 2.0 * k + a + b
+    diag = np.empty(n)
+    diag[0] = (b - a) / (a + b + 2.0)
+    diag[1:] = (b * b - a * a) / (s[1:] * (s[1:] + 2.0))
+    # beta[k] couples P_{k-1} into P_{k+1}; beta[0] multiplies P_{-1} = 0.
+    beta = np.zeros(n)
+    if n > 1:
+        beta[1] = 4.0 * (1.0 + a) * (1.0 + b) / ((2.0 + a + b) ** 2 * (3.0 + a + b))
+        k, s = k[2:], s[2:]
+        beta[2:] = 4.0 * k * (k + a) * (k + b) * (k + a + b) / (s * s * (s + 1.0) * (s - 1.0))
+    jacobi = np.diag(diag) + np.diag(np.sqrt(beta[1:]), 1)
+    x = np.linalg.eigh(jacobi, UPLO="U")[0]
+
+    def recurrence(x):
+        """P_{n-1}, P_n and their derivatives at x, monic normalization."""
+        p_prev, p, dp_prev, dp = np.zeros_like(x), np.ones_like(x), np.zeros_like(x), np.zeros_like(x)
+        for j in range(n):
+            shift = x - diag[j]
+            p_prev, p, dp_prev, dp = (
+                p, shift * p - beta[j] * p_prev, dp, p + shift * dp - beta[j] * dp_prev
+            )
+        return p_prev, p, dp_prev, dp
+
+    _, p, _, dp = recurrence(x)
+    x = x - p / dp
+    p_prev, p, dp_prev, dp = recurrence(x)
+    w = 1.0 / (p_prev * dp - p * dp_prev)
+    if a == b:
+        x = 0.5 * (x - x[::-1])
+        w = 0.5 * (w + w[::-1])
+    mu0 = math.exp((a + b + 1.0) * _LN2 + log_gamma(a + 1.0) + log_gamma(b + 1.0)
+                   - log_gamma(a + b + 2.0))
+    w *= mu0 / w.sum()
+    x.setflags(write=False)
+    w.setflags(write=False)
+    return x, w
 
 
 def sphere_area(d: int) -> float:
@@ -135,13 +241,22 @@ def psi(d: int, alpha: float, sigma: float) -> float:
             f"sigma must lie in (-alpha, (d-alpha)/2] = "
             f"({-alpha}, {upper}], got {sigma!r}"
         )
+    return _psi(d, alpha, sigma, a_star(d, alpha))
+
+
+def _psi(d: int, alpha: float, sigma: float, critical: float) -> float:
+    """psi on validated arguments, given critical = a_star(d, alpha).
+
+    ``psi_inv`` bisects on this core, so the checks and the critical
+    coupling are not redone at every step.
+    """
     if sigma == 0.0:
         return 0.0
-    if sigma == upper:
+    if sigma == 0.5 * (d - alpha):
         # The closed identity psi((d - alpha)/2) = a_star holds exactly;
         # going through the gamma ratios here would miss it by an ulp,
         # which the inverse then amplifies across the quadratic minimum.
-        return a_star(d, alpha)
+        return critical
     head = 0.5 * (sigma + alpha)
     if head == 0.0:
         # sigma + alpha is the smallest subnormal; psi ~ 2/(sigma + alpha)
@@ -156,7 +271,7 @@ def psi(d: int, alpha: float, sigma: float) -> float:
     if sigma > 0.0:
         # Rounding in the gamma ratios can land an ulp below the minimum
         # a_star just left of the right endpoint; the exact symbol cannot.
-        return max(-math.exp(log_mag - log_gamma(0.5 * sigma)), a_star(d, alpha))
+        return max(-math.exp(log_mag - log_gamma(0.5 * sigma)), critical)
     half = 0.5 * sigma
     # 1/Gamma(half) = half / Gamma(half + 1); half in (-1, 0) here.
     return -half * math.exp(log_mag - log_gamma(half + 1.0))
@@ -194,7 +309,7 @@ def psi_inv(d: int, alpha: float, a: float) -> float:
     if a == 0.0:
         return 0.0
     lo, prev = max(-alpha + 1e-6 * alpha, math.nextafter(-alpha, 0.0)), None
-    while lo > -alpha and lo != prev and psi(d, alpha, lo) < a:
+    while lo > -alpha and lo != prev and _psi(d, alpha, lo, critical) < a:
         prev, lo = lo, -alpha + 0.5 * (lo + alpha)
     if not (lo > -alpha) or lo == prev:
         # The offset from -alpha has shrunk below resolvable spacing;
@@ -210,7 +325,7 @@ def psi_inv(d: int, alpha: float, a: float) -> float:
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
             return mid
-        if psi(d, alpha, mid) > a:
+        if _psi(d, alpha, mid, critical) > a:
             lo = mid
         else:
             hi = mid

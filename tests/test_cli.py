@@ -200,24 +200,32 @@ def test_sweep_computes_each_power_norm_once(capsys, tmp_path, monkeypatch):
         assert json.loads(json.dumps(alone)) == report
 
 
-def test_importing_the_cli_loads_no_heavy_scipy_module():
-    # scipy's linalg, integrate and interpolate are imported where they are
-    # used, so that they stay out of every command's start-up time.
-    import os
-    import subprocess
-    import sys
-    from pathlib import Path
+def _readme_usage_commands() -> list:
+    """The argv of every command in README's usage block."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    usage = readme.split("## Command line", 1)[1].split("```", 2)[1]
+    return [line.split()[1:] for line in usage.splitlines() if line.startswith("hardyops ")]
 
+
+def test_importing_the_cli_loads_no_heavy_scipy_module(tmp_path):
+    # The package runs on numpy alone: importing the CLI loads no scipy
+    # module, and every README command exits 0, as it does with scipy
+    # installed, in a fresh interpreter where importing scipy fails.
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code = (
-        "import sys, hardyops.cli; "
-        "print(sorted(m for m in ('scipy.linalg', 'scipy.integrate', 'scipy.interpolate') "
-        "if m in sys.modules))"
-    )
+    code = "import sys, hardyops.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, check=True, timeout=120)
     assert proc.stdout.strip() == "[]"
+
+    blocked = ("import sys; sys.modules['scipy'] = None; "
+               "from hardyops.cli import main; sys.exit(main(sys.argv[1:]))")
+    commands = _readme_usage_commands()
+    assert len(commands) == 10
+    for argv in commands:
+        proc = subprocess.run([sys.executable, "-c", blocked, *argv], cwd=tmp_path, env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, (argv, proc.stderr)
 
 
 # ---------------------------------------------------------------------------

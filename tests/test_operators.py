@@ -355,6 +355,36 @@ def test_chord_integrals_match_adaptive_quadrature(d, alpha):
         assert value == pytest.approx(ref, rel=1e-12, abs=0.0)
 
 
+def test_not_a_knot_cubic_is_scipys_cubic_spline(rng):
+    from scipy.interpolate import CubicSpline
+
+    x = np.cumsum(rng.uniform(0.1, 1.0, 40))
+    y = np.sin(x) + rng.normal(scale=0.1, size=x.size)
+    reference = CubicSpline(x, y)
+    coeffs = operators._not_a_knot_cubic(x, y)
+    assert np.allclose(coeffs, reference.c, rtol=1e-12, atol=1e-12)
+    # Reproduces the data and is C^2 at every interior knot.
+    c, t = coeffs, np.diff(x)
+    assert np.allclose(((c[0] * t + c[1]) * t + c[2]) * t + c[3], y[1:], rtol=0.0, atol=1e-12)
+    c, t = coeffs[:, :-1], t[:-1]
+    assert np.allclose((3.0 * c[0] * t + 2.0 * c[1]) * t + c[2], coeffs[2, 1:],
+                       rtol=0.0, atol=1e-11)
+    assert np.allclose(3.0 * c[0] * t + c[1], coeffs[1, 1:], rtol=0.0, atol=1e-10)
+
+
+@pytest.mark.parametrize("d", [2, 4, 5, 7])
+def test_jump_profile_spline_matches_scipys_cubic_spline(d):
+    # The same table through scipy's CubicSpline, over the spline's range.
+    from scipy.interpolate import CubicSpline
+
+    alpha = 1.3
+    knots = np.geomspace(1e-6, 120.0, 800)
+    spline = CubicSpline(np.log(knots), np.log(operators._kappa_table(knots, d, alpha)))
+    s = np.geomspace(1.0001e-6, 114.99, 5000)
+    reference = np.exp(spline(np.log(s)))
+    assert np.max(np.abs(jump_profile(s, d, alpha) / reference - 1.0)) <= 6e-14
+
+
 @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.9])
 def test_kappa_table_matches_the_closed_form_in_three_dimensions(alpha):
     # Below s ~ 1e-3 the closed form itself loses digits (1 - exp(-s)

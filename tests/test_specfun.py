@@ -3,6 +3,9 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.special import gammaln, roots_jacobi
 
 from hardyops import (
     ConvergenceError,
@@ -11,12 +14,14 @@ from hardyops import (
     a_star,
     a_star_star,
     hardy_constant,
+    kernels,
     log_gamma,
     make_params,
     psi,
     psi_inv,
     sphere_area,
 )
+from hardyops.specfun import gauss_jacobi
 
 mpmath.mp.dps = 40
 
@@ -32,6 +37,91 @@ def test_log_gamma_against_mpmath(rng):
     for x in xs:
         expected = float(mpmath.loggamma(mpmath.mpf(float(x))))
         assert log_gamma(float(x)) == pytest.approx(expected, rel=1e-13, abs=1e-13)
+
+
+@settings(max_examples=3000, deadline=None)
+@given(st.floats(min_value=0.0, exclude_min=True, allow_nan=False, allow_infinity=False))
+def test_log_gamma_is_bitwise_gammaln_on_positive_doubles(x):
+    # log_gamma is the Cephes routine gammaln runs, so the doubles agree,
+    # including the overflow to inf at both ends of the range.
+    assert log_gamma(x) == gammaln(x)
+
+
+@pytest.mark.parametrize("point", [1.0, 2.0, 3.0, 13.0, 1000.0, 1e8, 2.556348e305])
+def test_log_gamma_is_bitwise_gammaln_at_its_branch_points(point):
+    for x in (math.nextafter(point, 0.0), point, math.nextafter(point, math.inf)):
+        assert log_gamma(x) == gammaln(x)
+
+
+def test_log_gamma_rejects_nonpositive_and_nonfinite_arguments():
+    for x in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(DomainError):
+            log_gamma(x)
+
+
+def _requested_rules():
+    """Every (n, a, b) rule the package requests for d = 2, ..., 10: the
+    chord-table rules of ``operators._chord_power_integrals`` and the
+    angular-average rule of ``kernels.angular_average``."""
+    rules = {(24, 0.0, 0.0)}
+    for d in range(2, 11):
+        beta = 0.5 * (d - 3)
+        rules |= {(64, beta, beta), (64, 0.0, beta), (64, beta, 0.0),
+                  (kernels.ANGULAR_NODES, beta, beta)}
+    return sorted(rules)
+
+
+def _mp_weights(n, a, b, nodes):
+    """Gauss-Jacobi weights at the exact roots next to the given nodes,
+    from the closed weight formula with mpmath's Jacobi polynomials."""
+    with mpmath.workdps(32):
+        a, b = mpmath.mpf(a), mpmath.mpf(b)
+        scale = (2 ** (a + b + 1) * mpmath.gamma(n + a + 1) * mpmath.gamma(n + b + 1)
+                 / (mpmath.gamma(n + a + b + 1) * mpmath.gamma(n + 1)))
+        weights = []
+        for x in nodes:
+            x = mpmath.mpf(float(x))
+            for _ in range(3):
+                slope = (n + a + b + 1) / 2 * mpmath.jacobi(n - 1, a + 1, b + 1, x)
+                x -= mpmath.jacobi(n, a, b, x) / slope
+            slope = (n + a + b + 1) / 2 * mpmath.jacobi(n - 1, a + 1, b + 1, x)
+            weights.append(float(scale / ((1 - x * x) * slope * slope)))
+    return np.array(weights)
+
+
+@pytest.mark.parametrize("n,a,b", _requested_rules())
+def test_gauss_jacobi_matches_scipy_nodes_and_mpmath_weights(n, a, b):
+    x, w = gauss_jacobi(n, a, b)
+    ref_x, ref_w = roots_jacobi(n, a, b)
+    assert np.max(np.abs(x - ref_x)) <= 3.4e-16
+    # scipy's own weights are off by up to 6.5e-12 on these rules.
+    assert np.max(np.abs(w / _mp_weights(n, a, b, x) - 1.0)) <= 2e-13
+    assert np.max(np.abs(w / ref_w - 1.0)) <= 7e-12
+    if a == b:
+        assert np.array_equal(x, -x[::-1]) and np.array_equal(w, w[::-1])
+
+
+def test_gauss_jacobi_handles_a_plus_b_of_minus_one():
+    # d = 2 rules have a + b = -1, where the general recurrence
+    # coefficient is 0/0; the rule still integrates x^k exactly.
+    x, w = gauss_jacobi(12, 0.0, -0.5)
+    for k in range(2 * 12):
+        exact = float(mpmath.quad(lambda t: t**k * (1 + t) ** -0.5, [-1, 1]))
+        assert float(np.dot(w, x**k)) == pytest.approx(exact, rel=1e-13, abs=1e-15)
+
+
+def test_gauss_jacobi_rejects_bad_arguments():
+    for n, a, b in [(0, 0.0, 0.0), (2.0, 0.0, 0.0), (4, -1.0, 0.0), (4, 0.0, math.nan),
+                    (4, math.inf, 0.0)]:
+        with pytest.raises(DomainError):
+            gauss_jacobi(n, a, b)
+
+
+def test_gauss_jacobi_is_memoized_and_read_only():
+    x, w = gauss_jacobi(16, 0.5, 0.5)
+    assert gauss_jacobi(16, 0.5, 0.5)[0] is x
+    with pytest.raises(ValueError):
+        w[0] = 0.0
 
 
 def test_sphere_area_closed_forms():
