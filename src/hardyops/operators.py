@@ -306,11 +306,19 @@ def jump_profile(s, d: int, alpha: float):
         big = s_arr > 115.0
         mid = ~(tiny | big)
         out[tiny] = head_amp * s_arr[tiny] ** (-1.0 - alpha)
+        # The knots are uniform in log s, so the interval index is
+        # arithmetic.  A point within rounding of a knot may get the
+        # neighbouring cubic, which agrees with it there to rounding.
         u = np.log(s_arr[mid])
-        i = np.clip(np.searchsorted(log_knots, u, side="right") - 1, 0, len(log_knots) - 2)
-        t = u - log_knots[i]
-        c = coeffs[:, i]
-        out[mid] = np.exp(((c[0] * t + c[1]) * t + c[2]) * t + c[3])
+        n_cubics = coeffs.shape[1]
+        step = (log_knots[-1] - log_knots[0]) / n_cubics
+        i = np.clip(((u - log_knots[0]) / step).astype(np.intp), 0, n_cubics - 1)
+        t = u - log_knots.take(i)
+        val = coeffs[0].take(i)
+        for row in coeffs[1:]:
+            val *= t
+            val += row.take(i)
+        out[mid] = np.exp(val, out=val)
     return float(out[0]) if scalar else out
 
 

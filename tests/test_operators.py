@@ -374,13 +374,17 @@ def test_not_a_knot_cubic_is_scipys_cubic_spline(rng):
 
 @pytest.mark.parametrize("d", [2, 4, 5, 7])
 def test_jump_profile_spline_matches_scipys_cubic_spline(d):
-    # The same table through scipy's CubicSpline, over the spline's range.
+    # The same table through scipy's CubicSpline, over the spline's range,
+    # with every knot inside it and the doubles on either side, where the
+    # arithmetic interval index may pick the neighbouring cubic.
     from scipy.interpolate import CubicSpline
 
     alpha = 1.3
     knots = np.geomspace(1e-6, 120.0, 800)
     spline = CubicSpline(np.log(knots), np.log(operators._kappa_table(knots, d, alpha)))
-    s = np.geomspace(1.0001e-6, 114.99, 5000)
+    inner = knots[(knots > 1e-6) & (knots < 115.0)]
+    s = np.concatenate([np.geomspace(1.0001e-6, 114.99, 5000), inner,
+                        np.nextafter(inner, 0.0), np.nextafter(inner, np.inf)])
     reference = np.exp(spline(np.log(s)))
     assert np.max(np.abs(jump_profile(s, d, alpha) / reference - 1.0)) <= 6e-14
 
