@@ -293,10 +293,14 @@ def jump_profile(s, d: int, alpha: float):
     if d == 3:
         # (2 sinh)^{-1-a} - (2 cosh)^{-1-a} written as
         # (2 cosh)^{-1-a} (coth^{1+a} - 1) via expm1/log1p, which stays
-        # accurate where the direct difference cancels (large s).
+        # accurate where the direct difference cancels (large s).  Below
+        # s = ln 2, log(1 - exp(-s)) is taken as log(-expm1(-s)), because
+        # 1 - exp(-s) would carry a relative rounding error of about
+        # 1e-16 / s; above it, log1p(-exp(-s)) is the accurate form.
         c = _jump_normalization(3, alpha) * 4.0 * math.pi**2 * 2.0 / (1.0 + alpha)
         q = np.exp(-s_arr)
-        bracket = np.expm1((1.0 + alpha) * (np.log1p(q) - np.log1p(-q)))
+        log_gap = np.where(s_arr < math.log(2.0), np.log(-np.expm1(-s_arr)), np.log1p(-q))
+        bracket = np.expm1((1.0 + alpha) * (np.log1p(q) - log_gap))
         far = (2.0 * np.cosh(0.5 * s_arr)) ** (-1.0 - alpha)
         out = c * far * bracket
     else:

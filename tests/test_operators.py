@@ -391,11 +391,22 @@ def test_jump_profile_spline_matches_scipys_cubic_spline(d):
 
 @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.9])
 def test_kappa_table_matches_the_closed_form_in_three_dimensions(alpha):
-    # Below s ~ 1e-3 the closed form itself loses digits (1 - exp(-s)
-    # carries a relative rounding error of about 1e-16 / s).
-    s = np.geomspace(1e-3, 100.0, 60)
+    s = np.geomspace(1e-8, 100.0, 60)
     table = operators._kappa_table(s, 3, alpha)
-    assert np.allclose(table, jump_profile(s, 3, alpha), rtol=1e-12, atol=0.0)
+    assert np.allclose(table, jump_profile(s, 3, alpha), rtol=1e-13, atol=0.0)
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 1.9])
+def test_three_dimensional_closed_form_against_mpmath(alpha):
+    # Both sides of s = ln 2, where log(1 - exp(-s)) changes form.
+    import mpmath
+
+    c = operators._jump_normalization(3, alpha) * 4.0 * math.pi**2 * 2.0 / (1.0 + alpha)
+    s = np.array([1e-8, 1e-5, 0.01, 0.5, math.log(2.0), 0.8, 3.0, 12.0, 40.0])
+    with mpmath.workdps(60):
+        ref = [c * float((2 * mpmath.sinh(mpmath.mpf(x) / 2)) ** (-1 - alpha)
+                         - (2 * mpmath.cosh(mpmath.mpf(x) / 2)) ** (-1 - alpha)) for x in s]
+    assert np.allclose(jump_profile(s, 3, alpha), ref, rtol=5e-15, atol=0.0)
 
 
 # ---------------------------------------------------------------------------
