@@ -40,7 +40,6 @@ from .operators import (
     PotentialSpec,
     RadialGrid,
     SpectralOperator,
-    apply_function,
     build_fractional_laplacian,
     build_hardy_operator,
     build_log_grid,
@@ -61,7 +60,6 @@ from .verify import (
     riesz_equivalence_check,
     sobolev_check,
     sweep_by_power,
-    sweep_rows,
 )
 
 __version__ = "0.1.0"

@@ -2,10 +2,14 @@
 
 Every subcommand maps onto one library entry point and shares a single
 reporting pipeline: a human-readable transcript on stdout, optional CSV
-rows, and an optional JSON summary.  Exit codes are 0 when everything
-requested passed, 1 for validation problems (bad flags, bad config,
-parameters outside their domain), 2 when a check ran to completion but
-did not pass, and 3 when an adaptive computation failed to converge.
+rows, and an optional JSON summary.  Handlers only emit reports; the exit
+code follows from the reports' verdicts alone.  It is 0 when the command
+ran to completion and every report's verdict is ``pass``, 2 when it ran
+to completion and any verdict is not ``pass`` (``fail`` or
+``diverging``; the JSON summary's verdict is then ``fail``), 1 for
+validation problems (bad flags, bad config, parameters outside their
+domain), and 3 when an adaptive computation failed to converge; both
+errors give the JSON verdict ``error``.
 
 Config files use ``key = value`` lines with ``#`` comments; keys mirror
 the long flag names of the subcommand being run, and explicit flags
@@ -20,7 +24,7 @@ import functools
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -159,8 +163,25 @@ _COMMON = ("out_csv", "out_json", "config")
 @dataclass
 class _Emitter:
     rows: list = field(default_factory=list)
-    reports: list = field(default_factory=list)
+    reports: list = field(default_factory=list)  # JSON-ready dicts, each with a verdict
     lines: list = field(default_factory=list)
+
+    def check(self, report: verify.VerificationReport, summary: str, cells: tuple) -> None:
+        """Emit one check: its summary line and notes, its CSV row (``cells``
+        then the verdict) and its report."""
+        self.lines.append(f"{summary} ({report.verdict})")
+        self.lines.extend(f"  {note}" for note in report.notes)
+        self.rows.append((*cells, report.verdict))
+        self.reports.append(report.to_dict())
+
+    def values(self, name: str, params: dict, values) -> None:
+        """Emit the report of a command that evaluates rather than checks."""
+        self.reports.append({"check_name": name, "params": params, "values": values,
+                             "verdict": "pass"})
+
+
+def _verdict(reports: list) -> str:
+    return "pass" if all(report["verdict"] == "pass" for report in reports) else "fail"
 
 
 def _jsonable(obj):
@@ -281,7 +302,7 @@ def _effective_config(cmd: _Command, args: argparse.Namespace) -> dict:
 # command handlers
 
 
-def _cmd_constants(cfg: dict, em: _Emitter) -> int:
+def _cmd_constants(cfg: dict, em: _Emitter) -> None:
     a = cfg["a"]
     params = make_params(cfg["d"], cfg["alpha"], 0.0 if a is None else a)
     h = hardy_constant(params.d, params.alpha)
@@ -301,42 +322,26 @@ def _cmd_constants(cfg: dict, em: _Emitter) -> int:
         em.lines.append(f"delta = {params.delta:.10f}")
         em.rows.append(("delta", params.delta))
         values["delta"] = params.delta
-    em.reports.append({
-        "check_name": "constants",
-        "params": {"d": params.d, "alpha": params.alpha, "a": a},
-        "values": values,
-        "verdict": "pass",
-    })
-    return EXIT_PASS
+    em.values("constants", {"d": params.d, "alpha": params.alpha, "a": a}, values)
 
 
-def _cmd_psi(cfg: dict, em: _Emitter) -> int:
+def _cmd_psi(cfg: dict, em: _Emitter) -> None:
     value = psi(cfg["d"], cfg["alpha"], cfg["sigma"])
     em.lines.append(f"psi(sigma={cfg['sigma']:g}) = {value:.10f}")
     em.rows.append((cfg["d"], cfg["alpha"], cfg["sigma"], value))
-    em.reports.append({
-        "check_name": "psi",
-        "params": {"d": cfg["d"], "alpha": cfg["alpha"], "sigma": cfg["sigma"]},
-        "values": {"psi": value},
-        "verdict": "pass",
-    })
-    return EXIT_PASS
+    em.values("psi", {"d": cfg["d"], "alpha": cfg["alpha"], "sigma": cfg["sigma"]},
+              {"psi": value})
 
 
-def _cmd_psi_inv(cfg: dict, em: _Emitter) -> int:
+def _cmd_psi_inv(cfg: dict, em: _Emitter) -> None:
     delta = psi_inv(cfg["d"], cfg["alpha"], cfg["a"])
     em.lines.append(f"psi_inv(a={cfg['a']:g}) = {delta:.10f}")
     em.rows.append((cfg["d"], cfg["alpha"], cfg["a"], delta))
-    em.reports.append({
-        "check_name": "psi_inv",
-        "params": {"d": cfg["d"], "alpha": cfg["alpha"], "a": cfg["a"]},
-        "values": {"delta": delta},
-        "verdict": "pass",
-    })
-    return EXIT_PASS
+    em.values("psi_inv", {"d": cfg["d"], "alpha": cfg["alpha"], "a": cfg["a"]},
+              {"delta": delta})
 
 
-def _cmd_kernel_eval(cfg: dict, em: _Emitter) -> int:
+def _cmd_kernel_eval(cfg: dict, em: _Emitter) -> None:
     params = make_params(cfg["d"], cfg["alpha"], cfg["a"])
     triple = KernelTriple(cfg["rx"], cfg["ry"], cfg["rxy"])
     values = []
@@ -351,59 +356,35 @@ def _cmd_kernel_eval(cfg: dict, em: _Emitter) -> int:
         em.rows.append((params.d, params.alpha, params.a, params.delta, t,
                         triple.rx, triple.ry, triple.rxy, stable, hardy))
         values.append({"t": t, "stable_profile": stable, "hardy_profile": hardy})
-    em.reports.append({
-        "check_name": "kernel_eval",
-        "params": {"d": params.d, "alpha": params.alpha, "a": params.a,
-                   "rx": triple.rx, "ry": triple.ry, "rxy": triple.rxy},
-        "values": values,
-        "verdict": "pass",
-    })
-    return EXIT_PASS
+    em.values("kernel_eval", {"d": params.d, "alpha": params.alpha, "a": params.a,
+                              "rx": triple.rx, "ry": triple.ry, "rxy": triple.rxy}, values)
 
 
-def _cmd_riesz_verify(cfg: dict, em: _Emitter) -> int:
+def _cmd_riesz_verify(cfg: dict, em: _Emitter) -> None:
     params = make_params(cfg["d"], cfg["alpha"], cfg["a"])
-    all_pass = True
     for s in cfg["s"]:
         report = verify.riesz_equivalence_check(
             params, s, seed=cfg["seed"], band_bound=cfg["tol"]
         )
         lo, hi = report.empirical_lower, report.empirical_upper
         spread = hi / lo if lo > 0.0 else math.inf
-        em.lines.append(
-            f"s={s:g}: ratio band [{lo:.6g}, {hi:.6g}], C/c={spread:.4g} ({report.verdict})"
-        )
-        for note in report.notes:
-            em.lines.append(f"  {note}")
-        em.rows.append((params.d, params.alpha, params.a, params.delta,
-                        s, lo, hi, spread, report.verdict))
-        em.reports.append(report.to_dict())
-        all_pass = all_pass and report.verdict == "pass"
-    return EXIT_PASS if all_pass else EXIT_CHECK_FAILED
+        em.check(report, f"s={s:g}: ratio band [{lo:.6g}, {hi:.6g}], C/c={spread:.4g}",
+                 (params.d, params.alpha, params.a, params.delta, s, lo, hi, spread))
 
 
-def _cmd_heat_verify(cfg: dict, em: _Emitter) -> int:
+def _cmd_heat_verify(cfg: dict, em: _Emitter) -> None:
     params = make_params(cfg["d"], cfg["alpha"], cfg["a"])
     grid = build_log_grid(params.d, cfg["r_min"], cfg["r_max"], cfg["grid_n"])
-    all_pass = True
     for t in cfg["t"]:
         report = verify.heat_sandwich_check(
             params, [t], grid=grid, seed=cfg["seed"], band_bound=cfg["tol"]
         )
         lo, hi = report.empirical_lower, report.empirical_upper
-        em.lines.append(
-            f"t={t:g}: kernel/profile band [{lo:.6g}, {hi:.6g}] ({report.verdict})"
-        )
-        for note in report.notes:
-            em.lines.append(f"  {note}")
-        em.rows.append((params.d, params.alpha, params.a, params.delta,
-                        t, lo, hi, report.verdict))
-        em.reports.append(report.to_dict())
-        all_pass = all_pass and report.verdict == "pass"
-    return EXIT_PASS if all_pass else EXIT_CHECK_FAILED
+        em.check(report, f"t={t:g}: kernel/profile band [{lo:.6g}, {hi:.6g}]",
+                 (params.d, params.alpha, params.a, params.delta, t, lo, hi))
 
 
-def _cmd_diff_verify(cfg: dict, em: _Emitter) -> int:
+def _cmd_diff_verify(cfg: dict, em: _Emitter) -> None:
     params = make_params(cfg["d"], cfg["alpha"], cfg["a"])
     grid = build_log_grid(params.d, cfg["r_min"], cfg["r_max"], cfg["grid_n"])
     a_tilde = cfg["a_tilde"]
@@ -420,35 +401,22 @@ def _cmd_diff_verify(cfg: dict, em: _Emitter) -> int:
         params, cfg["t"], potential=potential, grid=grid, seed=cfg["seed"]
     )
     lo, hi = report.empirical_lower, report.empirical_upper
-    em.lines.append(
-        f"sup|K_diff|/envelope in [{lo:.6g}, {hi:.6g}] ({report.verdict})"
-    )
-    for note in report.notes:
-        em.lines.append(f"  {note}")
-    em.rows.append((params.d, params.alpha, params.a,
-                    "" if a_tilde is None else a_tilde,
-                    lo, hi, report.verdict))
-    em.reports.append(report.to_dict())
-    return EXIT_PASS if report.verdict == "pass" else EXIT_CHECK_FAILED
+    em.check(report, f"sup|K_diff|/envelope in [{lo:.6g}, {hi:.6g}]",
+             (params.d, params.alpha, params.a, "" if a_tilde is None else a_tilde, lo, hi))
 
 
-def _cmd_schur(cfg: dict, em: _Emitter) -> int:
+def _cmd_schur(cfg: dict, em: _Emitter) -> None:
     result = schur_weight_integral(cfg["beta"], cfg["delta_plus"], cfg["d"])
     status = "divergent" if result.divergent else "finite"
     value_text = "inf" if result.divergent else f"{result.value:.10f}"
     em.lines.append(f"schur_weight_integral = {value_text}")
     em.lines.append(f"status = {status}")
     em.rows.append((cfg["d"], cfg["beta"], cfg["delta_plus"], result.value, status))
-    em.reports.append({
-        "check_name": "schur",
-        "params": {"d": cfg["d"], "beta": cfg["beta"], "delta_plus": cfg["delta_plus"]},
-        "values": {"value": result.value, "status": status},
-        "verdict": "pass",
-    })
-    return EXIT_PASS
+    em.values("schur", {"d": cfg["d"], "beta": cfg["beta"], "delta_plus": cfg["delta_plus"]},
+              {"value": result.value, "status": status})
 
 
-def _cmd_sweep(cfg: dict, em: _Emitter) -> int:
+def _cmd_sweep(cfg: dict, em: _Emitter) -> None:
     params = make_params(cfg["d"], cfg["alpha"], cfg["a"])
     family_tag = cfg["family"]
     if family_tag not in verify.FAMILY_TAGS:
@@ -473,41 +441,50 @@ def _cmd_sweep(cfg: dict, em: _Emitter) -> int:
     )
     for row in rows:
         em.rows.append(tuple(row[column] for column in verify.SWEEP_COLUMNS))
-    for note in notes:
-        em.lines.append(f"  {note}")
-
-    all_pass = True
+    em.lines.extend(f"  {note}" for note in notes)
     for s, report in zip(cfg["s"], reports):
         em.lines.append(
             f"s={s:g}: {report.verdict} "
             f"(ratio band [{report.empirical_lower:.6g}, {report.empirical_upper:.6g}])"
         )
         em.reports.append(report.to_dict())
-        all_pass = all_pass and report.verdict == "pass"
-    return EXIT_PASS if all_pass else EXIT_CHECK_FAILED
 
 
 # ---------------------------------------------------------------------------
 # suite battery
 
 
-def _anchor_report(name: str, pairs: Sequence, tol: float, notes=()) -> dict:
+def _error_report(name: str, params: dict, worst: float, samples: int,
+                  label: str) -> verify.VerificationReport:
+    """Pass exactly when the worst error is within ``params["tol"]``."""
+    return verify.VerificationReport(
+        check_name=name,
+        params=params,
+        empirical_lower=worst,
+        empirical_upper=worst,
+        verdict="pass" if worst <= params["tol"] else "fail",
+        samples=samples,
+        notes=(f"{label} {worst:.3e}",),
+    )
+
+
+def _anchor_report(name: str, pairs: Sequence, tol: float) -> verify.VerificationReport:
     worst = 0.0
     for measured, expected in pairs:
         denom = abs(expected) if expected != 0.0 else 1.0
         worst = max(worst, abs(measured - expected) / denom)
-    return {
-        "check_name": name,
-        "params": {"tol": tol},
-        "empirical_lower": worst,
-        "empirical_upper": worst,
-        "verdict": "pass" if worst <= tol else "fail",
-        "samples": len(pairs),
-        "notes": list(notes) + [f"worst relative error {worst:.3e}"],
-    }
+    return _error_report(name, {"tol": tol}, worst, len(pairs), "worst relative error")
 
 
-def _suite_constants() -> dict:
+def _renamed(report: verify.VerificationReport, name: str, *, fail: bool = False,
+             notes: tuple = ()) -> verify.VerificationReport:
+    """``report`` as the suite's check ``name`` with ``notes`` appended,
+    demoted from pass to fail when ``fail`` is set."""
+    verdict = "fail" if fail and report.verdict == "pass" else report.verdict
+    return replace(report, check_name=name, verdict=verdict, notes=report.notes + notes)
+
+
+def _suite_constants() -> verify.VerificationReport:
     pairs = [
         (hardy_constant(3, 1.0), 2.0 / math.pi),
         (a_star(3, 1.0), -2.0 / math.pi),
@@ -519,31 +496,24 @@ def _suite_constants() -> dict:
     return _anchor_report("constants-anchors", pairs, 1e-12)
 
 
-def _suite_psi_roundtrip() -> dict:
+def _suite_psi_roundtrip() -> verify.VerificationReport:
     worst = 0.0
     for sigma in np.linspace(-0.85, 1.0, 25):
         sigma = float(sigma)
         value = psi(3, 1.0, sigma)
         back = psi_inv(3, 1.0, value)
         worst = max(worst, abs(back - sigma))
-    return {
-        "check_name": "psi-roundtrip",
-        "params": {"d": 3, "alpha": 1.0, "tol": 1e-8},
-        "empirical_lower": worst,
-        "empirical_upper": worst,
-        "verdict": "pass" if worst <= 1e-8 else "fail",
-        "samples": 25,
-        "notes": [f"worst roundtrip error {worst:.3e}"],
-    }
+    return _error_report("psi-roundtrip", {"d": 3, "alpha": 1.0, "tol": 1e-8}, worst, 25,
+                         "worst roundtrip error")
 
 
-def _suite_riesz_anchor() -> dict:
+def _suite_riesz_anchor() -> verify.VerificationReport:
     params = make_params(3, 1.0, 0.0)
     value = riesz_time_integral(1.0, KernelTriple(1.0, 1.0, 1.0), params)
     return _anchor_report("riesz-time-anchor", [(value, 16.0 / 7.0)], 1e-8)
 
 
-def _suite_gamma_anchor() -> dict:
+def _suite_gamma_anchor() -> verify.VerificationReport:
     pairs = [
         (gamma_negative_half_integral_check(s), gamma_reflection_oracle(s))
         for s in (0.5, 1.0, 1.5)
@@ -551,7 +521,7 @@ def _suite_gamma_anchor() -> dict:
     return _anchor_report("gamma-reflection-anchor", pairs, 1e-8)
 
 
-def _suite_schur() -> dict:
+def _suite_schur() -> verify.VerificationReport:
     finite = schur_weight_integral(1.0, 0.0, 3)
     flags_ok = (
         not finite.divergent
@@ -559,11 +529,9 @@ def _suite_schur() -> dict:
         and schur_weight_integral(0.5, 0.6, 3).divergent
         and schur_weight_integral(2.8, 0.3, 3).divergent
     )
-    report = _anchor_report("schur-anchor", [(finite.value, 6.0 * math.pi)], 1e-8,
-                            notes=[f"divergence flags correct: {flags_ok}"])
-    if not flags_ok:
-        report["verdict"] = "fail"
-    return report
+    report = _anchor_report("schur-anchor", [(finite.value, 6.0 * math.pi)], 1e-8)
+    return replace(report, verdict=report.verdict if flags_ok else "fail",
+                   notes=(f"divergence flags correct: {flags_ok}",) + report.notes)
 
 
 def _zero_params():
@@ -574,81 +542,61 @@ def _small_grid(n: int = 256):
     return build_log_grid(3, 1e-2, 1e2, n)
 
 
-def _suite_sweep_zero() -> dict:
+def _suite_sweep_zero() -> verify.VerificationReport:
     family = verify.TestFamily(tag="gaussian-dilates")
     report = verify.norm_ratio_sweep(
         _zero_params(), (0.5, 1.0, 1.5), family, _small_grid()
     )
-    out = report.to_dict()
-    out["check_name"] = "sweep-zero-coupling"
     drift = max(abs(report.empirical_lower - 1.0), abs(report.empirical_upper - 1.0))
-    if report.verdict == "pass" and drift > 1e-9:
-        out["verdict"] = "fail"
-        out["notes"] = list(out.get("notes", [])) + [
-            f"zero-coupling ratios drifted from 1 by {drift:.3e}"
-        ]
-    return out
+    drifted = report.verdict == "pass" and drift > 1e-9
+    return _renamed(report, "sweep-zero-coupling", fail=drifted, notes=(
+        (f"zero-coupling ratios drifted from 1 by {drift:.3e}",) if drifted else ()
+    ))
 
 
-def _suite_reverse_zero() -> dict:
+def _suite_reverse_zero() -> verify.VerificationReport:
     report = verify.reverse_hardy_constant(
         _zero_params(), 1.0, 1, r_min=1e-2, r_max=1e2, grid_n=256
     )
-    out = report.to_dict()
-    out["check_name"] = "reverse-zero-coupling"
-    return out
+    return _renamed(report, "reverse-zero-coupling")
 
 
-def _suite_diff_zero() -> dict:
+def _suite_diff_zero() -> verify.VerificationReport:
     report = verify.difference_envelope_check(
         _zero_params(), (1.0,), grid=_small_grid()
     )
-    out = report.to_dict()
-    out["check_name"] = "difference-zero-coupling"
-    return out
+    return _renamed(report, "difference-zero-coupling")
 
 
-def _suite_heat_poisson(seed: int) -> dict:
+def _suite_heat_poisson(seed: int) -> verify.VerificationReport:
     report = verify.heat_sandwich_check(
         _zero_params(), (1.0,), sample_pairs=60, grid=_small_grid(512), seed=seed
     )
-    out = report.to_dict()
-    out["check_name"] = "heat-poisson-exact"
-    inside = 0.9 <= report.empirical_lower and report.empirical_upper <= 1.1
-    if report.verdict == "pass" and not inside:
-        out["verdict"] = "fail"
-        out["notes"] = list(out.get("notes", [])) + [
-            "band left the exact-kernel window [0.9, 1.1]"
-        ]
-    return out
+    outside = (report.verdict == "pass"
+               and not (0.9 <= report.empirical_lower and report.empirical_upper <= 1.1))
+    return _renamed(report, "heat-poisson-exact", fail=outside, notes=(
+        ("band left the exact-kernel window [0.9, 1.1]",) if outside else ()
+    ))
 
 
-def _suite_gen_hardy() -> dict:
+def _suite_gen_hardy() -> verify.VerificationReport:
     report = verify.generalized_hardy_constant(
         _zero_params(), 1.0, 1, r_min=1e-2, r_max=1e2, grid_n=512
     )
-    out = report.to_dict()
-    out["check_name"] = "generalized-hardy-anchor"
     target = math.sqrt(0.5 * math.pi)
     drift = abs(report.empirical_upper - target) / target
-    out["notes"] = list(out.get("notes", [])) + [
-        f"constant {report.empirical_upper:.6g} vs 1/sqrt(H) = {target:.6g}"
-    ]
-    if report.verdict == "pass" and drift > 0.05:
-        out["verdict"] = "fail"
-    return out
+    return _renamed(report, "generalized-hardy-anchor", fail=drift > 0.05, notes=(
+        f"constant {report.empirical_upper:.6g} vs 1/sqrt(H) = {target:.6g}",
+    ))
 
 
-def _suite_sobolev() -> dict:
+def _suite_sobolev() -> verify.VerificationReport:
     family = verify.TestFamily(tag="gaussian-dilates")
     report = verify.sobolev_check(_zero_params(), 1.0, family, _small_grid(512))
-    out = report.to_dict()
-    out["check_name"] = "sobolev-smoke"
-    return out
+    return _renamed(report, "sobolev-smoke")
 
 
-def _cmd_suite(cfg: dict, em: _Emitter) -> int:
-    quick = bool(cfg["quick"])
+def _cmd_suite(cfg: dict, em: _Emitter) -> None:
     seed = cfg["seed"]
     battery = [
         _suite_constants,
@@ -660,26 +608,19 @@ def _cmd_suite(cfg: dict, em: _Emitter) -> int:
         _suite_reverse_zero,
         _suite_diff_zero,
     ]
-    if not quick:
+    if not cfg["quick"]:
         battery += [
             lambda: _suite_heat_poisson(seed),
             _suite_gen_hardy,
             _suite_sobolev,
         ]
-    all_pass = True
     for item in battery:
         report = item()
-        em.reports.append(report)
-        em.rows.append((
-            report["check_name"],
-            report["verdict"],
-            report.get("empirical_lower", ""),
-            report.get("empirical_upper", ""),
-        ))
-        em.lines.append(f"{report['check_name']}: {report['verdict']}")
-        all_pass = all_pass and report["verdict"] == "pass"
-    em.lines.append(f"suite: {'pass' if all_pass else 'fail'}")
-    return EXIT_PASS if all_pass else EXIT_CHECK_FAILED
+        em.reports.append(report.to_dict())
+        em.rows.append((report.check_name, report.verdict,
+                        report.empirical_lower, report.empirical_upper))
+        em.lines.append(f"{report.check_name}: {report.verdict}")
+    em.lines.append(f"suite: {_verdict(em.reports)}")
 
 
 # ---------------------------------------------------------------------------
@@ -810,18 +751,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _run(cmd: _Command, cfg: dict, em: _Emitter) -> int:
+    """Run the handler and write its outputs; exit 0 exactly when every
+    emitted report's verdict is ``pass``."""
+    failure = None
     try:
-        code = cmd.handler(cfg, em)
+        cmd.handler(cfg, em)
     except (CliError, DomainError, ConstructionError, ConvergenceError) as exc:
-        _flush_outputs(cmd, cfg, em, "error", failure=exc)
-        for line in em.lines:
-            print(line)
-        raise
-    verdict = "pass" if code == EXIT_PASS else "fail"
-    _flush_outputs(cmd, cfg, em, verdict)
+        failure = exc
+    verdict = "error" if failure is not None else _verdict(em.reports)
+    _flush_outputs(cmd, cfg, em, verdict, failure=failure)
     for line in em.lines:
         print(line)
-    return code
+    if failure is not None:
+        raise failure
+    return EXIT_PASS if verdict == "pass" else EXIT_CHECK_FAILED
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -833,10 +776,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return _run(cmd, cfg, _Emitter())
     except SystemExit as exc:
         return EXIT_PASS if exc.code in (0, None) else EXIT_VALIDATION
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except (DomainError, ConstructionError) as exc:
+    except (CliError, DomainError, ConstructionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except ConvergenceError as exc:

@@ -59,7 +59,6 @@ __all__ = [
     "build_fractional_laplacian",
     "build_hardy_operator",
     "build_potential_operator",
-    "apply_function",
     "heat_kernel_matrix",
     "jump_profile",
 ]
@@ -564,36 +563,6 @@ def build_potential_operator(grid: RadialGrid, alpha: float,
 
 # ---------------------------------------------------------------------------
 # spectral calculus
-
-def apply_function(op: SpectralOperator, phi: Callable, f) -> np.ndarray:
-    """Apply phi(operator) to the radial vector f through the eigensystem.
-
-    phi maps the eigenvalue array to an array of the same shape; any
-    other shape raises DomainError.  On eigenvalues clamped to zero a
-    non-finite phi value is replaced by zero, projecting onto the
-    positive subspace, which is the right convention for negative powers
-    of operators with a critical zero mode.  Non-finite phi on a strictly
-    positive eigenvalue raises DomainError.
-    """
-    f = np.asarray(f, dtype=float)
-    if f.shape != (op.grid.n,):
-        raise DomainError(
-            f"vector length {f.shape} does not match grid size {op.grid.n}"
-        )
-    lam = op.eigenvalues
-    with np.errstate(all="ignore"):
-        vals = np.asarray(phi(lam), dtype=float)
-    if vals.shape != lam.shape:
-        raise DomainError(
-            f"phi returned shape {vals.shape} for eigenvalues of shape {lam.shape}"
-        )
-    bad = ~np.isfinite(vals)
-    if np.any(bad & (lam > 0.0)):
-        raise DomainError("phi is not finite on a positive eigenvalue")
-    vals = np.where(bad, 0.0, vals)
-    coeff = op.modes.T @ (op.grid.weights * f)
-    return op.modes @ (vals * coeff)
-
 
 def heat_kernel_matrix(op: SpectralOperator, t: float) -> np.ndarray:
     """Kernel matrix of exp(-t op): entry (i, j) approximates the

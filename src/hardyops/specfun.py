@@ -280,7 +280,7 @@ def _psi(d: int, alpha: float, sigma: float, critical: float) -> float:
 def psi_inv(d: int, alpha: float, a: float) -> float:
     """Inverse of the Mellin symbol: the exponent delta with psi(delta) = a.
 
-    Defined for a >= a_star(d, alpha); the solution lies in
+    Defined for finite a >= a_star(d, alpha); the solution lies in
     (-alpha, (d - alpha)/2] and is found by bisection on the strictly
     decreasing symbol.  The endpoints a = a_star and a = 0 are returned
     exactly, matching the exact zero of the forward symbol.  The left
@@ -303,6 +303,8 @@ def psi_inv(d: int, alpha: float, a: float) -> float:
         raise DomainError(
             f"coupling a={a!r} lies below the critical value {critical}"
         )
+    if math.isinf(a):
+        raise DomainError(f"coupling a={a!r} must be finite")
     hi = 0.5 * (d - alpha)
     if a == critical:
         return hi
@@ -354,8 +356,8 @@ class HardyParams:
 def make_params(d: int, alpha: float, a: float) -> HardyParams:
     """Validate (d, alpha, a) and precompute the derived constants.
 
-    Requires an integer d >= 2, alpha in (0, min(2, d)) and a coupling
-    a >= a_star(d, alpha).  The returned record is frozen; every
+    Requires an integer d >= 2, alpha in (0, min(2, d)) and a finite
+    coupling a >= a_star(d, alpha).  The returned record is frozen; every
     downstream routine takes it instead of loose scalars.
     """
     d = _check_dimension(d)

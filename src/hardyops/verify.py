@@ -19,7 +19,7 @@ coverage.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
@@ -204,27 +204,14 @@ def _power_norm(op, vec: np.ndarray, s: float) -> float:
 # norm-equivalence sweep
 
 
-def sweep_rows(
-    params: HardyParams,
-    s_values: Sequence[float],
-    family: TestFamily,
-    grid: Optional[RadialGrid] = None,
-) -> tuple:
-    """Compute per-member ratio rows for the sweep CSV.
-
-    Returns ``(rows, notes)`` where each row is a dict keyed exactly by
-    ``SWEEP_COLUMNS``, power by power in the order of ``s_values``.
-    Degenerate members (zero or non-finite weighted norm on the grid) are
-    skipped and recorded in ``notes``.
-    """
-    if grid is None:
-        grid = _default_grid(params)
-    blocks, notes = _rows_by_power(params, s_values, family, grid)
-    return [row for block in blocks for row in block], notes
-
-
 def _rows_by_power(params, s_values, family, grid) -> tuple:
-    """``(blocks, notes)``: one list of :func:`sweep_rows` rows per s."""
+    """``(blocks, notes)``: the per-member ratio rows of each s, one list
+    per s in the order of ``s_values``.
+
+    Each row is a dict keyed exactly by ``SWEEP_COLUMNS``.  Degenerate
+    members (zero or non-finite weighted norm on the grid) are skipped
+    and recorded in ``notes``.
+    """
     free = build_fractional_laplacian(grid, params.alpha)
     full = build_hardy_operator(grid, params)
     notes: list = []
@@ -281,7 +268,8 @@ def norm_ratio_sweep(
     s_list = _sweep_powers(s_values)
     if grid is None:
         grid = _default_grid(params)
-    rows, notes = sweep_rows(params, s_list, family, grid)
+    blocks, notes = _rows_by_power(params, s_list, family, grid)
+    rows = [row for block in blocks for row in block]
     return _sweep_verdict(params, s_list, family, grid, rows, notes, pass_bound)
 
 
@@ -293,10 +281,12 @@ def sweep_by_power(
     *,
     pass_bound: float = 1e3,
 ) -> tuple:
-    """``(rows, notes, reports)``: the :func:`sweep_rows` rows and notes,
+    """``(rows, notes, reports)`` for the sweep CSV: the per-member ratio
+    rows, each a dict keyed exactly by ``SWEEP_COLUMNS``, power by power
+    in the order of ``s_values``; the notes on skipped degenerate members;
     and for each s the report ``norm_ratio_sweep(params, [s], ...)``
-    gives, with each power norm computed once.  Every s is checked before
-    any norm is computed."""
+    gives.  Each power norm is computed once, and every s is checked
+    before any norm is computed."""
     s_list = _sweep_powers(s_values)
     if grid is None:
         grid = _default_grid(params)
@@ -394,6 +384,27 @@ def _ladder_verdict(values: Sequence[float]) -> str:
     return "fail"
 
 
+def _ladder_report(check_name: str, params: HardyParams, s: float, n_refinements: int,
+                   r_min: float, r_max: float, grid_n: int, rung_values) -> VerificationReport:
+    """Validate a ladder check's s and ``n_refinements``, take its values
+    ``rung_values(s, n_refinements + 1)`` and judge the ladder."""
+    s = float(s)
+    if not (0.0 < s <= 2.0):
+        raise DomainError(f"s={s} outside (0, 2]")
+    if n_refinements < 1:
+        raise DomainError("need at least one refinement")
+    values = rung_values(s, n_refinements + 1)
+    return VerificationReport(
+        check_name=check_name,
+        params=_report_params(params, None, s=s, r_min=r_min, r_max=r_max, grid_n=grid_n),
+        empirical_lower=min(values),
+        empirical_upper=max(values),
+        verdict=_ladder_verdict(values),
+        samples=len(values),
+        notes=("ladder: " + ", ".join(f"{v:.6g}" for v in values),),
+    )
+
+
 # One-slot memo of the Hardy eigensystems of the latest ladder: at most one
 # entry, (params, n_rungs, r_min, r_max, grid_n) -> tuple of
 # SpectralOperators, one per rung.  Both ladder functions read their rungs
@@ -475,24 +486,13 @@ def generalized_hardy_constant(
     and is released when a ladder with a different key is requested,
     before that ladder is built.
     """
-    s = float(s)
-    if not (0.0 < s <= 2.0):
-        raise DomainError(f"s={s} outside (0, 2]")
-    if n_refinements < 1:
-        raise DomainError("need at least one refinement")
-    rungs = _hardy_rungs(params, n_refinements + 1, r_min, r_max, grid_n)
-    values = [_generalized_rung_value(op, params, s) for op in rungs]
-    verdict = _ladder_verdict(values)
-    ladder = ", ".join(f"{v:.6g}" for v in values)
-    return VerificationReport(
-        check_name="generalized_hardy_constant",
-        params=_report_params(params, None, s=s, r_min=r_min, r_max=r_max, grid_n=grid_n),
-        empirical_lower=min(values),
-        empirical_upper=max(values),
-        verdict=verdict,
-        samples=len(values),
-        notes=(f"ladder: {ladder}",),
-    )
+
+    def values(s: float, n_rungs: int) -> list:
+        rungs = _hardy_rungs(params, n_rungs, r_min, r_max, grid_n)
+        return [_generalized_rung_value(op, params, s) for op in rungs]
+
+    return _ladder_report("generalized_hardy_constant", params, s, n_refinements,
+                          r_min, r_max, grid_n, values)
 
 
 def _sym_power_matrix(op, s: float) -> np.ndarray:
@@ -544,35 +544,24 @@ def reverse_hardy_constant(
     coupling the Hardy rung serves as T, which makes the ladder exactly
     zero.  The s = 2 case builds no eigensystem and leaves the memo alone.
     """
-    s = float(s)
-    if not (0.0 < s <= 2.0):
-        raise DomainError(f"s={s} outside (0, 2]")
-    if n_refinements < 1:
-        raise DomainError("need at least one refinement")
-    if s == 2.0:
-        values = []
-        for k in range(n_refinements + 1):
-            r = build_log_grid(params.d, r_min * REFINE_FACTOR ** (-k), r_max, grid_n).nodes
-            values.append(float(np.max(np.abs(params.a * r ** (-params.alpha) * r ** params.alpha))))
-    else:
-        rungs = _hardy_rungs(params, n_refinements + 1, r_min, r_max, grid_n)
-        values = [_reverse_rung_value(full, params, s) for full in rungs]
+
+    def values(s: float, n_rungs: int) -> list:
+        if s == 2.0:
+            out = []
+            for k in range(n_rungs):
+                r = build_log_grid(params.d, r_min * REFINE_FACTOR ** (-k), r_max, grid_n).nodes
+                out.append(float(np.max(np.abs(params.a * r ** (-params.alpha) * r ** params.alpha))))
+            return out
+        rungs = _hardy_rungs(params, n_rungs, r_min, r_max, grid_n)
+        return [_reverse_rung_value(full, params, s) for full in rungs]
+
+    report = _ladder_report("reverse_hardy_constant", params, s, n_refinements,
+                            r_min, r_max, grid_n, values)
     if params.a == 0.0:
         # difference operator vanishes identically; the ladder is all zeros
-        verdict = "pass" if max(values) == 0.0 else "fail"
-        notes = ("coupling is zero, difference operator vanishes",)
-    else:
-        verdict = _ladder_verdict(values)
-        notes = ("ladder: " + ", ".join(f"{v:.6g}" for v in values),)
-    return VerificationReport(
-        check_name="reverse_hardy_constant",
-        params=_report_params(params, None, s=s, r_min=r_min, r_max=r_max, grid_n=grid_n),
-        empirical_lower=min(values),
-        empirical_upper=max(values),
-        verdict=verdict,
-        samples=len(values),
-        notes=notes,
-    )
+        return replace(report, verdict="pass" if report.empirical_upper == 0.0 else "fail",
+                       notes=("coupling is zero, difference operator vanishes",))
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -591,6 +580,8 @@ def _admissible_times(grid: RadialGrid, alpha: float, t_values: Sequence[float],
             kept.append(t)
         else:
             notes.append(f"t={t:.6g} outside reliable window [{lo:.3g}, {hi:.3g}], excluded")
+    if not kept:
+        raise DomainError("no t values inside the reliable window of this grid")
     return kept
 
 
@@ -635,8 +626,6 @@ def heat_sandwich_check(
         grid = _default_grid(params)
     notes: list = []
     times = _admissible_times(grid, params.alpha, t_values, notes)
-    if not times:
-        raise DomainError("no t values inside the reliable window of this grid")
     op = build_hardy_operator(grid, params)
     rng = np.random.default_rng(seed)
     exact_poisson = params.a == 0.0 and params.alpha == 1.0
@@ -761,8 +750,6 @@ def difference_envelope_check(
         grid = _default_grid(params)
     notes: list = []
     times = _admissible_times(grid, params.alpha, t_values, notes)
-    if not times:
-        raise DomainError("no t values inside the reliable window of this grid")
     if potential is not None:
         subtract_params = make_params(params.d, params.alpha, potential.a_tilde)
         env_params = make_params(params.d, params.alpha, potential.a)

@@ -18,7 +18,6 @@ from hardyops import (
     TestFamily,
     a_star,
     a_star_star,
-    apply_function,
     build_fractional_laplacian,
     build_hardy_operator,
     build_log_grid,
@@ -39,6 +38,7 @@ from hardyops import (
     schur_weight_integral,
 )
 from hardyops.operators import _symmetric_free_matrix
+from test_operators import apply_function
 
 _timings = {}
 

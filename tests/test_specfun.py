@@ -229,6 +229,16 @@ def test_psi_inv_domain_errors():
         psi_inv(3, 1.0, float("nan"))
 
 
+def test_infinite_coupling_is_a_domain_error():
+    # +inf would pass the a >= a_star test and fail to bracket (a
+    # convergence error); it is an invalid input, like nan and -inf.
+    for a in (math.inf, -math.inf):
+        with pytest.raises(DomainError):
+            psi_inv(3, 1.0, a)
+        with pytest.raises(DomainError):
+            make_params(3, 1.0, a)
+
+
 def test_make_params_fields():
     params = make_params(3, 1.0, -0.3)
     assert isinstance(params, HardyParams)

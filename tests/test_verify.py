@@ -23,7 +23,6 @@ from hardyops import (
     riesz_equivalence_check,
     sobolev_check,
     sweep_by_power,
-    sweep_rows,
     verify,
 )
 
@@ -97,9 +96,9 @@ def test_family_validation():
 # ---------------------------------------------------------------------------
 # norm ratio sweep
 
-def test_sweep_rows_schema_and_zero_coupling(params_zero, small_grid):
+def test_sweep_by_power_rows_schema_and_zero_coupling(params_zero, small_grid):
     fam = TestFamily("gaussian-dilates", n_members=4)
-    rows, notes = sweep_rows(params_zero, [0.5, 1.0], fam, small_grid)
+    rows, notes, _ = sweep_by_power(params_zero, [0.5, 1.0], fam, small_grid)
     assert notes == []
     assert len(rows) == 8
     for row in rows:
@@ -126,11 +125,14 @@ def test_norm_ratio_sweep_validation(params_zero, small_grid):
         norm_ratio_sweep(params_zero, [2.5], fam, small_grid)
 
 
-def test_sweep_by_power_matches_sweep_rows_and_one_sweep_per_power(params_half_critical, small_grid):
+def test_sweep_by_power_matches_one_sweep_per_power(params_half_critical, small_grid):
     fam = TestFamily("singular-cutoff", n_members=4)
     s_values = [0.5, 1.5, 0.5]
     rows, notes, reports = sweep_by_power(params_half_critical, s_values, fam, small_grid)
-    assert (rows, notes) == sweep_rows(params_half_critical, s_values, fam, small_grid)
+    # the rows of a multi-s sweep are the one-s sweeps' rows, concatenated
+    singles = [sweep_by_power(params_half_critical, [s], fam, small_grid) for s in s_values]
+    assert rows == [row for one_rows, _, _ in singles for row in one_rows]
+    assert all(one_notes == notes for _, one_notes, _ in singles)
     assert len(reports) == len(s_values)
     for s, report in zip(s_values, reports):
         alone = norm_ratio_sweep(params_half_critical, [s], fam, small_grid)
