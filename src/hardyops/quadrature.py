@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import ConvergenceError, DomainError
 from .kernels import KernelTriple, riesz_exponent_window
-from .specfun import HardyParams, log_gamma, sphere_area
+from .specfun import HardyParams, _check_dimension, log_gamma, sphere_area
 
 __all__ = [
     "QuadResult",
@@ -409,8 +409,10 @@ def schur_weight_integral(
     in closed form: |S^{d-1}| (1/(d-beta-delta_+) + 1/(beta-delta_+)), the
     sphere area times two radial power integrals split at |z| = 1.  The
     integral is finite exactly when delta_+ < beta < d - delta_+; divergence is
-    reported through the flag, never raised.
+    reported through the flag, never raised.  A dimension below 2 raises
+    ``DomainError``.
     """
+    d = _check_dimension(d)
     beta = float(beta)
     delta_plus = float(delta_plus)
     if not (math.isfinite(beta) and math.isfinite(delta_plus)):

@@ -438,6 +438,54 @@ def _hardy_rungs(params: HardyParams, n_rungs: int, r_min: float, r_max: float,
     return rungs
 
 
+def _top_eigenvalue(matvec, n: int) -> float:
+    """Largest eigenvalue of the symmetric positive semidefinite operator
+    ``matvec`` on R^n, from matrix-vector products alone.
+
+    Lanczos with full reorthogonalization (two Gram-Schmidt passes per
+    step; Parlett, The Symmetric Eigenvalue Problem, ch. 13) from a
+    start vector of fixed seed 0, so equal operators give bitwise equal
+    values.  The Ritz values of the k x k tridiagonal T_k come from
+    ``eigvalsh``.  The last component y_k of the top Ritz vector comes
+    from the backward three-term recurrence of T_k, which runs in the
+    direction in which that eigenvector grows.  The iteration stops once
+    the residual bound beta_k |y_k| is at most 1e-15 of the top Ritz
+    value, or after n steps, where the Krylov space is exhausted and the
+    Ritz value exact.  A rounding-level negative Ritz value is returned as
+    0.0, and a zero operator gives exactly 0.0.
+    """
+    # Rows of the basis become resident only as they are written.
+    basis = np.empty((n, n))
+    start = np.random.default_rng(0).standard_normal(n)
+    basis[0] = start / np.linalg.norm(start)
+    diag: list = []
+    off: list = []  # off[j] couples Lanczos vectors j and j + 1
+    for k in range(1, n + 1):
+        q = basis[k - 1]
+        w = matvec(q)
+        diag.append(float(q @ w))
+        done = basis[:k]
+        for _ in range(2):
+            w = w - done.T @ (done @ w)
+        # np.linalg.norm squares unscaled, which under- or overflows for
+        # vectors of norm beyond about 1e+-154.
+        peak = float(np.max(np.abs(w)))
+        beta = peak * float(np.linalg.norm(w / peak)) if peak > 0.0 else 0.0
+        off.append(beta)
+        inner = off[:-1]
+        tri = np.diag(diag) + np.diag(inner, 1) + np.diag(inner, -1)
+        theta = float(np.linalg.eigvalsh(tri)[-1])
+        # Top eigenvector y of T_k scaled to y_k = 1, so |y_k| = 1 / ||y||.
+        y_next, y, norm_sq = 0.0, 1.0, 1.0
+        for j in range(k - 1, 0, -1):
+            y_next, y = y, ((theta - diag[j]) * y - off[j] * y_next) / off[j - 1]
+            norm_sq += y * y
+        if k == n or beta <= 1e-15 * abs(theta) * math.sqrt(norm_sq):
+            break
+        basis[k] = w / beta
+    return theta if theta > 0.0 else 0.0
+
+
 def _generalized_rung_value(op, params: HardyParams, s: float) -> float:
     grid = op.grid
     lam = op.eigenvalues
@@ -446,11 +494,10 @@ def _generalized_rung_value(op, params: HardyParams, s: float) -> float:
     # at rounding level, far below any genuine excited level.
     cut = 1e-15 * float(lam.max())
     keep = lam > cut
-    # Y.T @ Y runs as a symmetric rank-k update, exactly symmetric.
     row_scale = np.sqrt(grid.weights) * grid.nodes ** (-0.5 * params.alpha * s)
     y_mat = op.modes[:, keep] * row_scale[:, None] * lam[keep] ** (-0.5 * s)
-    top = float(np.linalg.eigvalsh(y_mat.T @ y_mat)[-1])
-    return math.sqrt(max(top, 0.0))
+    top = _top_eigenvalue(lambda x: y_mat.T @ (y_mat @ x), y_mat.shape[1])
+    return math.sqrt(top)
 
 
 def generalized_hardy_constant(
@@ -472,12 +519,22 @@ def generalized_hardy_constant(
     first and last rung is the expected signature above the critical
     exponent.
 
-    The subspace cut must sit between the rounding-level kernel eigenvalue
-    and the lowest genuine excited level (set by the outer radius, around
-    1e-3 for the default box).  1e-15 of the spectral radius keeps orders
-    of margin on both sides down the default ladder; ladders much deeper
-    than ``r_min * REFINE_FACTOR**-4`` would push the cut into the
-    physical spectrum and need this revisited.
+    That eigenvalue is the top of ``Y.T @ Y``, with ``Y`` the n x m matrix
+    of the kept modes scaled by ``r^{-alpha s/2}`` and ``lam^{-s/2}``.  It
+    is found by Lanczos iteration (:func:`_top_eigenvalue`) from products
+    with ``Y`` and ``Y.T``; the m x m Gram matrix is never formed.
+
+    The subspace cut, 1e-15 of the spectral radius, is meant to sit
+    between the rounding-level kernel eigenvalue and the lowest genuine
+    excited level (set by the outer radius, around 1e-3 for the default
+    box).  The spectral radius grows like ``r_min**-alpha``, so on the
+    default ladder that holds at alpha = 1 but not at large alpha.  At
+    d = 3 and a = -0.9 H the cut removes no eigenvalue on any rung at
+    alpha = 1; at alpha = 1.9 it removes 1, 63, 254 and 382 of the 1024 on
+    rungs 0 to 3, of which 0, 3, 14 and 23 are negative rounding that the
+    construction clamped to zero.  The deep rungs at large alpha then
+    measure the constant on a subspace that lacks part of the physical
+    spectrum.
 
     The rungs' Hardy eigensystems are kept in a one-slot memo keyed by
     ``(params, n_refinements + 1, r_min, r_max, grid_n)``
@@ -514,9 +571,8 @@ def _reverse_rung_value(full, params: HardyParams, s: float) -> float:
         free = build_fractional_laplacian(twin, params.alpha)
     right = grid.nodes ** (0.5 * params.alpha * s)
     diff_mat = _sym_power_matrix(full, s) - _sym_power_matrix(free, s)
-    weighted = diff_mat * right[None, :]
-    top = float(np.linalg.eigvalsh(weighted.T @ weighted)[-1])
-    return math.sqrt(max(top, 0.0))
+    top = _top_eigenvalue(lambda x: right * (diff_mat @ (diff_mat @ (right * x))), grid.n)
+    return math.sqrt(top)
 
 
 def reverse_hardy_constant(
@@ -536,6 +592,12 @@ def reverse_hardy_constant(
     identity map through an eigendecomposition only adds reconstruction
     noise.  Fractional s goes through the spectral calculus.  The rungs
     and the verdict follow :func:`generalized_hardy_constant`.
+
+    For fractional s the constant is the square root of the largest
+    eigenvalue of ``W.T @ W``, where ``W = D r^{alpha s/2}`` and ``D`` is
+    the difference of the two power matrices.  It is found by Lanczos
+    iteration (:func:`_top_eigenvalue`) from products with ``D`` and the
+    diagonal weight; ``W`` and its Gram matrix are never formed.
 
     The Hardy eigensystems L come from the same one-slot memo as
     :func:`generalized_hardy_constant`, so after that function on the same

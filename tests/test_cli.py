@@ -324,6 +324,8 @@ _CONTRACT_CASES = [
       "--grid-n=256"), 2, ["pass", "diverging"]),
     (("sweep", "--d=3", "--alpha=1", "--a=1e300", "--grid-n=128"), 3, []),
     (("suite", "--quick"), 0, ["pass"] * 8),
+    (("schur", "--d=-3", "--beta=1"), 1, []),
+    (("schur", "--d=1", "--beta=1"), 1, []),
 ]
 
 

@@ -209,6 +209,12 @@ def test_schur_rejects_non_finite_inputs():
         schur_weight_integral(1.0, float("nan"), 3)
 
 
+@pytest.mark.parametrize("d", [-3, 0, 1, 3.0, True])
+def test_schur_rejects_a_dimension_other_commands_reject(d):
+    with pytest.raises(DomainError):
+        schur_weight_integral(1.0, 0.0, d)
+
+
 # ---------------------------------------------------------------------------
 # batches: every integral is refined as it would be alone
 
