@@ -16,8 +16,12 @@ singularity of kappa at coincidence and are instead solved from a small
 linear system that matches the exact one-dimensional symbol
 
     phi(tau) = int_0^inf 2 kappa(s) (1 - cos(tau s)) ds
+             = |S^{d-1}| (2^alpha |Gamma((d+alpha)/4 + i tau/2)|^2
+                          / |Gamma((d-alpha)/4 + i tau/2)|^2 - H)
 
-at eight collocation frequencies up to the grid Nyquist.  The assembled
+at eight collocation frequencies up to the grid Nyquist.  The second line
+is the ground-state Mellin symbol in closed form, which is how phi is
+evaluated; no integral of kappa is taken.  The assembled
 operator then satisfies three structural identities at once: the
 critical ground state is an exact discrete zero mode, adding the
 coupling a r^{-alpha} is exact (no additional discretization error in
@@ -44,6 +48,7 @@ from .errors import ConstructionError, DomainError
 from .specfun import (
     HardyParams,
     _check_dimension,
+    _scaled_log_abs_gamma,
     a_star,
     gauss_jacobi,
     hardy_constant,
@@ -325,42 +330,24 @@ def jump_profile(s, d: int, alpha: float):
     return float(out[0]) if scalar else out
 
 
-def _one_dim_symbol(taus: np.ndarray, d: int, alpha: float) -> np.ndarray:
-    """phi(tau) = int_0^inf 2 kappa(s)(1 - cos(tau s)) ds on a graded grid.
-
-    The grid is logarithmic near the singularity and linear with a step
-    resolving the fastest oscillation out to where kappa has decayed; the
-    truncated singular head below the first grid point is added in
-    closed form from the local power law kappa ~ A s^{-1-alpha}.
-    """
-    taus = np.asarray(taus, dtype=float)
-    s0 = 1e-8
-    head = np.geomspace(s0, 0.1, 3001)
-    step = min(5e-4, 2.0 * math.pi / (12.0 * max(taus.max(), 1.0)))
-    tail = np.arange(0.1 + step, 90.0, step)
-    s_all = np.concatenate([head, tail])
-    k_all = jump_profile(s_all, d, alpha)
-    integrand = 2.0 * k_all[None, :] * (1.0 - np.cos(taus[:, None] * s_all[None, :]))
-    vals = np.trapezoid(integrand, s_all, axis=1)
-    amp = k_all[0] * s0 ** (1.0 + alpha)
-    vals += amp * taus**2 * s0 ** (2.0 - alpha) / (2.0 - alpha)
-    return vals
-
-
 _COLLOCATION_THETAS = math.pi * np.arange(1, _NEAR_LAGS + 1) / _NEAR_LAGS
 
 
-@lru_cache(maxsize=64)
 def _near_field_symbol(h: float, d: int, alpha: float) -> np.ndarray:
-    """phi at the collocation frequencies theta_j / h, memoized.
+    """phi at the collocation frequencies theta_j / h, in closed form.
 
-    The symbol depends on the grid only through its log step, so grids
-    sharing (h, d, alpha) share this integral.  The array is read-only
-    because the memo hands the same object to every caller.
+    phi(tau) = |S^{d-1}| (2^alpha |Gamma((d+alpha)/4 + i tau/2)|^2
+                          / |Gamma((d-alpha)/4 + i tau/2)|^2 - H)
+
+    is the ground-state Mellin symbol (Frank, Lieb and Seiringer, J. Amer.
+    Math. Soc. 21, 2008).  Both moduli decay like exp(-pi tau / 4); their
+    scaled logarithms drop that common factor, so the ratio keeps every
+    digit at the grid's highest frequencies.
     """
-    vals = _one_dim_symbol(_COLLOCATION_THETAS / h, d, alpha)
-    vals.setflags(write=False)
-    return vals
+    half_tau = 0.5 * _COLLOCATION_THETAS / h
+    log_ratio = (_scaled_log_abs_gamma(0.25 * (d + alpha), half_tau)
+                 - _scaled_log_abs_gamma(0.25 * (d - alpha), half_tau))
+    return sphere_area(d) * (2.0**alpha * np.exp(2.0 * log_ratio) - hardy_constant(d, alpha))
 
 
 # ---------------------------------------------------------------------------
@@ -372,8 +359,9 @@ def _lag_weights(grid: RadialGrid, alpha: float) -> np.ndarray:
     h = _log_step(grid)
     lag_weights = h * h * jump_profile(h * np.arange(1, n), d, alpha)
 
-    # Replace the first few lags by weights that reproduce the exact
-    # one-dimensional symbol at eight frequencies up to the Nyquist.
+    # Replace the first few lags by weights that reproduce the closed-form
+    # one-dimensional symbol at eight frequencies up to the Nyquist: the
+    # lag sum 2 sum_k w_k (1 - cos(k theta)) must equal h phi(theta / h).
     j = np.arange(1, _NEAR_LAGS + 1)
     thetas = _COLLOCATION_THETAS
     phi_vals = _near_field_symbol(h, d, alpha)

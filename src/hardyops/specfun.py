@@ -1,16 +1,18 @@
 """Gamma-based constants for the fractional Hardy operator family.
 
-Everything in this module is a scalar special-function evaluation: the
-sharp Hardy constant for the fractional Laplacian, the critical couplings
+Everything in this module is a special-function evaluation: the sharp
+Hardy constant for the fractional Laplacian, the critical couplings
 ``a_star`` and ``a_star_star``, the Mellin symbol ``psi`` of the operator
 |p|^alpha + a |x|^{-alpha} acting on radial power functions, and the
 inverse of that symbol, whose value ``delta`` is the singularity exponent
 appearing in every kernel bound downstream.
 
-All Gamma evaluations go through ``log_gamma`` so that ratios of large
-Gamma values never overflow.  The module also provides the one Gauss rule
-family the package integrates with, ``gauss_jacobi``.  Both run on the
-standard library and numpy alone.
+All real Gamma evaluations go through ``log_gamma`` so that ratios of
+large Gamma values never overflow; ``log_abs_gamma`` is the modulus off
+the real axis, elementwise on arrays, from which the discretization
+builds the symbol on the critical line.  The module also provides the one
+Gauss rule family the package integrates with, ``gauss_jacobi``.  All of
+it runs on the standard library and numpy alone.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from .errors import ConvergenceError, DomainError
 
 __all__ = [
     "log_gamma",
+    "log_abs_gamma",
     "gauss_jacobi",
     "sphere_area",
     "hardy_constant",
@@ -39,6 +42,13 @@ __all__ = [
 
 _LN2 = math.log(2.0)
 _LOG_SQRT_2PI = 0.91893853320467274178
+# B_2k / (2k (2k - 1)) for k = 1..10: Stirling's series for log Gamma(z) in
+# powers of 1/z.
+_STIRLING = (1.0 / 12.0, -1.0 / 360.0, 1.0 / 1260.0, -1.0 / 1680.0, 1.0 / 1188.0,
+             -691.0 / 360360.0, 1.0 / 156.0, -3617.0 / 122400.0, 43867.0 / 244188.0,
+             -174611.0 / 125400.0)
+# Stirling's series runs at |z| >= 8; smaller arguments are shifted up.
+_STIRLING_MODULUS = 8.0
 
 
 def log_gamma(x: float) -> float:
@@ -93,6 +103,66 @@ def log_gamma(x: float) -> float:
     return q + ((((8.11614167470508450300e-4 * p - 5.95061904284301438324e-4) * p
                   + 7.93650340457716943945e-4) * p - 2.77777777730099687205e-3) * p
                 + 8.33333333333331927722e-2) / x
+
+
+def log_abs_gamma(x, y):
+    """log|Gamma(x + iy)| elementwise, for x > 0 and real y.
+
+    x and y are scalars or arrays that broadcast together; two scalars
+    give a float.  Raises DomainError for x <= 0, the closed half-plane
+    that holds every pole, and for non-finite input.  The value is even
+    in y, bit for bit.
+
+    The modulus falls like exp(-pi |y| / 2), so the value is close to
+    -pi |y| / 2 and carries that term's rounding, up to two ulps of the
+    result.  Apart from it the value is within 1e-14 of the exact one for
+    x in (0, 3] (``_scaled_log_abs_gamma``).
+    """
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
+        raise DomainError("log_abs_gamma requires finite x and y")
+    if not np.all(x > 0.0):
+        raise DomainError(
+            f"log_abs_gamma requires x > 0, got {np.min(x)!r}; "
+            f"the poles of Gamma lie at x = 0, -1, -2, ..."
+        )
+    out = _scaled_log_abs_gamma(x, y) - 0.5 * math.pi * np.abs(y)
+    return float(out) if out.ndim == 0 else out
+
+
+def _scaled_log_abs_gamma(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """log|Gamma(x + iy)| + pi |y| / 2 on validated arrays (x > 0).
+
+    The added term cancels the exponential decay of the modulus, so the
+    value stays of the size of (x - 1/2) log|z|; for x in (0, 3] it is
+    within 1e-14 of the exact value (7e-15 measured against mpmath for
+    |y| <= 600), and differences of these values lose no digits to the
+    decay.
+
+    Arguments with |z| < 8 are shifted up by the fewest unit steps that
+    reach |z| >= 8, through Gamma(z) = Gamma(z + n) / (z (z+1) ...
+    (z+n-1)), with the product's moduli multiplied before one log.
+    Stirling's series then takes ten terms; the first omitted one is below
+    2e-18 at |z| = 8, and for Re z > 0 the remainder is at most 2^11 times
+    that.  In Stirling's formula, -y arg z + pi |y| / 2 is written
+    |y| atan2(x, |y|), which has no cancellation.
+    """
+    x, y = np.broadcast_arrays(x, np.abs(y))
+    shift = np.ceil(np.sqrt(np.maximum(_STIRLING_MODULUS**2 - y * y, 0.0)) - x)
+    shift = np.maximum(shift, 0.0)
+    moduli = np.ones(x.shape)
+    for k in range(int(np.max(shift, initial=0.0))):
+        moduli *= np.where(k < shift, np.hypot(x + k, y), 1.0)
+    x = x + shift
+    inv = 1.0 / (x + 1j * y)
+    inv_sq = inv * inv
+    series = _STIRLING[-1]
+    for coeff in _STIRLING[-2::-1]:
+        series = series * inv_sq + coeff
+    series = (series * inv).real
+    return ((x - 0.5) * np.log(np.hypot(x, y)) + y * np.arctan2(x, y) - x
+            + _LOG_SQRT_2PI + series - np.log(moduli))
 
 
 @lru_cache(maxsize=64)

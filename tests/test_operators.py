@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -19,6 +20,7 @@ from hardyops import (
     make_params,
     psi,
 )
+from hardyops.verify import DEFAULT_GRID_N, DEFAULT_R_MAX, DEFAULT_R_MIN, REFINE_FACTOR
 
 
 # ---------------------------------------------------------------------------
@@ -439,6 +441,52 @@ def test_three_dimensional_closed_form_against_mpmath(alpha):
 
 
 # ---------------------------------------------------------------------------
+# near-field symbol
+
+SYMBOL_ALPHAS = (0.5, 1.0, 1.5, 1.9, 1.99)
+
+
+def _symbol_log_steps():
+    """Log steps of the default grid, of the default ladder's rungs and of
+    the default box at n = 4096."""
+    steps = [math.log(DEFAULT_R_MAX / (DEFAULT_R_MIN * REFINE_FACTOR ** (-k))) / (DEFAULT_GRID_N - 1)
+             for k in range(4)]
+    return steps + [math.log(DEFAULT_R_MAX / DEFAULT_R_MIN) / 4095]
+
+
+def _mp_mellin_symbol(tau, d, alpha):
+    """|S^{d-1}| (2^alpha |Gamma((d+alpha)/4 + i tau/2)|^2
+    / |Gamma((d-alpha)/4 + i tau/2)|^2 - H) in mpmath."""
+    a = mpmath.mpf(alpha)
+    y = mpmath.mpf(float(tau)) / 2
+    hardy = 2**a * (mpmath.gamma((d + a) / 4) / mpmath.gamma((d - a) / 4)) ** 2
+    ratio = 2**a * abs(mpmath.gamma((d + a) / 4 + 1j * y) / mpmath.gamma((d - a) / 4 + 1j * y)) ** 2
+    area = 2 * mpmath.pi ** (mpmath.mpf(d) / 2) / mpmath.gamma(mpmath.mpf(d) / 2)
+    return area * (ratio - hardy)
+
+
+@pytest.mark.parametrize("alpha", SYMBOL_ALPHAS)
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_near_field_symbol_is_the_mellin_symbol(d, alpha):
+    with mpmath.workdps(30):
+        for h in _symbol_log_steps():
+            taus = operators._COLLOCATION_THETAS / h
+            vals = operators._near_field_symbol(h, d, alpha)
+            for tau, val in zip(taus, vals):
+                assert val == pytest.approx(float(_mp_mellin_symbol(tau, d, alpha)), rel=1e-13, abs=0.0)
+
+
+@pytest.mark.parametrize("d,alpha", [(2, 0.5), (3, 1.0), (4, 1.5), (5, 1.99)])
+def test_lag_weights_reproduce_the_symbol_at_the_collocation_frequencies(d, alpha):
+    grid = build_log_grid(d, DEFAULT_R_MIN, DEFAULT_R_MAX, DEFAULT_GRID_N)
+    h = operators._log_step(grid)
+    thetas = operators._COLLOCATION_THETAS
+    lags = np.arange(1, grid.n)
+    lag_sum = 2.0 * (1.0 - np.cos(np.outer(thetas, lags))) @ operators._lag_weights(grid, alpha)
+    assert np.allclose(lag_sum, h * operators._near_field_symbol(h, d, alpha), rtol=1e-12, atol=0.0)
+
+
+# ---------------------------------------------------------------------------
 # assembly and Gram-form products
 
 
@@ -473,13 +521,19 @@ def test_heat_kernel_is_a_bitwise_symmetric_gram_product(small_grid, params_half
     assert np.max(np.abs(kernel - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
-def test_log_step_memo_hits_for_log_translated_grids():
+def test_log_translated_grids_share_bitwise_lag_weights():
+    # The lag weights depend on the grid through its log step alone, and
+    # the step is computed from the endpoints, so grids that are translates
+    # in log coordinates get the same weights bit for bit.  Their free
+    # matrices then differ only by the dilation factor 10^-alpha.
     alpha = 1.37
-    operators._near_field_symbol.cache_clear()
-    operators._symmetric_free_matrix(build_log_grid(3, 1e-2, 1e2, 256), alpha)
-    operators._symmetric_free_matrix(build_log_grid(3, 1e-1, 1e3, 256), alpha)
-    info = operators._near_field_symbol.cache_info()
-    assert (info.misses, info.hits) == (1, 1)
+    low = build_log_grid(3, 1e-2, 1e2, 256)
+    high = build_log_grid(3, 1e-1, 1e3, 256)
+    assert operators._log_step(low) == operators._log_step(high)
+    assert np.array_equal(operators._lag_weights(low, alpha), operators._lag_weights(high, alpha))
+    s_low = operators._symmetric_free_matrix(low, alpha)
+    s_high = operators._symmetric_free_matrix(high, alpha)
+    assert np.allclose(s_high * 10.0**alpha, s_low, rtol=1e-14, atol=0.0)
 
 
 # ---------------------------------------------------------------------------

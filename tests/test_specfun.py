@@ -15,12 +15,14 @@ from hardyops import (
     a_star_star,
     hardy_constant,
     kernels,
+    log_abs_gamma,
     log_gamma,
     make_params,
     psi,
     psi_inv,
     sphere_area,
 )
+from hardyops import specfun
 from hardyops.specfun import gauss_jacobi
 
 mpmath.mp.dps = 40
@@ -57,6 +59,63 @@ def test_log_gamma_rejects_nonpositive_and_nonfinite_arguments():
     for x in (0.0, -1.0, math.inf, math.nan):
         with pytest.raises(DomainError):
             log_gamma(x)
+
+
+def _mp_log_abs_gamma(x, y):
+    return mpmath.loggamma(mpmath.mpc(float(x), float(y))).real
+
+
+def test_log_abs_gamma_against_mpmath(rng):
+    # The strip the near-field symbol uses: x = (d -+ alpha)/4 and y = tau/2
+    # up to the Nyquist frequency of a 4096-node grid on the default box.
+    xs = np.concatenate([rng.uniform(0.02, 3.0, 600), np.linspace(0.02, 3.0, 60)])
+    ys = np.concatenate([rng.uniform(0.0, 600.0, 300), rng.uniform(0.0, 20.0, 300),
+                         np.linspace(0.0, 600.0, 60)])
+    vals = log_abs_gamma(xs, ys)
+    scaled = specfun._scaled_log_abs_gamma(xs, ys)
+    for x, y, val, sc in zip(xs, ys, vals, scaled):
+        exact = _mp_log_abs_gamma(x, y)
+        # Without its decay term -pi |y| / 2 the value is within 1e-14; the
+        # returned value adds the rounding of that term, up to two ulps.
+        assert abs(sc - float(exact + mpmath.pi * abs(y) / 2)) <= 1e-14
+        assert abs(val - float(exact)) <= 1e-14 + 2.0 * math.ulp(float(exact))
+
+
+def test_log_abs_gamma_on_the_real_axis_is_log_gamma():
+    xs = np.geomspace(1e-3, 60.0, 400)
+    vals = log_abs_gamma(xs, 0.0)
+    for x, val in zip(xs, vals):
+        assert val == pytest.approx(log_gamma(float(x)), rel=3e-14, abs=1e-14)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    x=st.floats(min_value=1e-3, max_value=3.0),
+    y=st.floats(min_value=-600.0, max_value=600.0),
+)
+def test_log_abs_gamma_recurrence_and_conjugate_symmetry(x, y):
+    at_z = log_abs_gamma(x, y)
+    assert log_abs_gamma(x, -y) == at_z
+    at_next = log_abs_gamma(x + 1.0, y)
+    # Both values carry the rounding of their decay term -pi |y| / 2.
+    slack = 2e-14 + math.ulp(at_z) + math.ulp(at_next)
+    assert abs(at_next - at_z - math.log(math.hypot(x, y))) <= slack
+
+
+def test_log_abs_gamma_broadcasts_and_keeps_scalars_scalar():
+    assert isinstance(log_abs_gamma(1.5, 2.0), float)
+    grid = log_abs_gamma(np.array([[0.5], [1.5]]), np.array([0.0, 1.0, 2.0]))
+    assert grid.shape == (2, 3)
+    assert grid[1, 2] == log_abs_gamma(1.5, 2.0)
+
+
+@pytest.mark.parametrize("x,y", [(0.0, 0.0), (-1.0, 0.0), (-2.5, 1.0), (0.0, 3.0),
+                                 (math.nan, 1.0), (1.0, math.inf), (math.inf, 0.0)])
+def test_log_abs_gamma_rejects_poles_and_nonfinite_input(x, y):
+    with pytest.raises(DomainError):
+        log_abs_gamma(x, y)
+    with pytest.raises(DomainError):
+        log_abs_gamma(np.array([1.0, x]), np.array([0.5, y]))
 
 
 def _requested_rules():

@@ -20,6 +20,7 @@ from hardyops import verify
 from hardyops.specfun import a_star, make_params
 
 GRID_N = 128
+EPS = np.finfo(float).eps
 
 
 def close(value: float, reference: float) -> bool:
@@ -40,10 +41,15 @@ def _oracles(gram: np.ndarray) -> tuple:
     return dense, float(arpack)
 
 
-def _power(op, s: float) -> np.ndarray:
-    """L^{s/2} as a weighted matrix, formed without the library's Gram helper."""
-    q = op.modes * np.sqrt(op.grid.weights)[:, None]
+def _power(op, s: float, modulus=lambda q: q) -> np.ndarray:
+    """L^{s/2} as a weighted matrix, formed without the library's Gram helper;
+    with ``modulus=np.abs`` the entrywise majorant |Q| Lambda^{s/2} |Q|^T."""
+    q = modulus(op.modes * np.sqrt(op.grid.weights)[:, None])
     return (q * np.where(op.eigenvalues > 0.0, op.eigenvalues, 0.0) ** (0.5 * s)) @ q.T
+
+
+def _top_singular_value(mat: np.ndarray) -> float:
+    return math.sqrt(float(np.linalg.eigvalsh(mat.T @ mat)[-1]))
 
 
 @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5, 1.9])
@@ -74,14 +80,27 @@ def test_rung_top_eigenvalues_match_dense_and_arpack(d, alpha):
                 value = verify._generalized_rung_value(op, params, s)
                 assert close(value, math.sqrt(dense))
 
-                weighted = (_power(op, s) - _power(free, s)) * grid.nodes ** (0.5 * alpha * s)
+                right = grid.nodes ** (0.5 * alpha * s)
                 reverse = verify._reverse_rung_value(op, params, s)
                 if a == 0.0:
                     assert reverse == 0.0
                     continue
+                # The library's operator W = (P_L - P_T) diag(right), formed
+                # densely from the library's power matrices.
+                weighted = (verify._sym_power_matrix(op, s)
+                            - verify._sym_power_matrix(free, s)) * right
                 dense, arpack = _oracles(weighted.T @ weighted)
                 assert close(reverse, math.sqrt(dense))
                 assert close(reverse, math.sqrt(arpack))
+
+                # The power difference formed independently differs from the
+                # library's by the rounding of two Gram products, which the
+                # difference does not shrink: entrywise at most
+                # (n + 4) eps (|Q_L| Lambda_L^{s/2} |Q_L|^T + the same for T).
+                independent = _top_singular_value((_power(op, s) - _power(free, s)) * right)
+                majorant = (_power(op, s, np.abs) + _power(free, s, np.abs)) * right
+                bound = (grid.n + 4) * EPS * _top_singular_value(majorant)
+                assert abs(reverse - independent) <= bound + 1e-12 * independent
 
 
 def _spectrum(kind: str, n: int, rng: np.random.Generator) -> np.ndarray:
