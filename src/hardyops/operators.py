@@ -552,14 +552,41 @@ def build_potential_operator(grid: RadialGrid, alpha: float,
 # ---------------------------------------------------------------------------
 # spectral calculus
 
-def heat_kernel_matrix(op: SpectralOperator, t: float) -> np.ndarray:
+def heat_kernel_matrix(op: SpectralOperator, t: float,
+                       pairs: Optional[np.ndarray] = None) -> np.ndarray:
     """Kernel matrix of exp(-t op): entry (i, j) approximates the
-    angular-averaged continuum kernel at radii (r_i, r_j)."""
+    angular-averaged continuum kernel at radii (r_i, r_j).
+
+    With ``pairs``, an (m, 2) integer array of node indices, only the m
+    entries K[i, j] are computed and returned as a 1-D array, each as the
+    dot product of rows i and j of B = modes exp(-t lam / 2); no n x n
+    matrix is formed.  Indices outside [0, n) raise DomainError.
+    """
     t = float(t)
     if not (t >= 0.0) or math.isinf(t):
         raise DomainError(f"time must be finite and >= 0, got {t!r}")
-    # Gram form B @ B.T with B = modes exp(-t lam / 2): numpy runs it as a
-    # symmetric rank-k update, so the kernel is exactly symmetric.
-    b_mat = op.modes * np.exp(-0.5 * t * op.eigenvalues)
-    return b_mat @ b_mat.T
+    scale = np.exp(-0.5 * t * op.eigenvalues)
+    if pairs is None:
+        # Gram form B @ B.T: numpy runs it as a symmetric rank-k update, so
+        # the kernel is exactly symmetric.
+        b_mat = op.modes * scale
+        return b_mat @ b_mat.T
+    pairs = _check_pairs(pairs, len(scale))
+    rows_i = op.modes[pairs[:, 0]] * scale
+    rows_j = op.modes[pairs[:, 1]] * scale
+    return np.einsum("ij,ij->i", rows_i, rows_j)
+
+
+def _check_pairs(pairs, n: int) -> np.ndarray:
+    # Indices must lie in [0, n): numpy would wrap negative ones silently.
+    if not (isinstance(pairs, np.ndarray) and pairs.ndim == 2 and pairs.shape[1] == 2
+            and pairs.dtype.kind in "iu"):
+        raise DomainError(
+            f"pairs must be an (m, 2) integer ndarray, got {type(pairs).__name__} "
+            f"of shape {getattr(pairs, 'shape', None)}"
+        )
+    if pairs.size and (pairs.min() < 0 or pairs.max() >= n):
+        raise DomainError(f"pair indices must lie in [0, {n}), got "
+                          f"[{pairs.min()}, {pairs.max()}]")
+    return pairs
 

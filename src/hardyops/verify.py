@@ -660,6 +660,32 @@ def _interior_pairs(rng: np.random.Generator, n: int, count: int) -> np.ndarray:
     return rng.integers(lo, hi, size=(count, 2))
 
 
+def _check_sample_pairs(count) -> None:
+    if not isinstance(count, int) or isinstance(count, bool) or count < 1:
+        raise DomainError(f"sample_pairs must be a positive integer, got {count!r}")
+
+
+def _pair_average(profile, t: float, params: HardyParams, rx: np.ndarray,
+                  ry: np.ndarray) -> np.ndarray:
+    """Angular averages of ``profile(t, triple, params)`` at every pair of
+    radii, in one call: the triple holds the radii as (m, 1) columns
+    against the (m, ANGULAR_NODES) chords."""
+    return angular_average(
+        lambda chords: profile(t, KernelTriple(rx[:, None], ry[:, None], chords), params),
+        rx,
+        ry,
+        params.d,
+    )
+
+
+def _usable(values: np.ndarray, pairs: np.ndarray, what: str, t: float, notes: list) -> np.ndarray:
+    """Mask of the positive finite values; a note for each pair it drops."""
+    usable = (values > 0.0) & np.isfinite(values)
+    for i, j in pairs[~usable].tolist():
+        notes.append(f"{what} degenerate at t={t:.3g}, pair ({i}, {j}); skipped")
+    return usable
+
+
 def heat_sandwich_check(
     params: HardyParams,
     t_values: Sequence[float],
@@ -671,18 +697,18 @@ def heat_sandwich_check(
 ) -> VerificationReport:
     """Two-sided comparison of the discrete heat kernel with its profile.
 
-    Samples interior node pairs, angular-averages the comparison profile
-    over the chord distance, and reports the min/max of kernel/profile.
-    Passes when every sampled entry is positive and the band has
-    C/c <= ``band_bound``, which must be at least 1.
+    Samples ``sample_pairs`` interior node pairs per time, computes only
+    those kernel entries, angular-averages the comparison profile over the
+    chord distance for all pairs at once, and reports the min/max of
+    kernel/profile.  Passes when every sampled entry is positive and the
+    band has C/c <= ``band_bound``, which must be at least 1.
 
     The comparison profile carries unspecified structural constants, so
     the band is informative only through its width.  The one exception is
     zero coupling at alpha = 1, where the exact Poisson kernel is
     available and the ratio band hugs 1.
     """
-    if sample_pairs < 1:
-        raise DomainError("sample_pairs must be positive")
+    _check_sample_pairs(sample_pairs)
     _check_band_bound(band_bound)
     if grid is None:
         grid = _default_grid(params)
@@ -693,27 +719,19 @@ def heat_sandwich_check(
     exact_poisson = params.a == 0.0 and params.alpha == 1.0
     ratios = []
     for t in times:
-        kernel = heat_kernel_matrix(op, t)
         pairs = _interior_pairs(rng, grid.n, sample_pairs)
-        for i, j in pairs:
-            rx, ry = grid.nodes[i], grid.nodes[j]
-            if exact_poisson:
-                profile = poisson_radial_average(t, rx, ry, params.d)
-            else:
-                profile = angular_average(
-                    lambda chords: hardy_heat_profile(t, KernelTriple(rx, ry, chords), params),
-                    rx,
-                    ry,
-                    params.d,
-                )
-            entry = float(kernel[i, j])
-            if profile <= 0.0 or not math.isfinite(profile):
-                notes.append(f"profile degenerate at t={t:.3g}, pair ({i}, {j}); skipped")
-                continue
-            ratios.append(entry / profile)
-    if not ratios:
+        entries = heat_kernel_matrix(op, t, pairs)
+        rx, ry = grid.nodes[pairs[:, 0]], grid.nodes[pairs[:, 1]]
+        if exact_poisson:
+            profile = poisson_radial_average(t, rx, ry, params.d)
+        else:
+            profile = _pair_average(hardy_heat_profile, t, params, rx, ry)
+        usable = _usable(profile, pairs, "profile", t, notes)
+        ratios.append(entries[usable] / profile[usable])
+    ratios = np.concatenate(ratios)
+    if not ratios.size:
         raise DomainError("all sampled pairs were degenerate")
-    c_low, c_high = min(ratios), max(ratios)
+    c_low, c_high = float(ratios.min()), float(ratios.max())
     ok = c_low > 0.0 and math.isfinite(c_high) and c_high / c_low <= band_bound
     notes.append(f"band C/c = {c_high / c_low if c_low > 0 else math.inf:.4g} over {len(ratios)} samples")
     return VerificationReport(
@@ -760,25 +778,17 @@ def _difference_ratio_sup(
     sup_ratio = 0.0
     violation = 0.0
     for t in times:
-        diff = heat_kernel_matrix(upper_op, t) - heat_kernel_matrix(lower_op, t)
         pairs = _interior_pairs(rng, grid.n, sample_pairs)
-        for i, j in pairs:
-            rx, ry = grid.nodes[i], grid.nodes[j]
-            entry = float(diff[i, j])
-            if expected_sign > 0.0 and entry < 0.0:
-                violation = min(violation, entry)
-            elif expected_sign < 0.0 and entry > 0.0:
-                violation = max(violation, entry)
-            env = angular_average(
-                lambda chords: _envelope(t, KernelTriple(rx, ry, chords), env_params),
-                rx,
-                ry,
-                params.d,
-            )
-            if env <= 0.0 or not math.isfinite(env):
-                notes.append(f"envelope degenerate at t={t:.3g}, pair ({i}, {j}); skipped")
-                continue
-            sup_ratio = max(sup_ratio, abs(entry) / env)
+        diff = heat_kernel_matrix(upper_op, t, pairs) - heat_kernel_matrix(lower_op, t, pairs)
+        if expected_sign > 0.0:
+            violation = min(violation, float(diff.min()))
+        elif expected_sign < 0.0:
+            violation = max(violation, float(diff.max()))
+        rx, ry = grid.nodes[pairs[:, 0]], grid.nodes[pairs[:, 1]]
+        env = _pair_average(_envelope, t, env_params, rx, ry)
+        usable = _usable(env, pairs, "envelope", t, notes)
+        if usable.any():
+            sup_ratio = max(sup_ratio, float(np.max(np.abs(diff[usable]) / env[usable])))
     return sup_ratio, violation
 
 
@@ -801,13 +811,16 @@ def difference_envelope_check(
     must be finite and move by at most ``STABLE_FACTOR`` when the inner
     grid radius shrinks tenfold.
 
+    Each time draws ``sample_pairs`` interior node pairs; only those
+    entries of the two heat kernels are computed, and the envelope is
+    angular-averaged for all pairs at once.
+
     The envelope is always evaluated with the exponent of the stronger
     (lower) coupling: the potential's difference kernel sits inside the
     gap between the two comparison kernels, and the gap's small-radius
     weight is set by the more singular of the two.
     """
-    if sample_pairs < 1:
-        raise DomainError("sample_pairs must be positive")
+    _check_sample_pairs(sample_pairs)
     if grid is None:
         grid = _default_grid(params)
     notes: list = []
