@@ -69,6 +69,7 @@ __all__ = [
 ]
 
 _NEAR_LAGS = 8  # lags solved by symbol collocation instead of point values
+_ROW_BLOCK = 64  # rows per block of the in-place free-matrix assembly
 
 
 # ---------------------------------------------------------------------------
@@ -80,8 +81,9 @@ class RadialGrid:
 
     weights[i] approximates the volume element |S^{d-1}| r^{d-1} dr around
     node i, so sum(f**2 * weights) is the squared L^2 norm of the radial
-    function f.  The private cache holds assembled matrices and
-    eigensystems keyed by (alpha, coupling); it never affects equality.
+    function f.  The private cache holds eigensystems only, keyed by
+    (alpha, coupling); no assembled matrix is kept.  It never affects
+    equality.
     """
 
     d: int
@@ -375,10 +377,12 @@ def _lag_weights(grid: RadialGrid, alpha: float) -> np.ndarray:
 
 
 def _symmetric_free_matrix(grid: RadialGrid, alpha: float) -> np.ndarray:
-    """Symmetrized matrix of |p|^alpha on the grid (weighted coordinates)."""
-    key = ("free_sym", float(alpha))
-    if key in grid._cache:
-        return grid._cache[key]
+    """Symmetrized matrix of |p|^alpha on the grid (weighted coordinates).
+
+    Returns a fresh array that the caller owns and may change in place.
+    It is filled in blocks of _ROW_BLOCK rows, so besides the result only
+    block-sized temporaries exist.
+    """
     d = grid.d
     alpha = float(alpha)
     if not (0.0 < alpha < min(2.0, float(d))):
@@ -397,21 +401,31 @@ def _symmetric_free_matrix(grid: RadialGrid, alpha: float) -> np.ndarray:
 
     # Toeplitz jump matrix T[i, j] = lag weight |i - j| (zero diagonal), as
     # reversed sliding windows over the mirrored lag sequence, with the
-    # trapezoid end factors on both sides.
+    # trapezoid end factors on both sides: jump = T * (c_i c_j).
     mirrored = np.concatenate([lag_weights[::-1], [0.0], lag_weights])
     toeplitz = np.lib.stride_tricks.sliding_window_view(mirrored, n)[::-1]
     c_end = np.ones(n)
     c_end[0] = c_end[-1] = 0.5
-    jump = toeplitz * np.outer(c_end, c_end)
     # Divide out the ground state and the weights: -jump / (gw_i gw_j) off
     # the diagonal, the jump row sums on it.  Every factor is bitwise
     # symmetric, so the matrix is too.
     ground_w = r ** (-0.5 * (d - alpha)) * np.sqrt(w)
-    s_mat = jump / np.outer(-ground_w, ground_w)
+    s_mat = np.empty((n, n))
+    row_sums = np.empty(n)
+    factor = np.empty((min(_ROW_BLOCK, n), n))
+    for lo in range(0, n, _ROW_BLOCK):
+        hi = min(lo + _ROW_BLOCK, n)
+        block, fac = s_mat[lo:hi], factor[: hi - lo]
+        np.multiply(c_end[lo:hi, None], c_end, out=fac)
+        np.multiply(toeplitz[lo:hi], fac, out=block)
+        # Sums of contiguous rows: the same pairwise summation per row as
+        # a sum over the whole matrix.
+        block.sum(axis=1, out=row_sums[lo:hi])
+        np.multiply(-ground_w[lo:hi, None], ground_w, out=fac)
+        block /= fac
     s_mat.flat[:: n + 1] = (
-        jump.sum(axis=1) / (ground_w * ground_w) + hardy_constant(d, alpha) * r**-alpha
+        row_sums / (ground_w * ground_w) + hardy_constant(d, alpha) * r**-alpha
     )
-    grid._cache[key] = s_mat
     return s_mat
 
 
@@ -438,13 +452,16 @@ def _finalize_eigensystem(grid: RadialGrid, alpha: float, coupling: Optional[flo
                           label: str, diagonal: Optional[np.ndarray] = None,
                           cache_key=None) -> SpectralOperator:
     """Eigensystem of the free matrix plus an optional diagonal, looked up
-    in the grid cache before anything is assembled."""
+    in the grid cache before anything is assembled.
+
+    Each build assembles the free matrix afresh and adds the diagonal in
+    place; no assembled matrix outlives the build.
+    """
     if cache_key is not None and cache_key in grid._cache:
         lam, modes = grid._cache[cache_key]
     else:
         s_mat = _symmetric_free_matrix(grid, alpha)
         if diagonal is not None:
-            s_mat = s_mat.copy()
             s_mat.flat[:: grid.n + 1] += diagonal
         lam, modes = np.linalg.eigh(s_mat)
         spec_radius = float(max(abs(lam[0]), abs(lam[-1])))

@@ -413,14 +413,6 @@ def _ladder_report(check_name: str, params: HardyParams, s: float, n_refinements
 _ladder_slot: dict = {}
 
 
-def _hardy_rung(params: HardyParams, r_min: float, r_max: float, grid_n: int):
-    op = build_hardy_operator(build_log_grid(params.d, r_min, r_max, grid_n), params)
-    # The slot keeps the eigensystem only; the assembled free matrix
-    # (n^2 doubles per rung) would otherwise live on with the rung's grid.
-    op.grid._cache.pop(("free_sym", op.alpha), None)
-    return op
-
-
 def _hardy_rungs(params: HardyParams, n_rungs: int, r_min: float, r_max: float,
                  grid_n: int) -> tuple:
     """Hardy operators on the ladder's rungs, inner radius r_min / REFINE_FACTOR**k."""
@@ -431,7 +423,8 @@ def _hardy_rungs(params: HardyParams, n_rungs: int, r_min: float, r_max: float,
         # ladders' eigensystems are never held at once.
         _ladder_slot.clear()
         rungs = tuple(
-            _hardy_rung(params, r_min * REFINE_FACTOR ** (-k), r_max, grid_n)
+            build_hardy_operator(
+                build_log_grid(params.d, r_min * REFINE_FACTOR ** (-k), r_max, grid_n), params)
             for k in range(n_rungs)
         )
         _ladder_slot[key] = rungs
@@ -495,7 +488,9 @@ def _generalized_rung_value(op, params: HardyParams, s: float) -> float:
     cut = 1e-15 * float(lam.max())
     keep = lam > cut
     row_scale = np.sqrt(grid.weights) * grid.nodes ** (-0.5 * params.alpha * s)
-    y_mat = op.modes[:, keep] * row_scale[:, None] * lam[keep] ** (-0.5 * s)
+    y_mat = op.modes[:, keep]
+    y_mat *= row_scale[:, None]
+    y_mat *= lam[keep] ** (-0.5 * s)
     top = _top_eigenvalue(lambda x: y_mat.T @ (y_mat @ x), y_mat.shape[1])
     return math.sqrt(top)
 
@@ -558,7 +553,8 @@ def _sym_power_matrix(op, s: float) -> np.ndarray:
     pos = lam > 0.0
     scale[pos] = lam[pos] ** (0.25 * s)
     # Gram form B @ B.T: a symmetric rank-k update, exactly symmetric.
-    b_mat = op.modes * np.sqrt(op.grid.weights)[:, None] * scale
+    b_mat = op.modes * np.sqrt(op.grid.weights)[:, None]
+    b_mat *= scale
     return b_mat @ b_mat.T
 
 
@@ -570,7 +566,8 @@ def _reverse_rung_value(full, params: HardyParams, s: float) -> float:
         twin = build_log_grid(grid.d, grid.r_min, grid.r_max, grid.n)
         free = build_fractional_laplacian(twin, params.alpha)
     right = grid.nodes ** (0.5 * params.alpha * s)
-    diff_mat = _sym_power_matrix(full, s) - _sym_power_matrix(free, s)
+    diff_mat = _sym_power_matrix(full, s)
+    diff_mat -= _sym_power_matrix(free, s)
     top = _top_eigenvalue(lambda x: right * (diff_mat @ (diff_mat @ (right * x))), grid.n)
     return math.sqrt(top)
 
@@ -843,13 +840,18 @@ def difference_envelope_check(
             notes=tuple(notes) + ("coupling is zero, difference kernel vanishes identically",),
         )
 
+    # The refined pass runs first.  Its grid, with the two eigensystems
+    # cached on it, is released when the pass returns, before the base pass
+    # builds; its notes follow the base pass's.
+    fine_notes: list = []
+    sup_fine, viol_fine = _difference_ratio_sup(
+        params, subtract_params, env_params, times, sample_pairs,
+        build_log_grid(grid.d, grid.r_min / 10.0, grid.r_max, grid.n), seed, potential, fine_notes
+    )
     sup_base, viol_base = _difference_ratio_sup(
         params, subtract_params, env_params, times, sample_pairs, grid, seed, potential, notes
     )
-    finer = build_log_grid(grid.d, grid.r_min / 10.0, grid.r_max, grid.n)
-    sup_fine, viol_fine = _difference_ratio_sup(
-        params, subtract_params, env_params, times, sample_pairs, finer, seed, potential, notes
-    )
+    notes.extend(fine_notes)
     worst_violation = min(viol_base, viol_fine) if potential or params.a > 0 else max(viol_base, viol_fine)
     sign_ok = abs(worst_violation) <= SIGN_SLACK
     if not sign_ok:

@@ -1,0 +1,158 @@
+"""Memory of the operator builds, and the outputs they must keep.
+
+The free matrix is assembled into one n x n buffer in blocks of rows, each
+build assembles afresh, and the grid cache holds eigensystems only.  None
+of that may change a bit of any matrix, eigensystem or report.
+"""
+
+import tracemalloc
+import weakref
+
+import numpy as np
+import pytest
+
+from hardyops import operators, verify
+from hardyops.operators import (
+    PotentialSpec,
+    build_fractional_laplacian,
+    build_hardy_operator,
+    build_log_grid,
+    build_potential_operator,
+)
+from hardyops.specfun import a_star, hardy_constant, make_params
+
+
+def _whole_matrix_free_matrix(grid, alpha):
+    """The free matrix by whole-matrix arithmetic, the formula the
+    blocked assembly replaced: (T_ij * (c_i c_j)) / ((-gw_i) gw_j) off the
+    diagonal, the row sums of T_ij * (c_i c_j) on it."""
+    d, n, r, w = grid.d, grid.n, grid.nodes, grid.weights
+    lag_weights = operators._lag_weights(grid, alpha)
+    mirrored = np.concatenate([lag_weights[::-1], [0.0], lag_weights])
+    toeplitz = np.lib.stride_tricks.sliding_window_view(mirrored, n)[::-1]
+    c_end = np.ones(n)
+    c_end[0] = c_end[-1] = 0.5
+    jump = toeplitz * np.outer(c_end, c_end)
+    ground_w = r ** (-0.5 * (d - alpha)) * np.sqrt(w)
+    s_mat = jump / np.outer(-ground_w, ground_w)
+    s_mat.flat[:: n + 1] = (
+        jump.sum(axis=1) / (ground_w * ground_w) + hardy_constant(d, alpha) * r**-alpha
+    )
+    return s_mat
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5, 1.9])
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_blocked_assembly_is_bitwise_the_whole_matrix_formula(d, alpha):
+    # n = 24 is the smallest grid the near-field solve accepts; 100 is not
+    # a multiple of the row block, 1024 is the default grid.
+    assert 100 % operators._ROW_BLOCK != 0
+    for n in (24, 100, 1024):
+        grid = build_log_grid(d, 1e-2, 1e2, n)
+        assert np.array_equal(operators._symmetric_free_matrix(grid, alpha),
+                              _whole_matrix_free_matrix(grid, alpha)), n
+
+
+def test_each_assembly_returns_a_fresh_matrix():
+    grid = build_log_grid(3, 1e-2, 1e2, 64)
+    first = operators._symmetric_free_matrix(grid, 1.3)
+    first += 1.0
+    assert np.array_equal(operators._symmetric_free_matrix(grid, 1.3),
+                          _whole_matrix_free_matrix(grid, 1.3))
+    assert not grid._cache
+
+
+def test_cold_hardy_build_traces_at_most_two_matrices():
+    # The assembled matrix and the eigenvectors eigh returns; the block
+    # temporaries add 64 rows.  LAPACK's workspace is allocated outside
+    # Python's tracer and is not counted.
+    n = 512
+    params = make_params(3, 1.3, -0.2)
+    build_hardy_operator(build_log_grid(3, 1e-2, 1e2, 64), params)  # warm the profile caches
+    grid = build_log_grid(3, 1e-2, 1e2, n)
+    tracemalloc.start()
+    try:
+        build_hardy_operator(grid, params)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.2 * 8 * n * n
+
+
+def _cached_matrices(grid):
+    """Every n x n array in the grid cache, whose entries are (lam, modes)."""
+    return [a for entry in grid._cache.values() for a in entry if a.shape == (grid.n, grid.n)]
+
+
+def test_grid_cache_holds_no_matrix_but_the_modes():
+    grid = build_log_grid(3, 1e-2, 1e2, 128)
+    lower, upper = a_star(3, 1.0), 0.5 * a_star(3, 1.0)
+    ops = [
+        build_fractional_laplacian(grid, 1.0),
+        build_hardy_operator(grid, make_params(3, 1.0, upper)),
+        build_potential_operator(grid, 1.0, PotentialSpec(lambda r: upper * r**-1.0, lower, upper)),
+    ]
+    cached = _cached_matrices(grid)
+    # Free and Hardy eigensystems are cached; the potential's is not.
+    assert len(cached) == 2
+    assert all(any(a is op.modes for op in ops[:2]) for a in cached)
+
+
+def test_difference_check_releases_the_refined_grid_before_the_base_pass(monkeypatch):
+    grid = build_log_grid(3, 1e-2, 1e2, 128)
+    refined = []
+
+    def recording(build):
+        def wrapped(g, *args):
+            if g is grid:
+                assert refined, "the refined pass should run first"
+                assert all(ref() is None for ref in refined), "refined grid still alive"
+            else:
+                refined.append(weakref.ref(g))
+            return build(g, *args)
+        return wrapped
+
+    monkeypatch.setattr(verify, "build_fractional_laplacian", recording(build_fractional_laplacian))
+    monkeypatch.setattr(verify, "build_hardy_operator", recording(build_hardy_operator))
+    report = verify.difference_envelope_check(make_params(3, 1.0, -0.2), [1.0], 16, grid=grid)
+    assert len(refined) == 2
+    assert report.samples == 32
+    assert len(_cached_matrices(grid)) == 2
+
+
+def test_difference_check_report_is_pinned():
+    report = verify.difference_envelope_check(
+        make_params(3, 1.0, -0.2), [1e-9, 1.0, 10.0], sample_pairs=64,
+        grid=build_log_grid(3, 1e-2, 1e2, 256), seed=3,
+    )
+    assert report.verdict == "pass"
+    assert report.samples == 256
+    assert report.params["t_values"] == [1.0, 10.0]
+    assert report.empirical_lower == pytest.approx(0.12891978252565497, rel=1e-9)
+    assert report.empirical_upper == pytest.approx(0.13726895295382555, rel=1e-9)
+    assert report.notes == (
+        "t=1e-09 outside reliable window [0.1, 10], excluded",
+        "sup|K_diff|/envelope: base 0.12892, refined 0.137269",
+    )
+
+
+def test_difference_check_notes_list_the_base_pass_first(monkeypatch):
+    # One degenerate envelope per pass, at pair 0 on the base grid and at
+    # pair 1 on the refined one: the base note must come first although
+    # the refined pass runs first.
+    grid = build_log_grid(3, 1e-2, 1e2, 128)
+    real = verify._pair_average
+
+    def degenerate(profile, t, params, rx, ry):
+        env = real(profile, t, params, rx, ry)
+        env[0 if np.isin(rx[0], grid.nodes) else 1] = np.nan
+        return env
+
+    monkeypatch.setattr(verify, "_pair_average", degenerate)
+    report = verify.difference_envelope_check(make_params(3, 1.0, -0.2), [1.0], 16, grid=grid, seed=5)
+    pairs = verify._interior_pairs(np.random.default_rng(5), grid.n, 16).tolist()
+    assert report.notes[:2] == (
+        f"envelope degenerate at t=1, pair ({pairs[0][0]}, {pairs[0][1]}); skipped",
+        f"envelope degenerate at t=1, pair ({pairs[1][0]}, {pairs[1][1]}); skipped",
+    )
+    assert report.notes[2].startswith("sup|K_diff|/envelope: base ")
