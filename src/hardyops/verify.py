@@ -186,14 +186,24 @@ def _report_params(params: HardyParams, grid: Optional[RadialGrid] = None, **ext
     return out
 
 
+def _private_grid(grid: RadialGrid) -> RadialGrid:
+    """The grid's nodes and weights, shared, with an empty cache of its own.
+
+    An operator built on it caches its eigensystem there, so the
+    eigensystem is released with the operator and nothing lands in the
+    cache of ``grid``.
+    """
+    return RadialGrid(grid.d, grid.nodes, grid.weights)
+
+
 def _weighted_coeffs(op, vec: np.ndarray) -> np.ndarray:
     return op.modes.T @ (op.grid.weights * vec)
 
 
-def _power_norm(op, vec: np.ndarray, s: float) -> float:
-    """Weighted norm of the fractional power s/2 applied to ``vec``."""
-    c = _weighted_coeffs(op, vec)
-    lam = op.eigenvalues
+def _power_norm(lam: np.ndarray, c: np.ndarray, s: float) -> float:
+    """Weighted norm of the fractional power s/2 applied to the vector
+    whose weighted coefficients (:func:`_weighted_coeffs`) in the
+    eigenbasis of the eigenvalues ``lam`` are ``c``."""
     scale = np.zeros_like(lam)
     pos = lam > 0.0
     scale[pos] = lam[pos] ** s
@@ -211,9 +221,12 @@ def _rows_by_power(params, s_values, family, grid) -> tuple:
     Each row is a dict keyed exactly by ``SWEEP_COLUMNS``.  Degenerate
     members (zero or non-finite weighted norm on the grid) are skipped
     and recorded in ``notes``.
+
+    The free and the coupled operator are built one at a time, each on a
+    private copy of ``grid``: the members' weighted coefficients and the
+    eigenvalues are kept, and the modes are released before the next
+    build.  The cache of ``grid`` stays as it was.
     """
-    free = build_fractional_laplacian(grid, params.alpha)
-    full = build_hardy_operator(grid, params)
     notes: list = []
     members = []
     for member_id, vec in family.members(grid, delta=params.delta):
@@ -222,13 +235,19 @@ def _rows_by_power(params, s_values, family, grid) -> tuple:
             notes.append(f"member {member_id} skipped: degenerate weighted norm")
             continue
         members.append((member_id, vec))
+
+    def spectral_data(op) -> tuple:
+        return op.eigenvalues, [_weighted_coeffs(op, vec) for _, vec in members]
+
+    lam_free, coeffs_free = spectral_data(build_fractional_laplacian(_private_grid(grid), params.alpha))
+    lam_full, coeffs_full = spectral_data(build_hardy_operator(_private_grid(grid), params))
     blocks = []
     for s in s_values:
         s = float(s)
         rows = []
-        for member_id, vec in members:
-            norm_free = _power_norm(free, vec, s)
-            norm_full = _power_norm(full, vec, s)
+        for (member_id, _), c_free, c_full in zip(members, coeffs_free, coeffs_full):
+            norm_free = _power_norm(lam_free, c_free, s)
+            norm_full = _power_norm(lam_full, c_full, s)
             forward = norm_free / norm_full if norm_full > 0.0 else math.inf
             backward = norm_full / norm_free if norm_free > 0.0 else math.inf
             rows.append(
@@ -563,8 +582,7 @@ def _reverse_rung_value(full, params: HardyParams, s: float) -> float:
     if params.a == 0.0:
         free = full
     else:
-        twin = build_log_grid(grid.d, grid.r_min, grid.r_max, grid.n)
-        free = build_fractional_laplacian(twin, params.alpha)
+        free = build_fractional_laplacian(_private_grid(grid), params.alpha)
     right = grid.nodes ** (0.5 * params.alpha * s)
     diff_mat = _sym_power_matrix(full, s)
     diff_mat -= _sym_power_matrix(free, s)
@@ -746,6 +764,11 @@ def _envelope(t: float, q: KernelTriple, params: HardyParams):
     return l_envelope(t, q, params) + m_envelope(t, q, params)
 
 
+def _sampled_entries(op, draws: list) -> list:
+    """The heat kernel entries of ``op`` at each ``(t, pairs)`` of ``draws``."""
+    return [heat_kernel_matrix(op, t, pairs) for t, pairs in draws]
+
+
 def _difference_ratio_sup(
     params: HardyParams,
     subtract_params: HardyParams,
@@ -759,24 +782,34 @@ def _difference_ratio_sup(
 ) -> tuple:
     """Sup of |difference kernel| / envelope over sampled interior pairs.
 
-    Returns ``(sup_ratio, sign_violation)`` where the sign violation is the
-    worst entry breaking the expected entrywise ordering (0.0 when clean).
+    Returns ``(sup_ratio, sign_violation, usable)`` where the sign
+    violation is the worst entry breaking the expected entrywise ordering
+    (0.0 when clean) and ``usable`` counts the pairs with a positive
+    finite envelope.  A pass without a usable pair raises DomainError.
+
+    Every time's pairs are drawn first.  The upper operator (free, or the
+    potential one) and then the lower Hardy operator are built, each on a
+    private copy of ``grid``, and each is released once its sampled heat
+    kernel entries at every time are computed, so at most one
+    eigensystem is held at a time and the cache of ``grid`` is left as
+    it was.
     """
+    rng = np.random.default_rng(seed)
+    draws = [(t, _interior_pairs(rng, grid.n, sample_pairs)) for t in times]
     if potential is None:
-        upper_op = build_fractional_laplacian(grid, params.alpha)
-        lower_op = build_hardy_operator(grid, subtract_params)
+        upper = _sampled_entries(build_fractional_laplacian(_private_grid(grid), params.alpha), draws)
         expected_sign = math.copysign(1.0, params.a) if params.a != 0.0 else 0.0
     else:
-        upper_op = build_potential_operator(grid, params.alpha, potential)
-        lower_op = build_hardy_operator(grid, subtract_params)
+        upper = _sampled_entries(
+            build_potential_operator(_private_grid(grid), params.alpha, potential), draws)
         # V <= a_tilde r^{-alpha} makes the potential kernel dominate
         expected_sign = 1.0
-    rng = np.random.default_rng(seed)
+    lower = _sampled_entries(build_hardy_operator(_private_grid(grid), subtract_params), draws)
     sup_ratio = 0.0
     violation = 0.0
-    for t in times:
-        pairs = _interior_pairs(rng, grid.n, sample_pairs)
-        diff = heat_kernel_matrix(upper_op, t, pairs) - heat_kernel_matrix(lower_op, t, pairs)
+    n_usable = 0
+    for (t, pairs), upper_entries, lower_entries in zip(draws, upper, lower):
+        diff = upper_entries - lower_entries
         if expected_sign > 0.0:
             violation = min(violation, float(diff.min()))
         elif expected_sign < 0.0:
@@ -784,9 +817,12 @@ def _difference_ratio_sup(
         rx, ry = grid.nodes[pairs[:, 0]], grid.nodes[pairs[:, 1]]
         env = _pair_average(_envelope, t, env_params, rx, ry)
         usable = _usable(env, pairs, "envelope", t, notes)
+        n_usable += int(usable.sum())
         if usable.any():
             sup_ratio = max(sup_ratio, float(np.max(np.abs(diff[usable]) / env[usable])))
-    return sup_ratio, violation
+    if not n_usable:
+        raise DomainError("all sampled pairs were degenerate")
+    return sup_ratio, violation, n_usable
 
 
 def difference_envelope_check(
@@ -810,7 +846,14 @@ def difference_envelope_check(
 
     Each time draws ``sample_pairs`` interior node pairs; only those
     entries of the two heat kernels are computed, and the envelope is
-    angular-averaged for all pairs at once.
+    angular-averaged for all pairs at once.  ``samples`` counts the pairs
+    with a usable (positive finite) envelope over both passes; a pass
+    with none raises DomainError.
+
+    The refined pass runs first.  Each pass builds its two operators one
+    at a time on private copies of its grid and releases each eigensystem
+    before the next build, so the check holds at most one eigensystem at
+    a time and leaves the cache of ``grid`` as it was.
 
     The envelope is always evaluated with the exponent of the stronger
     (lower) coupling: the potential's difference kernel sits inside the
@@ -840,15 +883,15 @@ def difference_envelope_check(
             notes=tuple(notes) + ("coupling is zero, difference kernel vanishes identically",),
         )
 
-    # The refined pass runs first.  Its grid, with the two eigensystems
-    # cached on it, is released when the pass returns, before the base pass
-    # builds; its notes follow the base pass's.
+    # The refined pass runs first.  Each pass releases each of its two
+    # eigensystems before the next build, and the refined grid is released
+    # when its pass returns; its notes follow the base pass's.
     fine_notes: list = []
-    sup_fine, viol_fine = _difference_ratio_sup(
+    sup_fine, viol_fine, used_fine = _difference_ratio_sup(
         params, subtract_params, env_params, times, sample_pairs,
         build_log_grid(grid.d, grid.r_min / 10.0, grid.r_max, grid.n), seed, potential, fine_notes
     )
-    sup_base, viol_base = _difference_ratio_sup(
+    sup_base, viol_base, used_base = _difference_ratio_sup(
         params, subtract_params, env_params, times, sample_pairs, grid, seed, potential, notes
     )
     notes.extend(fine_notes)
@@ -867,7 +910,7 @@ def difference_envelope_check(
         empirical_lower=lo,
         empirical_upper=hi,
         verdict="pass" if (sign_ok and stable) else "fail",
-        samples=2 * len(times) * sample_pairs,
+        samples=used_base + used_fine,
         notes=tuple(notes),
     )
 
@@ -976,7 +1019,7 @@ def sobolev_check(
     notes = []
     for member_id, vec in family.members(grid, delta=params.delta):
         lebesgue = float(np.sum(grid.weights * np.abs(vec) ** q)) ** (1.0 / q)
-        seminorm = _power_norm(op, vec, s)
+        seminorm = _power_norm(op.eigenvalues, _weighted_coeffs(op, vec), s)
         if seminorm <= 0.0 or not math.isfinite(lebesgue):
             notes.append(f"member {member_id} skipped: degenerate norms")
             continue

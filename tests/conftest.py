@@ -28,7 +28,8 @@ def params_half_critical():
 def small_grid():
     # Two decades either side of r = 1; operators built on this grid are
     # cached on the grid object, so sharing the fixture shares the
-    # eigendecompositions across tests.
+    # eigendecompositions across tests.  The difference check and the
+    # sweep build on private copies and leave this cache alone.
     return build_log_grid(3, 1e-2, 1e2, 256)
 
 

@@ -1,10 +1,13 @@
 """Memory of the operator builds, and the outputs they must keep.
 
 The free matrix is assembled into one n x n buffer in blocks of rows, each
-build assembles afresh, and the grid cache holds eigensystems only.  None
-of that may change a bit of any matrix, eigensystem or report.
+build assembles afresh, and the grid cache holds eigensystems only.  The
+difference check and the sweep hold one eigensystem at a time and leave
+the caller's grid cache empty.  None of that may change a bit of any
+matrix, eigensystem or report.
 """
 
+import math
 import tracemalloc
 import weakref
 
@@ -12,6 +15,7 @@ import numpy as np
 import pytest
 
 from hardyops import operators, verify
+from hardyops.errors import DomainError
 from hardyops.operators import (
     PotentialSpec,
     build_fractional_laplacian,
@@ -98,26 +102,61 @@ def test_grid_cache_holds_no_matrix_but_the_modes():
     assert all(any(a is op.modes for op in ops[:2]) for a in cached)
 
 
-def test_difference_check_releases_the_refined_grid_before_the_base_pass(monkeypatch):
-    grid = build_log_grid(3, 1e-2, 1e2, 128)
-    refined = []
+_BUILDERS = ("build_fractional_laplacian", "build_hardy_operator", "build_potential_operator")
+
+
+def _record_builds(monkeypatch, grid):
+    """Wrap verify's grid and operator builders.
+
+    Before each operator build, every operator built earlier must already
+    be collected; before each build on ``grid``'s radii, every grid of a
+    smaller inner radius (the refined pass) must be too.  Returns the
+    recorded builds as ``(r_min, weakref to the modes)``.
+    """
+    builds, refined = [], []
+    real_grid = verify.build_log_grid
+
+    def grid_recording(*args):
+        g = real_grid(*args)
+        refined.append(weakref.ref(g))
+        return g
 
     def recording(build):
         def wrapped(g, *args):
-            if g is grid:
-                assert refined, "the refined pass should run first"
+            assert all(modes() is None for _, modes in builds), "an earlier eigensystem is alive"
+            if g.r_min == grid.r_min:
                 assert all(ref() is None for ref in refined), "refined grid still alive"
-            else:
-                refined.append(weakref.ref(g))
-            return build(g, *args)
+            op = build(g, *args)
+            builds.append((g.r_min, weakref.ref(op.modes)))
+            return op
         return wrapped
 
-    monkeypatch.setattr(verify, "build_fractional_laplacian", recording(build_fractional_laplacian))
-    monkeypatch.setattr(verify, "build_hardy_operator", recording(build_hardy_operator))
-    report = verify.difference_envelope_check(make_params(3, 1.0, -0.2), [1.0], 16, grid=grid)
-    assert len(refined) == 2
-    assert report.samples == 32
-    assert len(_cached_matrices(grid)) == 2
+    monkeypatch.setattr(verify, "build_log_grid", grid_recording)
+    for name in _BUILDERS:
+        monkeypatch.setattr(verify, name, recording(getattr(verify, name)))
+    return builds
+
+
+def _potential(lower, upper):
+    def profile(r):
+        weight = np.exp(-r)
+        return r**-1.0 * (lower * weight + upper * (1.0 - weight))
+    return PotentialSpec(profile, lower, upper)
+
+
+def test_difference_check_releases_the_refined_grid_before_the_base_pass(monkeypatch):
+    # Free and potential branch: upper then lower operator, refined pass
+    # first, and no eigensystem left behind in the caller's grid.
+    for potential in (None, _potential(-0.2, 0.1)):
+        grid = build_log_grid(3, 1e-2, 1e2, 128)
+        with monkeypatch.context() as patch:
+            builds = _record_builds(patch, grid)
+            report = verify.difference_envelope_check(
+                make_params(3, 1.0, -0.2), [1.0], 16, potential=potential, grid=grid)
+        assert [r_min < grid.r_min for r_min, _ in builds] == [True, True, False, False]
+        assert all(modes() is None for _, modes in builds)
+        assert report.samples == 32
+        assert not grid._cache
 
 
 def test_difference_check_report_is_pinned():
@@ -134,6 +173,107 @@ def test_difference_check_report_is_pinned():
         "t=1e-09 outside reliable window [0.1, 10], excluded",
         "sup|K_diff|/envelope: base 0.12892, refined 0.137269",
     )
+
+
+def test_difference_check_potential_report_is_pinned():
+    report = verify.difference_envelope_check(
+        make_params(3, 1.0, -0.2), [1e-9, 1.0, 10.0], sample_pairs=64,
+        potential=_potential(-0.2, 0.1), grid=build_log_grid(3, 1e-2, 1e2, 256), seed=3,
+    )
+    assert report.verdict == "pass"
+    assert report.samples == 256
+    assert report.params["t_values"] == [1.0, 10.0]
+    assert report.empirical_lower == pytest.approx(0.07118146713092571, rel=1e-9)
+    assert report.empirical_upper == pytest.approx(0.09924197255549054, rel=1e-9)
+    assert report.notes == (
+        "t=1e-09 outside reliable window [0.1, 10], excluded",
+        "sup|K_diff|/envelope: base 0.0711815, refined 0.099242",
+    )
+
+
+def test_sweep_holds_one_eigensystem_at_a_time(monkeypatch):
+    grid = build_log_grid(3, 1e-2, 1e2, 128)
+    builds = _record_builds(monkeypatch, grid)
+    rows, _, _ = verify.sweep_by_power(
+        make_params(3, 1.0, -0.2), [0.5, 1.0], verify.TestFamily("gaussian-dilates", n_members=4), grid)
+    assert len(builds) == 2
+    assert all(modes() is None for _, modes in builds)
+    assert len(rows) == 8
+    assert not grid._cache
+
+
+def _reference_power_norm(op, vec, s):
+    """The power norm with one gemv per (operator, member, s), as computed
+    before the sweep shared each member's coefficients across powers."""
+    c = op.modes.T @ (op.grid.weights * vec)
+    lam = op.eigenvalues
+    scale = np.zeros_like(lam)
+    pos = lam > 0.0
+    scale[pos] = lam[pos] ** s
+    return math.sqrt(float(np.sum(scale * c * c)))
+
+
+def test_sweep_rows_are_bitwise_the_per_power_norms():
+    params = make_params(3, 1.2, -0.3)
+    family = verify.TestFamily("singular-cutoff", n_members=5)
+    s_values = [0.5, 1.0, 1.75]
+    rows, _, _ = verify.sweep_by_power(params, s_values, family, build_log_grid(3, 1e-2, 1e2, 128))
+    grid = build_log_grid(3, 1e-2, 1e2, 128)
+    free, full = build_fractional_laplacian(grid, 1.2), build_hardy_operator(grid, params)
+    members = list(family.members(grid, delta=params.delta))
+    expected = [
+        (_reference_power_norm(free, vec, s), _reference_power_norm(full, vec, s))
+        for s in s_values for _, vec in members
+    ]
+    assert len(rows) == len(expected)
+    for row, (norm_free, norm_full) in zip(rows, expected):
+        assert row["ratio_forward"] == norm_free / norm_full
+        assert row["ratio_backward"] == norm_full / norm_free
+
+
+def test_cold_difference_check_traces_at_most_one_build():
+    # One build traces at most 2.2 n^2 doubles (the test above); holding
+    # the first eigensystem through the second build would add n^2 more.
+    n = 512
+    params = make_params(3, 1.3, -0.2)
+    verify.difference_envelope_check(params, [1.0], 16, grid=build_log_grid(3, 1e-2, 1e2, 64))
+    grid = build_log_grid(3, 1e-2, 1e2, n)
+    tracemalloc.start()
+    try:
+        verify.difference_envelope_check(params, [1.0], 16, grid=grid)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.2 * 8 * n * n
+
+
+def _degenerate_envelopes(monkeypatch, which):
+    """Make ``_pair_average`` return NaN at the pairs ``which(on_base)``
+    selects, with on_base true on the base pass."""
+    real = verify._pair_average
+    base_nodes = build_log_grid(3, 1e-2, 1e2, 128).nodes
+
+    def degenerate(profile, t, params, rx, ry):
+        env = real(profile, t, params, rx, ry)
+        env[which(bool(np.isin(rx[0], base_nodes)))] = np.nan
+        return env
+
+    monkeypatch.setattr(verify, "_pair_average", degenerate)
+
+
+def test_difference_check_counts_only_usable_pairs(monkeypatch):
+    _degenerate_envelopes(monkeypatch, lambda on_base: [0, 1] if on_base else [2])
+    report = verify.difference_envelope_check(
+        make_params(3, 1.0, -0.2), [1.0], 16, grid=build_log_grid(3, 1e-2, 1e2, 128))
+    assert report.samples == 32 - 3
+
+
+@pytest.mark.parametrize("base_only", [False, True], ids=["both-passes", "base-pass"])
+def test_difference_check_with_nothing_measured_is_a_domain_error(monkeypatch, base_only):
+    _degenerate_envelopes(monkeypatch, lambda on_base: slice(None) if on_base or not base_only else [])
+    with pytest.raises(DomainError, match="all sampled pairs were degenerate"):
+        verify.difference_envelope_check(
+            make_params(3, 1.0, -0.2), [1.0], 16, grid=build_log_grid(3, 1e-2, 1e2, 128))
 
 
 def test_difference_check_notes_list_the_base_pass_first(monkeypatch):
