@@ -39,7 +39,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Callable, Optional
 
 import numpy as np
@@ -47,6 +46,7 @@ import numpy as np
 from .errors import ConstructionError, DomainError
 from .specfun import (
     HardyParams,
+    _check_alpha,
     _check_dimension,
     _scaled_log_abs_gamma,
     a_star,
@@ -70,6 +70,8 @@ __all__ = [
 
 _NEAR_LAGS = 8  # lags solved by symbol collocation instead of point values
 _ROW_BLOCK = 64  # rows per block of the in-place free-matrix assembly
+_CHORD_GJ_NODES = 64  # Gauss-Jacobi nodes per chord-integral rule
+_CHORD_GL_NODES = 24  # Gauss-Legendre nodes per doubling panel
 
 
 # ---------------------------------------------------------------------------
@@ -156,8 +158,8 @@ def _jump_normalization(d: int, alpha: float) -> float:
     )
 
 
-def _chord_power_integrals(xm: np.ndarray, width: float, e_pow: float, beta: float,
-                           n_gj: int = 64, n_gl: int = 24) -> np.ndarray:
+def _chord_power_integrals(xm: np.ndarray, width: float, e_pow: float,
+                           beta: float) -> np.ndarray:
     """int_xm^{xm+width} ((xi-xm)(xm+width-xi))^beta xi^{-e_pow} dxi for
     every left endpoint in the array xm.
 
@@ -175,7 +177,7 @@ def _chord_power_integrals(xm: np.ndarray, width: float, e_pow: float, beta: flo
     xm = np.asarray(xm, dtype=float)
     out = np.empty_like(xm)
     sym = xm > 0.05 * width / 0.95
-    x, w = gauss_jacobi(n_gj, beta, beta)
+    x, w = gauss_jacobi(_CHORD_GJ_NODES, beta, beta)
     xi = xm[sym, None] + width * 0.5 * (1.0 + x)
     out[sym] = (0.5 * width) ** (2.0 * beta + 1.0) * (xi**-e_pow @ w)
 
@@ -184,17 +186,17 @@ def _chord_power_integrals(xm: np.ndarray, width: float, e_pow: float, beta: flo
     hi_end = lo_end + width
     c_left = 2.0 * lo_end
     c_right = 0.5 * hi_end
-    xl, wl = gauss_jacobi(n_gj, 0.0, beta)
+    xl, wl = gauss_jacobi(_CHORD_GJ_NODES, 0.0, beta)
     xi = lo_end + (c_left - lo_end) * 0.5 * (1.0 + xl)
     left = (0.5 * (c_left - lo_end)) ** (beta + 1.0) * (
         ((hi_end - xi) ** beta * xi**-e_pow) @ wl[:, None]
     )
-    xr, wr = gauss_jacobi(n_gj, beta, 0.0)
+    xr, wr = gauss_jacobi(_CHORD_GJ_NODES, beta, 0.0)
     xi = c_right + (hi_end - c_right) * 0.5 * (1.0 + xr)
     right = (0.5 * (hi_end - c_right)) ** (beta + 1.0) * (
         ((xi - lo_end) ** beta * xi**-e_pow) @ wr[:, None]
     )
-    xg, wg = gauss_jacobi(n_gl, 0.0, 0.0)
+    xg, wg = gauss_jacobi(_CHORD_GL_NODES, 0.0, 0.0)
     n_panels = int(np.ceil(np.log2(np.max(c_right / c_left, initial=1.0)))) + 1
     lo = np.minimum(c_left * 2.0 ** np.arange(n_panels), c_right)
     hi = np.minimum(2.0 * lo, c_right)
@@ -221,115 +223,47 @@ def _kappa_table(s: np.ndarray, d: int, alpha: float) -> np.ndarray:
     return c * chord
 
 
-def _solve_tridiagonal(sub: np.ndarray, diag: np.ndarray, sup: np.ndarray,
-                       rhs: np.ndarray) -> np.ndarray:
-    """Solve the tridiagonal system with row i reading
-    sub[i] x[i-1] + diag[i] x[i] + sup[i] x[i+1] = rhs[i] (Thomas
-    elimination without pivoting; sub[0] and sup[-1] are ignored)."""
-    sub, diag, sup, rhs = sub.tolist(), diag.tolist(), sup.tolist(), rhs.tolist()
-    n = len(diag)
-    ratio, x = [0.0] * n, [0.0] * n
-    ratio[0], x[0] = sup[0] / diag[0], rhs[0] / diag[0]
-    for i in range(1, n):
-        pivot = diag[i] - sub[i] * ratio[i - 1]
-        ratio[i] = sup[i] / pivot
-        x[i] = (rhs[i] - sub[i] * x[i - 1]) / pivot
-    for i in range(n - 2, -1, -1):
-        x[i] -= ratio[i] * x[i + 1]
-    return np.array(x)
-
-
-def _not_a_knot_cubic(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Coefficients of the not-a-knot cubic spline through (x, y).
-
-    Column i holds c with y(u) = ((c0 t + c1) t + c2) t + c3 for
-    t = u - x[i] on [x[i], x[i+1]]: the spline of
-    ``scipy.interpolate.CubicSpline(x, y)``, with the same tridiagonal
-    system for the knot slopes.  Needs at least four knots.
-    """
-    dx = np.diff(x)
-    slope = np.diff(y) / dx
-    n = len(x)
-    sub, diag, sup, rhs = np.empty(n), np.empty(n), np.empty(n), np.empty(n)
-    sub[1:-1] = dx[1:]
-    diag[1:-1] = 2.0 * (dx[:-1] + dx[1:])
-    sup[1:-1] = dx[:-1]
-    rhs[1:-1] = 3.0 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])
-    # Not-a-knot ends: the third derivative is continuous at x[1] and x[-2].
-    span = x[2] - x[0]
-    diag[0], sup[0] = dx[1], span
-    rhs[0] = ((dx[0] + 2.0 * span) * dx[1] * slope[0] + dx[0] ** 2 * slope[1]) / span
-    span = x[-1] - x[-3]
-    sub[-1], diag[-1] = span, dx[-2]
-    rhs[-1] = (dx[-1] ** 2 * slope[-2] + (2.0 * span + dx[-1]) * dx[-2] * slope[-1]) / span
-    m = _solve_tridiagonal(sub, diag, sup, rhs)
-    t = (m[:-1] + m[1:] - 2.0 * slope) / dx
-    return np.stack([t / dx, (slope - m[:-1]) / dx - t, m[:-1], y[:-1]])
-
-
-@lru_cache(maxsize=8)
-def _kappa_interpolant(d: int, alpha: float):
-    """Knots and coefficients of the cubic of log kappa in log s, and the
-    amplitude of the power-law head below the first knot."""
-    knots = np.geomspace(1e-6, 120.0, 800)
-    vals = _kappa_table(knots, d, alpha)
-    if not np.all(vals > 0.0):
-        raise ConstructionError("jump profile evaluation lost positivity")
-    log_knots = np.log(knots)
-    coeffs = _not_a_knot_cubic(log_knots, np.log(vals))
-    head_amp = float(vals[0] * knots[0] ** (1.0 + alpha))
-    return log_knots, coeffs, head_amp
-
-
 def jump_profile(s, d: int, alpha: float):
     """kappa(s): the log-coordinate jump density of the ground-state
     representation, symmetric in s with a |s|^{-1-alpha} singularity at
     zero and exponential decay at infinity.
 
-    Dimension three has a closed form; other dimensions go through a
-    cubic spline of log kappa versus log s built from exact chord
-    integrals, with the power-law head continued analytically below the
-    first knot.  Accepts scalars or arrays of nonzero s.
+    Dimension three has a closed form; other dimensions evaluate the
+    chord table directly at the requested separations.  Beyond |s| = 700
+    kappa is below 1e-300 and is returned as exactly zero.  Accepts
+    scalars or arrays; zero, NaN and separations too small for kappa to
+    be evaluated in double precision raise DomainError.
     """
-    s_arr = np.abs(np.asarray(s, dtype=float))
-    scalar = s_arr.ndim == 0
-    s_arr = np.atleast_1d(s_arr)
-    if np.any(s_arr <= 0.0):
-        raise DomainError("jump profile is singular at s = 0")
-    if d == 3:
-        # (2 sinh)^{-1-a} - (2 cosh)^{-1-a} written as
-        # (2 cosh)^{-1-a} (coth^{1+a} - 1) via expm1/log1p, which stays
-        # accurate where the direct difference cancels (large s).  Below
-        # s = ln 2, log(1 - exp(-s)) is taken as log(-expm1(-s)), because
-        # 1 - exp(-s) would carry a relative rounding error of about
-        # 1e-16 / s; above it, log1p(-exp(-s)) is the accurate form.
-        c = _jump_normalization(3, alpha) * 4.0 * math.pi**2 * 2.0 / (1.0 + alpha)
-        q = np.exp(-s_arr)
-        log_gap = np.where(s_arr < math.log(2.0), np.log(-np.expm1(-s_arr)), np.log1p(-q))
-        bracket = np.expm1((1.0 + alpha) * (np.log1p(q) - log_gap))
-        far = (2.0 * np.cosh(0.5 * s_arr)) ** (-1.0 - alpha)
-        out = c * far * bracket
-    else:
-        log_knots, coeffs, head_amp = _kappa_interpolant(d, float(alpha))
-        out = np.zeros_like(s_arr)
-        tiny = s_arr < 1e-6
-        big = s_arr > 115.0
-        mid = ~(tiny | big)
-        out[tiny] = head_amp * s_arr[tiny] ** (-1.0 - alpha)
-        # The knots are uniform in log s, so the interval index is
-        # arithmetic.  A point within rounding of a knot may get the
-        # neighbouring cubic, which agrees with it there to rounding.
-        u = np.log(s_arr[mid])
-        n_cubics = coeffs.shape[1]
-        step = (log_knots[-1] - log_knots[0]) / n_cubics
-        i = np.clip(((u - log_knots[0]) / step).astype(np.intp), 0, n_cubics - 1)
-        t = u - log_knots.take(i)
-        val = coeffs[0].take(i)
-        for row in coeffs[1:]:
-            val *= t
-            val += row.take(i)
-        out[mid] = np.exp(val, out=val)
-    return float(out[0]) if scalar else out
+    d = _check_dimension(d)
+    alpha = _check_alpha(d, alpha, min(2, d))
+    s_arr = np.atleast_1d(np.abs(np.asarray(s, dtype=float)))
+    if not np.all(s_arr > 0.0):
+        raise DomainError("jump profile needs nonzero s that is not NaN")
+    out = np.zeros_like(s_arr)
+    live = s_arr < 700.0  # (2 sinh(s/2))^2 overflows at s = 709.8
+    s_live = s_arr[live]
+    try:
+        with np.errstate(over="raise", divide="raise"):
+            if d == 3:
+                # (2 sinh)^{-1-a} - (2 cosh)^{-1-a} as (2 cosh)^{-1-a} (coth^{1+a} - 1)
+                # via expm1/log1p, accurate where the difference cancels (large s).
+                # log(1 - exp(-s)) is log(-expm1(-s)) below s = ln 2, where 1 - exp(-s)
+                # has a relative rounding error of about 1e-16 / s, and log1p(-exp(-s))
+                # above; each only where used, since log1p(-1) would divide by zero.
+                c = _jump_normalization(3, alpha) * 4.0 * math.pi**2 * 2.0 / (1.0 + alpha)
+                q = np.exp(-s_live)
+                log_gap = np.log(-np.expm1(-s_live))
+                far = s_live >= math.log(2.0)
+                log_gap[far] = np.log1p(-q[far])
+                bracket = np.expm1((1.0 + alpha) * (np.log1p(q) - log_gap))
+                out[live] = c * (2.0 * np.cosh(0.5 * s_live)) ** (-1.0 - alpha) * bracket
+            else:
+                out[live] = _kappa_table(s_live, d, alpha)
+    except FloatingPointError as exc:
+        raise DomainError(f"jump profile overflows at s = {s_live.min():.3g}") from exc
+    if not np.all(np.isfinite(out) & (out >= 0.0)):
+        raise ConstructionError("jump profile evaluation lost positivity")
+    return float(out[0]) if np.ndim(s) == 0 else out
 
 
 _COLLOCATION_THETAS = math.pi * np.arange(1, _NEAR_LAGS + 1) / _NEAR_LAGS
@@ -384,11 +318,7 @@ def _symmetric_free_matrix(grid: RadialGrid, alpha: float) -> np.ndarray:
     block-sized temporaries exist.
     """
     d = grid.d
-    alpha = float(alpha)
-    if not (0.0 < alpha < min(2.0, float(d))):
-        raise DomainError(
-            f"alpha must lie in (0, min(2, d)), got {alpha!r} for d={d}"
-        )
+    alpha = _check_alpha(d, alpha, min(2, d))
     n = grid.n
     if n < 3 * _NEAR_LAGS:
         raise ConstructionError(

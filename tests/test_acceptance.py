@@ -164,22 +164,29 @@ def test_06_semibounded_at_critical_coupling(default_grid):
     assert elapsed + _timings.get("symbol_oracle_total", 0.0) < 120.0
 
 
+# Median and worst relative error of the t = 1 Poisson kernel on the
+# default box at n = 1024, per d, at today's measured values (the d = 3
+# worst-case bound predates them), and the most negative kernel entry
+# relative to the largest.  d = 2 has entries down to -7.5e-9 of the
+# largest, so its sign gate is relative; d >= 3 keeps the absolute one.
+_POISSON_GATES = {2: (3.5e-3, 7e-2), 3: (1e-3, 5e-2), 4: (2e-3, 7e-2), 5: (3e-3, 1.1e-1)}
+
+
 def test_07_poisson_kernel_anchor(default_grid):
     t0 = time.perf_counter()
-    params = make_params(3, 1.0, 0.0)
-    op = build_hardy_operator(default_grid, params)
-    kernel = heat_kernel_matrix(op, 1.0)
-    assert float(kernel.min()) >= -1e-10
-    rng = np.random.default_rng(404)
-    n = default_grid.n
-    pairs = rng.integers(n // 4, 3 * n // 4, size=(150, 2))
-    worst = 0.0
-    for i, j in pairs:
-        rx, ry = default_grid.nodes[i], default_grid.nodes[j]
-        exact = poisson_radial_average(1.0, float(rx), float(ry), 3)
-        rel = abs(float(kernel[i, j]) - exact) / exact
-        worst = max(worst, rel)
-    assert worst <= 5e-2, worst
+    for d, (median_gate, worst_gate) in _POISSON_GATES.items():
+        grid = default_grid if d == 3 else build_log_grid(d, 1e-3, 1e3, 1024)
+        op = build_hardy_operator(grid, make_params(d, 1.0, 0.0))
+        kernel = heat_kernel_matrix(op, 1.0)
+        floor = -1e-8 * float(kernel.max()) if d == 2 else -1e-10
+        assert float(kernel.min()) >= floor, (d, float(kernel.min()))
+        rng = np.random.default_rng(404)
+        n = grid.n
+        i, j = rng.integers(n // 4, 3 * n // 4, size=(150, 2)).T
+        exact = poisson_radial_average(1.0, grid.nodes[i], grid.nodes[j], d)
+        rel = np.abs(kernel[i, j] - exact) / exact
+        assert np.median(rel) <= median_gate, (d, np.median(rel))
+        assert rel.max() <= worst_gate, (d, rel.max())
     assert time.perf_counter() - t0 < 60.0
 
 

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -20,6 +21,7 @@ from hardyops import (
     make_params,
     psi,
 )
+from hardyops.specfun import gauss_jacobi
 from hardyops.verify import DEFAULT_GRID_N, DEFAULT_R_MAX, DEFAULT_R_MIN, REFINE_FACTOR
 
 
@@ -368,6 +370,20 @@ def test_jump_profile_rejects_zero():
         jump_profile(0.0, 3, 1.0)
 
 
+@pytest.mark.parametrize("s,d,alpha", [
+    (1.0, 3, -1.0), (1.0, 2, -0.5), (1.0, 3, 2.0), (1.0, 1, 0.5), (1.0, 2.0, 1.0),
+    (math.nan, 4, 1.0), (np.array([0.5, math.nan]), 2, 1.0),
+    (1e-170, 4, 1.0), (1e-170, 3, 1.0), (1e-170, 2, 1e-6), (1e-140, 5, 1.9),
+])
+def test_jump_profile_rejects_bad_input(s, d, alpha):
+    # Orders and dimensions outside 0 < alpha < min(2, d), NaN, and
+    # separations so small that kappa overflows double precision.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(DomainError):
+            jump_profile(s, d, alpha)
+
+
 @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
 @pytest.mark.parametrize("d", [2, 4, 5])
 @pytest.mark.parametrize("alpha", [0.5, 1.9])
@@ -384,40 +400,6 @@ def test_chord_integrals_match_adaptive_quadrature(d, alpha):
         ref, _ = quad(lambda xi: xi**-e_pow, x, x + 4.0, weight="alg",
                       wvar=(beta, beta), epsabs=0.0, epsrel=1e-13, limit=500)
         assert value == pytest.approx(ref, rel=1e-12, abs=0.0)
-
-
-def test_not_a_knot_cubic_is_scipys_cubic_spline(rng):
-    from scipy.interpolate import CubicSpline
-
-    x = np.cumsum(rng.uniform(0.1, 1.0, 40))
-    y = np.sin(x) + rng.normal(scale=0.1, size=x.size)
-    reference = CubicSpline(x, y)
-    coeffs = operators._not_a_knot_cubic(x, y)
-    assert np.allclose(coeffs, reference.c, rtol=1e-12, atol=1e-12)
-    # Reproduces the data and is C^2 at every interior knot.
-    c, t = coeffs, np.diff(x)
-    assert np.allclose(((c[0] * t + c[1]) * t + c[2]) * t + c[3], y[1:], rtol=0.0, atol=1e-12)
-    c, t = coeffs[:, :-1], t[:-1]
-    assert np.allclose((3.0 * c[0] * t + 2.0 * c[1]) * t + c[2], coeffs[2, 1:],
-                       rtol=0.0, atol=1e-11)
-    assert np.allclose(3.0 * c[0] * t + c[1], coeffs[1, 1:], rtol=0.0, atol=1e-10)
-
-
-@pytest.mark.parametrize("d", [2, 4, 5, 7])
-def test_jump_profile_spline_matches_scipys_cubic_spline(d):
-    # The same table through scipy's CubicSpline, over the spline's range,
-    # with every knot inside it and the doubles on either side, where the
-    # arithmetic interval index may pick the neighbouring cubic.
-    from scipy.interpolate import CubicSpline
-
-    alpha = 1.3
-    knots = np.geomspace(1e-6, 120.0, 800)
-    spline = CubicSpline(np.log(knots), np.log(operators._kappa_table(knots, d, alpha)))
-    inner = knots[(knots > 1e-6) & (knots < 115.0)]
-    s = np.concatenate([np.geomspace(1.0001e-6, 114.99, 5000), inner,
-                        np.nextafter(inner, 0.0), np.nextafter(inner, np.inf)])
-    reference = np.exp(spline(np.log(s)))
-    assert np.max(np.abs(jump_profile(s, d, alpha) / reference - 1.0)) <= 6e-14
 
 
 @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.9])
@@ -474,6 +456,46 @@ def test_near_field_symbol_is_the_mellin_symbol(d, alpha):
             vals = operators._near_field_symbol(h, d, alpha)
             for tau, val in zip(taus, vals):
                 assert val == pytest.approx(float(_mp_mellin_symbol(tau, d, alpha)), rel=1e-13, abs=0.0)
+
+
+def _symbol_by_quadrature(taus, d, alpha):
+    """int_0^inf 2 kappa(s) (1 - cos(tau s)) ds for every tau.
+
+    On [0, 1] a Gauss-Jacobi rule in the weight s^{1-alpha} absorbs the
+    |s|^{-1-alpha} head of kappa against the s^2 zero of 1 - cos; on
+    [1, 80] Gauss-Legendre panels, past which kappa is below 1e-42.
+    1 - cos is taken as 2 sin^2, which keeps its digits at small s.
+    """
+    x, w = gauss_jacobi(80, 0.0, 1.0 - alpha)
+    s_head = 0.5 * (1.0 + x)
+    w_head = 0.5 ** (2.0 - alpha) * w * s_head ** (alpha - 1.0)
+    xg, wg = gauss_jacobi(20, 0.0, 0.0)
+    edges = np.linspace(1.0, 80.0, 81)
+    half = 0.5 * np.diff(edges)[:, None]
+    s = np.concatenate([s_head, (edges[:-1, None] + half * (1.0 + xg)).ravel()])
+    weights = np.concatenate([w_head, (half * wg).ravel()])
+    return 2.0 * np.sin(0.5 * np.outer(taus, s)) ** 2 @ (2.0 * jump_profile(s, d, alpha) * weights)
+
+
+@pytest.mark.parametrize("alpha", SYMBOL_ALPHAS)
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_jump_profile_integrates_to_the_mellin_symbol(d, alpha):
+    # The normalization of the chord table off d = 3 (d = 3 checks the
+    # quadrature on the closed form), and its far tail: lags of a box
+    # [1e-300, 1e300] evaluate without a floating-point warning, and past
+    # |s| = 700 they are exactly zero.
+    taus = np.array([0.3, 1.0, 3.0, 10.0])
+    with mpmath.workdps(30):
+        ref = np.array([float(_mp_mellin_symbol(tau, d, alpha)) for tau in taus])
+    assert np.allclose(_symbol_by_quadrature(taus, d, alpha), ref, rtol=5e-11, atol=0.0)
+
+    s = (math.log(1e300) - math.log(1e-300)) * np.arange(1, 4096) / 4095
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        kappa = jump_profile(s, d, alpha)
+    assert np.all(kappa[s <= 100.0] > 0.0)
+    assert np.all(kappa[s >= 700.0] == 0.0)
+    assert np.all(np.diff(kappa) <= 0.0)
 
 
 @pytest.mark.parametrize("d,alpha", [(2, 0.5), (3, 1.0), (4, 1.5), (5, 1.99)])
