@@ -34,7 +34,6 @@ from .quadrature import (
     gamma_negative_half_integral_check,
     integrate_semiinfinite,
     riesz_time_integral,
-    riesz_time_integrals,
     schur_weight_integral,
 )
 from .operators import (

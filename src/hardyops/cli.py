@@ -8,8 +8,10 @@ ran to completion and every report's verdict is ``pass``, 2 when it ran
 to completion and any verdict is not ``pass`` (``fail`` or
 ``diverging``; the JSON summary's verdict is then ``fail``), 1 for
 validation problems (bad flags, bad config, parameters outside their
-domain), and 3 when an adaptive computation failed to converge; both
-errors give the JSON verdict ``error``.
+domain) and for a ``ConstructionError`` (a grid or operator the
+discretization cannot build, such as a grid too coarse for the
+near-field solve), and 3 when an adaptive computation failed to
+converge; all of these errors give the JSON verdict ``error``.
 
 Config files use ``key = value`` lines with ``#`` comments; keys mirror
 the long flag names of the subcommand being run, and explicit flags

@@ -18,7 +18,7 @@ its radii as arrays of one shape that broadcasts to the chords' (an
 (m, 1) column against (m, k) chords).  The profiles then return one value
 per chord, and ``angular_average`` one average per pair.  Values that do
 not depend on the chord (``l_envelope``) keep the radii's shape and are
-broadcast.  The Riesz profile takes scalar triples only.
+broadcast.
 """
 
 from __future__ import annotations
@@ -236,28 +236,27 @@ def riesz_exponent_window(params: HardyParams) -> float:
     )
 
 
-def riesz_profile(s: float, q: KernelTriple, params: HardyParams) -> float:
+def riesz_profile(s: float, q: KernelTriple, params: HardyParams):
     """Riesz kernel comparison profile
 
         |x-y|^{alpha s/2 - d} * (1 ^ |x|/|x-y| ^ |y|/|x-y|)^{-delta}
 
-    for s inside (0, min(2d/alpha, 2(d-2 delta)/alpha)).  Requires one
-    chord rxy > 0; a vanishing radius makes the value +inf when delta > 0
-    and 0 when delta < 0, both returned rather than raised.
+    for s inside (0, min(2d/alpha, 2(d-2 delta)/alpha)).  Requires every
+    chord rxy > 0; a vanishing radius makes the value +inf when delta > 0,
+    the bare power when delta = 0 and 0 when delta < 0, all returned
+    rather than raised.  Broadcasts over array triples.
     """
     s = float(s)
     smax = riesz_exponent_window(params)
     if not (0.0 < s < smax):
         raise DomainError(f"s must lie in (0, {smax}), got {s!r}")
-    if isinstance(q.rxy, np.ndarray) or q.rxy <= 0.0:
-        raise DomainError("riesz_profile requires one chord rxy > 0")
-    base = q.rxy ** (0.5 * params.alpha * s - params.d)
-    m = min(1.0, q.rx / q.rxy, q.ry / q.rxy)
-    if m == 0.0:
-        if params.delta > 0.0:
-            return math.inf
-        return base if params.delta == 0.0 else 0.0
-    return base * m ** (-params.delta)
+    rxy = np.asarray(q.rxy, dtype=float)
+    if not np.all(rxy > 0.0):
+        raise DomainError("riesz_profile requires every chord rxy > 0")
+    base = np.power(rxy, 0.5 * params.alpha * s - params.d)
+    m = np.minimum(1.0, np.minimum(q.rx / rxy, q.ry / rxy))
+    with np.errstate(divide="ignore"):
+        return _value(base * np.power(m, -params.delta))
 
 
 def l_envelope(t: float, q: KernelTriple, params: HardyParams):

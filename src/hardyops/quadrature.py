@@ -30,7 +30,6 @@ __all__ = [
     "QuadResult",
     "integrate_semiinfinite",
     "riesz_time_integral",
-    "riesz_time_integrals",
     "SchurIntegral",
     "schur_weight_integral",
     "gamma_negative_half_integral_check",
@@ -310,11 +309,7 @@ def integrate_semiinfinite(
     return QuadResult(float(value[0]), float(error[0]), int(evals[0]), int(evals[0]))
 
 
-def riesz_time_integral(
-    s: float,
-    q: KernelTriple,
-    params: HardyParams,
-) -> float:
+def riesz_time_integral(s: float, q: KernelTriple, params: HardyParams):
     """Time-integral representation of the Riesz kernel profile.
 
     Computes
@@ -325,54 +320,35 @@ def riesz_time_integral(
             (1 v (|x-y|/|y|) t^{1/alpha})^delta  dt/t,
 
     with kinks at t = 1 and t = (|x|/|x-y|)^alpha, (|y|/|x-y|)^alpha.
-    Requires all three radial lengths positive (one chord, not an array)
-    and s inside the window (0, min(2d/alpha, 2(d - 2 delta)/alpha)),
-    which is exactly the condition making the integral converge.  I is
-    integrated to the absolute tolerance ``RIESZ_TOL``, as a batch of one
-    of ``riesz_time_integrals``.
-    """
-    if isinstance(q.rxy, np.ndarray):
-        raise DomainError("riesz_time_integral requires rx, ry and one chord rxy > 0")
-    return float(riesz_time_integrals(s, [q.rx], [q.ry], [q.rxy], params)[0])
+    Requires all three radial lengths positive and s inside the window
+    (0, min(2d/alpha, 2(d - 2 delta)/alpha)), which is exactly the
+    condition making the integral converge.  I is integrated to the
+    absolute tolerance ``RIESZ_TOL``.
 
-
-def riesz_time_integrals(
-    s: float,
-    rx: Sequence[float],
-    ry: Sequence[float],
-    rxy: Sequence[float],
-    params: HardyParams,
-) -> np.ndarray:
-    """``riesz_time_integral`` for many geometries (rx[i], ry[i], rxy[i])
-    at one s and params, with all time integrals in one batched
-    ``integrate_semiinfinite`` call.  Returns one value per geometry, each
-    bit for bit the value of its geometry alone; on failure raises the
-    error of the lowest-index geometry that fails.
+    Returns a float for a scalar triple.  An array triple gives an array
+    of its broadcast shape, with every time integral in one batched
+    ``integrate_semiinfinite`` call; each value is bit for bit that of
+    its geometry alone, and on failure the error raised is that of the
+    lowest-index (in flat order) geometry that fails.
     """
     s = float(s)
     smax = riesz_exponent_window(params)
     if not (0.0 < s < smax):
         raise DomainError(f"s must lie in (0, {smax}), got {s!r}")
+    shape = np.broadcast_shapes(*(np.shape(v) for v in (q.rx, q.ry, q.rxy)))
     # Per-geometry scalars in Python floats: numpy's log and power can round
     # the last bit differently and so move panel edges.
-    rx, ry, rxy = (np.asarray(v, dtype=float).reshape(-1).tolist() for v in (rx, ry, rxy))
-    if not len(rx) == len(ry) == len(rxy):
-        raise DomainError("rx, ry and rxy must have the same length")
-    geometries = list(zip(rx, ry, rxy))
+    geometries = list(zip(*(np.broadcast_to(np.asarray(v, dtype=float), shape).ravel().tolist()
+                            for v in (q.rx, q.ry, q.rxy))))
     bad = next((i for i, g in enumerate(geometries) if not all(v > 0.0 for v in g)), None)
-    if bad is not None:
-        # Geometries before the bad one still integrate, so a failure among
-        # them is the one raised, as it would be one geometry at a time.
-        riesz_time_integrals(s, rx[:bad], ry[:bad], rxy[:bad], params)
-        raise DomainError(
-            f"riesz_time_integral requires rx, ry and one chord rxy > 0, got "
-            f"{geometries[bad]} at index {bad}"
-        )
+    # Geometries before a bad one still integrate, so a failure among them
+    # is the one raised, as it would be one geometry at a time.
+    valid = geometries[:bad]
     d, alpha, delta = params.d, params.alpha, params.delta
-    lcx = [math.log(z / x) for x, _, z in geometries]
-    lcy = [math.log(z / y) for _, y, z in geometries]
-    kinks = np.reshape([(1.0, (x / z) ** alpha, (y / z) ** alpha) for x, y, z in geometries],
-                       (len(geometries), 3))
+    lcx = [math.log(z / x) for x, _, z in valid]
+    lcy = [math.log(z / y) for _, y, z in valid]
+    kinks = np.reshape([(1.0, (x / z) ** alpha, (y / z) ** alpha) for x, y, z in valid],
+                       (len(valid), 3))
     half_s = 0.5 * s
 
     # Assembled in log space: the factored powers can overflow near the
@@ -385,7 +361,13 @@ def riesz_time_integrals(
         return np.exp(le)
 
     res = integrate_semiinfinite(integrand, RIESZ_TOL, kinks=kinks, args=(lcx, lcy))
-    return np.array([z ** (0.5 * alpha * s - d) * v for z, v in zip(rxy, res.value.tolist())])
+    if bad is not None:
+        raise DomainError(
+            f"riesz_time_integral requires rx, ry and rxy > 0, got "
+            f"{geometries[bad]} at index {bad}"
+        )
+    values = [z ** (0.5 * alpha * s - d) * v for (_, _, z), v in zip(valid, res.value.tolist())]
+    return values[0] if shape == () else np.reshape(values, shape)
 
 
 @dataclass(frozen=True)

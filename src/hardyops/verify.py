@@ -44,7 +44,7 @@ from .operators import (
     build_potential_operator,
     heat_kernel_matrix,
 )
-from .quadrature import riesz_time_integrals
+from .quadrature import riesz_time_integral
 from .specfun import HardyParams, make_params
 
 _VERDICTS = ("pass", "fail", "diverging")
@@ -602,11 +602,11 @@ def reverse_hardy_constant(
     """Best constant C in ||(L^{s/2} - T^{s/2}) f|| <= C ||r^{-alpha s/2} f||.
 
     At s = 2 the difference of the operators is exactly the coupling
-    diagonal, so the constant is |a| independent of the grid; that case is
-    evaluated from the assembled matrices directly because routing the
-    identity map through an eigendecomposition only adds reconstruction
-    noise.  Fractional s goes through the spectral calculus.  The rungs
-    and the verdict follow :func:`generalized_hardy_constant`.
+    diagonal a r^{-alpha}, which the weight r^{alpha} undoes, so the
+    constant is |a| on every rung, returned in closed form; the rungs'
+    boxes are still validated.  Fractional s goes through the spectral
+    calculus.  The rungs and the verdict follow
+    :func:`generalized_hardy_constant`.
 
     For fractional s the constant is the square root of the largest
     eigenvalue of ``W.T @ W``, where ``W = D r^{alpha s/2}`` and ``D`` is
@@ -624,11 +624,10 @@ def reverse_hardy_constant(
 
     def values(s: float, n_rungs: int) -> list:
         if s == 2.0:
-            out = []
+            # Each rung's grid only validates its box, as at fractional s.
             for k in range(n_rungs):
-                r = build_log_grid(params.d, r_min * REFINE_FACTOR ** (-k), r_max, grid_n).nodes
-                out.append(float(np.max(np.abs(params.a * r ** (-params.alpha) * r ** params.alpha))))
-            return out
+                build_log_grid(params.d, r_min * REFINE_FACTOR ** (-k), r_max, grid_n)
+            return [abs(params.a)] * n_rungs
         rungs = _hardy_rungs(params, n_rungs, r_min, r_max, grid_n)
         return [_reverse_rung_value(full, params, s) for full in rungs]
 
@@ -933,7 +932,8 @@ def riesz_equivalence_check(
     ``RIESZ_DECADES`` decades either side of 1, and an enclosed angle),
     splits them by lambda = min(rx, ry)/rxy at 1/4, and requires the ratio
     band within each sampled case to satisfy C/c <= ``band_bound`` (at
-    least 1).  The time integrals of all triples are computed in one batch.
+    least 1).  The triples form one array triple, so the profile is one
+    call and the time integrals are one batch.
     """
     s = float(s)
     lo_s, hi_s = 0.0, riesz_exponent_window(params)
@@ -946,42 +946,34 @@ def riesz_equivalence_check(
     # the triples are bit for bit those of three uniform calls per triple;
     # the powers stay Python float powers, which numpy's may not round alike.
     span = 2.0 * RIESZ_DECADES
-    triples, profiles = [], []
+    lengths = []
     for ux, uy, umu in np.random.default_rng(seed).random((n_triples, 3)).tolist():
         rx = 10.0 ** (-RIESZ_DECADES + span * ux)
         ry = 10.0 ** (-RIESZ_DECADES + span * uy)
         mu = -1.0 + 2.0 * umu
-        rxy = math.sqrt((rx - ry) ** 2 + 2.0 * rx * ry * (1.0 - mu))
-        triple = KernelTriple(rx, ry, rxy)
-        triples.append(triple)
-        profiles.append(riesz_profile(s, triple, params))
-    values = riesz_time_integrals(
-        s, [q.rx for q in triples], [q.ry for q in triples], [q.rxy for q in triples], params
-    ).tolist()
-    cases: dict = {"lam>=1/4": [], "lam<=1/4": []}
-    for q, value, profile in zip(triples, values, profiles):
-        lam = min(q.rx, q.ry) / q.rxy
-        cases["lam>=1/4" if lam >= 0.25 else "lam<=1/4"].append(value / profile)
+        lengths.append((rx, ry, math.sqrt((rx - ry) ** 2 + 2.0 * rx * ry * (1.0 - mu))))
+    q = KernelTriple(*(np.array(v) for v in zip(*lengths)))
+    profiles = riesz_profile(s, q, params)
+    ratios = riesz_time_integral(s, q, params) / profiles
+    near = np.minimum(q.rx, q.ry) / q.rxy >= 0.25
     notes = []
     ok = True
-    all_ratios = []
-    for label, ratios in cases.items():
-        if not ratios:
+    for label, case in (("lam>=1/4", ratios[near]), ("lam<=1/4", ratios[~near])):
+        if not case.size:
             notes.append(f"case {label}: no samples drawn")
             continue
-        c_low, c_high = min(ratios), max(ratios)
-        all_ratios.extend(ratios)
+        c_low, c_high = float(case.min()), float(case.max())
         spread = c_high / c_low if c_low > 0.0 else math.inf
-        notes.append(f"case {label}: n={len(ratios)}, band [{c_low:.6g}, {c_high:.6g}], C/c={spread:.4g}")
+        notes.append(f"case {label}: n={case.size}, band [{c_low:.6g}, {c_high:.6g}], C/c={spread:.4g}")
         if not (c_low > 0.0 and math.isfinite(c_high) and spread <= band_bound):
             ok = False
     return VerificationReport(
         check_name="riesz_equivalence_check",
         params=_report_params(params, None, s=s, n_triples=n_triples, seed=seed),
-        empirical_lower=min(all_ratios),
-        empirical_upper=max(all_ratios),
+        empirical_lower=float(ratios.min()),
+        empirical_upper=float(ratios.max()),
         verdict="pass" if ok else "fail",
-        samples=len(all_ratios),
+        samples=ratios.size,
         notes=tuple(notes),
     )
 

@@ -288,6 +288,18 @@ def test_band_bound_below_one_is_a_domain_error(capsys, tmp_path, argv):
     assert doc["failure"].startswith("DomainError: band_bound must be >= 1")
 
 
+def test_construction_error_exits_one(capsys, tmp_path):
+    # Ten nodes are too few for the near-field solve of the operator build.
+    out_json = tmp_path / "rep.json"
+    rc, _, err = run(capsys, "heat-verify", "--d", "3", "--alpha", "1", "--grid-n", "10",
+                     f"--out-json={out_json}")
+    assert rc == 1
+    assert err.startswith("error: grid too coarse")
+    doc = json.loads(out_json.read_text())
+    assert doc["verdict"] == "error"
+    assert doc["failure"].startswith("ConstructionError")
+
+
 # ---------------------------------------------------------------------------
 # exit codes follow the report verdicts
 

@@ -187,19 +187,27 @@ def _chords(rx: float, ry: float, count: int = 48) -> np.ndarray:
 @pytest.mark.parametrize("d,alpha,a", [(3, 1.0, -0.3), (2, 0.7, 0.4), (5, 1.9, -2.0), (4, 1.2, 0.0)])
 def test_profiles_on_chord_arrays_equal_scalar_profiles_bitwise(d, alpha, a, rng):
     params = make_params(d, alpha, a)
+    s = 0.5 * riesz_exponent_window(params)
+
+    def riesz(t, q):  # a profile of no time
+        return riesz_profile(s, q, params)
+
     profiles = (
         lambda t, q: stable_heat_profile(t, q, d, alpha),
         lambda t, q: hardy_heat_profile(t, q, params),
         lambda t, q: l_envelope(t, q, params),
         lambda t, q: m_envelope(t, q, params),
+        riesz,
     )
     radii = [(1.0, 1.0), (0.3, 0.45), (2.0, 7.0), (1e-3, 1e2)]
     radii += [tuple(10.0 ** rng.uniform(-2, 2, 2)) for _ in range(4)]
     for rx, ry in radii:
-        chords = _chords(rx, ry)
+        every = _chords(rx, ry)
         for t in (1e-2, 0.7, 30.0):
-            triple = KernelTriple(rx, ry, chords)
             for profile in profiles:
+                # the Riesz profile is singular at coincident points
+                chords = every[every > 0.0] if profile is riesz else every
+                triple = KernelTriple(rx, ry, chords)
                 values = profile(t, triple)
                 # a chord-independent value may stay one float
                 assert isinstance(values, float) or (
@@ -209,8 +217,22 @@ def test_profiles_on_chord_arrays_equal_scalar_profiles_bitwise(d, alpha, a, rng
                 assert all(isinstance(v, float) for v in scalars)
                 assert np.array_equal(np.broadcast_to(values, chords.shape), np.array(scalars))
         # the chord-dependent profiles always return one value per chord
-        for profile in profiles[:2]:
+        for profile in (*profiles[:2], riesz):
             assert profile(1.0, KernelTriple(rx, ry, chords)).shape == chords.shape
+    # At a vanishing radius every chord equals the other radius, and the
+    # Riesz profile is +inf for delta > 0, the bare power of the chord at
+    # delta = 0 and 0 for delta < 0.
+    if params.delta > 0.0:
+        expected = math.inf
+    elif params.delta == 0.0:
+        expected = float(np.power(2.0, 0.5 * alpha * s - d))
+    else:
+        expected = 0.0
+    for rx, ry in ((0.0, 2.0), (2.0, 0.0)):
+        chords = _chords(rx, ry)
+        values = riesz(None, KernelTriple(rx, ry, chords))
+        assert values.tolist() == [expected] * chords.size
+        assert [riesz(None, KernelTriple(rx, ry, float(x))) for x in chords] == values.tolist()
 
 
 def test_free_profile_tail_is_one_at_coincidence():
@@ -244,11 +266,15 @@ def test_angular_average_broadcasts_chord_independent_values():
         assert angular_average(lambda chords: 3.5, 0.0, 2.0, d) == 3.5
 
 
-def test_riesz_functions_reject_chord_arrays(params_half_critical):
+def test_riesz_functions_on_chord_arrays_equal_scalar_calls_bitwise(params_half_critical):
     from hardyops import riesz_time_integral
 
-    triple = KernelTriple(1.0, 2.0, _chords(1.0, 2.0))
-    with pytest.raises(DomainError):
-        riesz_profile(0.5, triple, params_half_critical)
-    with pytest.raises(DomainError):
-        riesz_time_integral(0.5, triple, params_half_critical)
+    chords = _chords(1.0, 2.0, count=12)
+    triple = KernelTriple(1.0, 2.0, chords)
+    for riesz in (riesz_profile, riesz_time_integral):
+        values = riesz(0.5, triple, params_half_critical)
+        assert isinstance(values, np.ndarray) and values.shape == chords.shape
+        scalars = [riesz(0.5, KernelTriple(1.0, 2.0, float(x)), params_half_critical)
+                   for x in chords]
+        assert all(isinstance(v, float) for v in scalars)
+        assert values.tolist() == scalars

@@ -23,7 +23,6 @@ from hardyops import (
     riesz_equivalence_check,
     riesz_exponent_window,
     riesz_time_integral,
-    riesz_time_integrals,
     schur_weight_integral,
     sphere_area,
     verify,
@@ -240,6 +239,11 @@ def _lengths(batch):
     return rx, ry, rxy
 
 
+def _array_triple(rx, ry, rxy):
+    return KernelTriple(np.array(rx, dtype=float), np.array(ry, dtype=float),
+                        np.array(rxy, dtype=float))
+
+
 @contextmanager
 def _recorded_integrations():
     results = []
@@ -266,7 +270,7 @@ def test_batched_riesz_integrals_equal_each_integral_alone(d, alpha, u, share, b
     params, s = _riesz_case(d, alpha, u, share)
     rx, ry, rxy = _lengths(batch)
     with _recorded_integrations() as results:
-        values = riesz_time_integrals(s, rx, ry, rxy, params)
+        values = riesz_time_integral(s, _array_triple(rx, ry, rxy), params)
         (together,) = results
         for i, lengths in enumerate(zip(rx, ry, rxy)):
             alone = riesz_time_integral(s, KernelTriple(*lengths), params)
@@ -283,12 +287,12 @@ def test_batched_riesz_integrals_equal_each_integral_alone(d, alpha, u, share, b
 def test_riesz_check_equals_a_loop_of_scalar_integrals(d, alpha, u, share, seed):
     params, s = _riesz_case(d, alpha, u, share)
 
-    def one_at_a_time(s, rx, ry, rxy, params):
+    def one_at_a_time(s, q, params):
         return np.array([riesz_time_integral(s, KernelTriple(*lengths), params)
-                         for lengths in zip(rx, ry, rxy)])
+                         for lengths in zip(q.rx.tolist(), q.ry.tolist(), q.rxy.tolist())])
 
     batched = _outcome(riesz_equivalence_check, params, s, n_triples=24, seed=seed)
-    with mock.patch.object(verify, "riesz_time_integrals", one_at_a_time):
+    with mock.patch.object(verify, "riesz_time_integral", one_at_a_time):
         looped = _outcome(riesz_equivalence_check, params, s, n_triples=24, seed=seed)
     assert batched == looped
 
@@ -314,7 +318,7 @@ def _time_integral_by_quad(s, rx, ry, rxy, params):
 def test_batched_riesz_integrals_match_scipy_quad(d, alpha, u, share, batch):
     params, s = _riesz_case(d, alpha, u, share)
     rx, ry, rxy = _lengths(batch)
-    values = riesz_time_integrals(s, rx, ry, rxy, params)
+    values = riesz_time_integral(s, _array_triple(rx, ry, rxy), params)
     for value, lengths in zip(values, zip(rx, ry, rxy)):
         reference, quad_error = _time_integral_by_quad(s, *lengths, params)
         time_integral = value / lengths[2] ** (0.5 * params.alpha * s - params.d)
@@ -385,8 +389,10 @@ def test_batch_raises_the_lowest_failing_integral(first, second):
 
 
 def test_riesz_integrals_name_the_first_non_positive_length(params_zero):
+    # (2, 2, 0) has a vanishing chord and (0, 1, 1) a vanishing radius.
+    triple = _array_triple([1.0, 2.0, 0.0], [1.0, 2.0, 1.0], [1.0, 0.0, 1.0])
     with pytest.raises(DomainError, match="at index 1"):
-        riesz_time_integrals(1.0, [1.0, 2.0, 1.0], [1.0, 2.0, 1.0], [1.0, 0.0, -1.0], params_zero)
+        riesz_time_integral(1.0, triple, params_zero)
 
 
 # ---------------------------------------------------------------------------

@@ -180,7 +180,13 @@ def test_reverse_constant_s_two_is_exactly_the_coupling(params_half_critical):
     rep = reverse_hardy_constant(params_half_critical, 2.0,
                                  n_refinements=1, grid_n=256)
     assert rep.verdict == "pass"
-    assert rep.empirical_upper == pytest.approx(abs(params_half_critical.a), rel=1e-12)
+    assert rep.empirical_upper == abs(params_half_critical.a)
+    assert rep.empirical_lower == abs(params_half_critical.a)
+    # the box is still validated, though no grid is read
+    for box in ({"r_min": 0.0}, {"r_min": 1e3, "r_max": 1e2}, {"r_max": math.inf},
+                {"grid_n": 1}):
+        with pytest.raises(DomainError):
+            reverse_hardy_constant(params_half_critical, 2.0, n_refinements=1, **box)
 
 
 # ---------------------------------------------------------------------------
@@ -291,11 +297,11 @@ def _uniform_triples(seed, n_triples):
 def test_riesz_triples_equal_scalar_uniform_draws(params_zero, seed, n_triples):
     drawn = []
 
-    def record(s, rx, ry, rxy, params):
-        drawn.extend(zip(rx, ry, rxy))
-        return np.ones(len(rx))
+    def record(s, q, params):
+        drawn.extend(zip(q.rx.tolist(), q.ry.tolist(), q.rxy.tolist()))
+        return np.ones(q.rxy.shape)
 
-    with mock.patch.object(verify, "riesz_time_integrals", record):
+    with mock.patch.object(verify, "riesz_time_integral", record):
         riesz_equivalence_check(params_zero, 1.0, n_triples=n_triples, seed=seed)
     assert drawn == _uniform_triples(seed, n_triples)  # bitwise
 
