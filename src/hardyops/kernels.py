@@ -255,8 +255,13 @@ def riesz_profile(s: float, q: KernelTriple, params: HardyParams):
         raise DomainError("riesz_profile requires every chord rxy > 0")
     base = np.power(rxy, 0.5 * params.alpha * s - params.d)
     m = np.minimum(1.0, np.minimum(q.rx / rxy, q.ry / rxy))
-    with np.errstate(divide="ignore"):
-        return _value(base * np.power(m, -params.delta))
+    # A vanishing radius takes the limit in m alone, whatever the chord's
+    # power rounds to.
+    zero = m == 0.0
+    value = base * np.power(np.where(zero, 1.0, m), -params.delta)
+    if params.delta != 0.0:
+        value = np.where(zero, math.inf if params.delta > 0.0 else 0.0, value)
+    return _value(value)
 
 
 def l_envelope(t: float, q: KernelTriple, params: HardyParams):

@@ -23,7 +23,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .errors import ConvergenceError, DomainError
-from .kernels import KernelTriple, riesz_exponent_window
+from .kernels import KernelTriple, _value, riesz_exponent_window
 from .specfun import HardyParams, _check_dimension, log_gamma, sphere_area
 
 __all__ = [
@@ -367,7 +367,7 @@ def riesz_time_integral(s: float, q: KernelTriple, params: HardyParams):
             f"{geometries[bad]} at index {bad}"
         )
     values = [z ** (0.5 * alpha * s - d) * v for (_, _, z), v in zip(valid, res.value.tolist())]
-    return values[0] if shape == () else np.reshape(values, shape)
+    return _value(np.reshape(values, shape))
 
 
 @dataclass(frozen=True)

@@ -216,23 +216,31 @@ def test_profiles_on_chord_arrays_equal_scalar_profiles_bitwise(d, alpha, a, rng
                 scalars = [profile(t, KernelTriple(rx, ry, float(x))) for x in chords]
                 assert all(isinstance(v, float) for v in scalars)
                 assert np.array_equal(np.broadcast_to(values, chords.shape), np.array(scalars))
-        # the chord-dependent profiles always return one value per chord
-        for profile in (*profiles[:2], riesz):
-            assert profile(1.0, KernelTriple(rx, ry, chords)).shape == chords.shape
+        # the chord-dependent profiles always return one value per chord,
+        # the heat profiles also at a coincident chord
+        for profile in profiles[:2]:
+            assert profile(1.0, KernelTriple(rx, ry, every)).shape == every.shape
+        chords = every[every > 0.0]
+        assert riesz(None, KernelTriple(rx, ry, chords)).shape == chords.shape
     # At a vanishing radius every chord equals the other radius, and the
     # Riesz profile is +inf for delta > 0, the bare power of the chord at
-    # delta = 0 and 0 for delta < 0.
-    if params.delta > 0.0:
-        expected = math.inf
-    elif params.delta == 0.0:
-        expected = float(np.power(2.0, 0.5 * alpha * s - d))
-    else:
-        expected = 0.0
-    for rx, ry in ((0.0, 2.0), (2.0, 0.0)):
-        chords = _chords(rx, ry)
-        values = riesz(None, KernelTriple(rx, ry, chords))
-        assert values.tolist() == [expected] * chords.size
-        assert [riesz(None, KernelTriple(rx, ry, float(x))) for x in chords] == values.tolist()
+    # delta = 0 and 0 for delta < 0, also where that power under- or
+    # overflows.
+    for r in (2.0, 1e300, 1e-300):
+        if params.delta > 0.0:
+            expected = math.inf
+        elif params.delta == 0.0:
+            with np.errstate(over="ignore"):
+                expected = float(np.power(r, 0.5 * alpha * s - d))
+        else:
+            expected = 0.0
+        for rx, ry in ((0.0, r), (r, 0.0)):
+            chords = np.full(8, r)
+            with np.errstate(over="ignore"):
+                values = riesz(None, KernelTriple(rx, ry, chords))
+                scalars = [riesz(None, KernelTriple(rx, ry, float(x))) for x in chords]
+            assert values.tolist() == [expected] * chords.size
+            assert scalars == values.tolist()
 
 
 def test_free_profile_tail_is_one_at_coincidence():
