@@ -74,27 +74,24 @@ class QuadResult:
     evaluations_each: int | np.ndarray
 
 
-def _seed_edges(kinks: np.ndarray):
+def _seed_edges(kinks: np.ndarray) -> np.ndarray:
     """Seed panel edges in u = ln t for an (m, k) array of kink locations.
 
     Row r's edges are its kinks' logs and 0, sorted, with one more edge 2
-    below the lowest and 2 above the highest.  Returns the edges of the
-    rows before the first row holding a non-positive or non-finite kink,
-    as an (n, k + 3) array, and that row's DomainError (None if every row
-    is valid).  The logs are Python's: numpy's can differ by an ulp and so
-    move a panel edge.
+    below the lowest and 2 above the highest, as an (m, k + 3) array.
+    Raises DomainError naming the first non-positive or non-finite kink of
+    the lowest row holding one.  The logs are Python's: numpy's can differ
+    by an ulp and so move a panel edge.
     """
     bad = ~((kinks > 0.0) & (kinks < math.inf))
-    first = bad.any(axis=1)
-    n = int(np.argmax(first)) if first.any() else len(kinks)
-    failure = None
-    if n < len(kinks):
-        k = float(kinks[n, np.argmax(bad[n])])
-        failure = DomainError(f"kink locations must be finite and > 0: {k!r}")
-    logs = np.reshape(list(map(math.log, kinks[:n].ravel().tolist())), (n, kinks.shape[1]))
-    seeds = np.column_stack([logs, np.zeros(n)])
+    if bad.any():
+        row = int(np.argmax(bad.any(axis=1)))
+        k = float(kinks[row, np.argmax(bad[row])])
+        raise DomainError(f"kink locations must be finite and > 0: {k!r}")
+    logs = np.reshape(list(map(math.log, kinks.ravel().tolist())), kinks.shape)
+    seeds = np.column_stack([logs, np.zeros(len(kinks))])
     edges = np.column_stack([seeds.min(axis=1) - 2.0, seeds, seeds.max(axis=1) + 2.0])
-    return np.sort(edges, axis=1), failure
+    return np.sort(edges, axis=1)
 
 
 def _row_dot(rows: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -106,8 +103,7 @@ def _row_dot(rows: np.ndarray, weights: np.ndarray) -> np.ndarray:
 
 def _panel_table(made, n):
     """One table of the panels made so far, listed in ``made`` as columns
-    (row, lo, hi, val, err) of arrays, one array per phase step, which are
-    emptied on the way to keep the peak memory down.
+    (row, lo, hi, val, err) of arrays, one array per phase step.
 
     The table holds each row's panels side by side in increasing u, rows
     in order, so row r has entries starts[r] to starts[r] + count[r] of lo,
@@ -115,23 +111,11 @@ def _panel_table(made, n):
     Also returns each row's error total, summed over its panels in the
     order they were made.
     """
-
-    def drain(column):
-        joined = np.concatenate(column)
-        column.clear()
-        return joined
-
-    owner, lo, hi, val, err = made
-    owner, lo, err = drain(owner), drain(lo), drain(err)
+    owner, lo, hi, val, err = (np.concatenate(column) for column in made)
     total = np.bincount(owner, weights=err, minlength=n)
     count = np.bincount(owner, minlength=n)
     order = np.lexsort((lo, owner))
-    del owner
-    lo = lo[order]
-    err = err[order]
-    hi = drain(hi)[order]
-    val = drain(val)[order]
-    return total, count, lo, hi, val, err
+    return total, count, lo[order], hi[order], val[order], err[order]
 
 
 def integrate_semiinfinite(
@@ -156,9 +140,11 @@ def integrate_semiinfinite(
     exactly as it would be alone; the result holds one value per integral
     and the evaluations summed over the batch.
 
-    Raises ConvergenceError when either tail refuses to decay before the
+    Every kink of the batch is checked before f is first called: a
+    non-positive or non-finite one raises DomainError.  During integration,
+    ConvergenceError is raised when either tail refuses to decay before the
     underflow boundary or the refinement budget is exhausted, and
-    DomainError if f produces non-finite values.  In a batch the error is
+    DomainError if f produces non-finite values; in a batch the error is
     that of the lowest-index failing integral, as it would raise alone.
     """
     tol = float(tol)
@@ -168,18 +154,15 @@ def integrate_semiinfinite(
     kinks = np.asarray(kinks if batch else [list(kinks)], dtype=float)
     m = len(kinks)
     args = [np.broadcast_to(np.asarray(a, dtype=float), (m,)) for a in args]
-
+    if not m:
+        return QuadResult(np.zeros(0), np.zeros(0), 0, np.zeros(0, dtype=int))
+    edges = _seed_edges(kinks)
     # Work row r refines integral ids[r].  Rows stay sorted by integral, so
     # the lowest failing integral is the lowest failing row; the rows from
     # it on are dropped, since no result past it can be returned.
-    edges, failure = _seed_edges(kinks)
-    n = len(edges)
-    if n == 0:  # an empty batch, or the first integral's kinks are invalid
-        if failure is not None:
-            raise failure
-        return QuadResult(np.zeros(0), np.zeros(0), 0, np.zeros(0, dtype=int))
-    ids = np.arange(n)
-    alive = np.ones(n, dtype=bool)
+    ids = np.arange(m)
+    alive = np.ones(m, dtype=bool)
+    failure = None
 
     def fail(row, exc):
         nonlocal failure
@@ -223,7 +206,7 @@ def integrate_semiinfinite(
     )
     for direction, start, stuck in tails:
         u = start.copy()
-        quiet = np.zeros(n, dtype=int)
+        quiet = np.zeros(m, dtype=int)
         rows = np.flatnonzero(alive)
         while rows.size:
             beyond = u[rows] >= _U_CEIL if direction > 0 else u[rows] <= _U_FLOOR
@@ -241,8 +224,8 @@ def integrate_semiinfinite(
             u[rows] = nxt
             rows = rows[alive[rows] & (quiet[rows] < 2)]
 
-    total, count, lo, hi, val, err = _panel_table(made, n)
-    splits = np.zeros(n, dtype=int)
+    total, count, lo, hi, val, err = _panel_table(made, m)
+    splits = np.zeros(m, dtype=int)
     value, error = np.zeros(m), np.zeros(m)
     evals = np.zeros(m, dtype=int)
     while True:
@@ -328,8 +311,10 @@ def riesz_time_integral(s: float, q: KernelTriple, params: HardyParams):
     Returns a float for a scalar triple.  An array triple gives an array
     of its broadcast shape, with every time integral in one batched
     ``integrate_semiinfinite`` call; each value is bit for bit that of
-    its geometry alone, and on failure the error raised is that of the
-    lowest-index (in flat order) geometry that fails.
+    its geometry alone.  Every length is checked before any integral
+    starts, and the DomainError names the lowest (in flat order) geometry
+    with a non-positive one; a failure during integration is that of the
+    lowest-index geometry that fails.
     """
     s = float(s)
     smax = riesz_exponent_window(params)
@@ -341,14 +326,16 @@ def riesz_time_integral(s: float, q: KernelTriple, params: HardyParams):
     geometries = list(zip(*(np.broadcast_to(np.asarray(v, dtype=float), shape).ravel().tolist()
                             for v in (q.rx, q.ry, q.rxy))))
     bad = next((i for i, g in enumerate(geometries) if not all(v > 0.0 for v in g)), None)
-    # Geometries before a bad one still integrate, so a failure among them
-    # is the one raised, as it would be one geometry at a time.
-    valid = geometries[:bad]
+    if bad is not None:
+        raise DomainError(
+            f"riesz_time_integral requires rx, ry and rxy > 0, got "
+            f"{geometries[bad]} at index {bad}"
+        )
     d, alpha, delta = params.d, params.alpha, params.delta
-    lcx = [math.log(z / x) for x, _, z in valid]
-    lcy = [math.log(z / y) for _, y, z in valid]
-    kinks = np.reshape([(1.0, (x / z) ** alpha, (y / z) ** alpha) for x, y, z in valid],
-                       (len(valid), 3))
+    lcx = [math.log(z / x) for x, _, z in geometries]
+    lcy = [math.log(z / y) for _, y, z in geometries]
+    kinks = np.reshape([(1.0, (x / z) ** alpha, (y / z) ** alpha) for x, y, z in geometries],
+                       (len(geometries), 3))
     half_s = 0.5 * s
 
     # Assembled in log space: the factored powers can overflow near the
@@ -361,12 +348,8 @@ def riesz_time_integral(s: float, q: KernelTriple, params: HardyParams):
         return np.exp(le)
 
     res = integrate_semiinfinite(integrand, RIESZ_TOL, kinks=kinks, args=(lcx, lcy))
-    if bad is not None:
-        raise DomainError(
-            f"riesz_time_integral requires rx, ry and rxy > 0, got "
-            f"{geometries[bad]} at index {bad}"
-        )
-    values = [z ** (0.5 * alpha * s - d) * v for (_, _, z), v in zip(valid, res.value.tolist())]
+    values = [z ** (0.5 * alpha * s - d) * v
+              for (_, _, z), v in zip(geometries, res.value.tolist())]
     return _value(np.reshape(values, shape))
 
 

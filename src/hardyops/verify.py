@@ -32,7 +32,6 @@ from .kernels import (
     l_envelope,
     m_envelope,
     poisson_radial_average,
-    riesz_exponent_window,
     riesz_profile,
 )
 from .operators import (
@@ -933,12 +932,10 @@ def riesz_equivalence_check(
     splits them by lambda = min(rx, ry)/rxy at 1/4, and requires the ratio
     band within each sampled case to satisfy C/c <= ``band_bound`` (at
     least 1).  The triples form one array triple, so the profile is one
-    call and the time integrals are one batch.
+    call and the time integrals are one batch; an s outside the
+    convergence window is rejected there, before any integral starts.
     """
     s = float(s)
-    lo_s, hi_s = 0.0, riesz_exponent_window(params)
-    if not (lo_s < s < hi_s):
-        raise DomainError(f"s={s} outside the convergence window (0, {hi_s:.6g})")
     if n_triples < 2:
         raise DomainError("need at least two triples")
     _check_band_bound(band_bound)

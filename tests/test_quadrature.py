@@ -371,6 +371,10 @@ def test_batch_names_the_panel_of_its_non_finite_row():
     assert str(batch.value) == str(_alone_error(_scaled_exponential, math.nan, [1e-3]))
 
 
+def _never_called(t, c):
+    raise AssertionError("integrand evaluated before the kinks were checked")
+
+
 def _flat_or_nan(t, c):
     # c = 0: a tail that never decays; c = NaN: non-finite everywhere.
     return np.where(c == 0.0, 1.0, c * np.exp(-t))
@@ -437,9 +441,8 @@ def kink_batches(draw, kinks=positive_kinks):
 @settings(max_examples=150, deadline=None)
 @given(kinks=kink_batches())
 def test_kink_edges_equal_row_by_row_seeding(kinks):
-    edges, failure = quadrature._seed_edges(kinks)
+    edges = quadrature._seed_edges(kinks)
     reference, _ = _edges_row_by_row(kinks)
-    assert failure is None
     assert edges.tobytes() == reference.tobytes()
 
 
@@ -449,8 +452,7 @@ def test_kink_edges_of_a_large_batch_equal_row_by_row_seeding(rng):
     rx, ry, rxy = (10.0 ** rng.uniform(-2.0, 2.0, 20000) for _ in range(3))
     alpha = rng.uniform(0.5, 1.9, 20000)
     kinks = np.column_stack([np.ones(20000), (rx / rxy) ** alpha, (ry / rxy) ** alpha])
-    edges, failure = quadrature._seed_edges(kinks)
-    assert failure is None
+    edges = quadrature._seed_edges(kinks)
     assert edges.tobytes() == _edges_row_by_row(kinks)[0].tobytes()
 
 
@@ -461,10 +463,11 @@ def test_bad_kink_names_the_lowest_bad_row(kinks, data):
     for _ in range(data.draw(st.integers(min_value=1, max_value=3))):
         row = data.draw(st.integers(min_value=0, max_value=m - 1))
         kinks[row, data.draw(st.integers(min_value=0, max_value=k - 1))] = data.draw(bad_kinks)
-    edges, failure = quadrature._seed_edges(kinks)
-    reference, expected = _edges_row_by_row(kinks)
-    assert type(failure) is DomainError and str(failure) == str(expected)
-    assert edges.tobytes() == reference.tobytes()  # the rows before it, bitwise
+    _, expected = _edges_row_by_row(kinks)
+    with pytest.raises(DomainError) as seeded:
+        quadrature._seed_edges(kinks)
+    assert str(seeded.value) == str(expected)
+    # The whole batch is checked before the integrand is first called.
     with pytest.raises(DomainError) as raised:
-        integrate_semiinfinite(_scaled_exponential, 1e-10, kinks=kinks, args=(1.0,))
+        integrate_semiinfinite(_never_called, 1e-10, kinks=kinks, args=(1.0,))
     assert str(raised.value) == str(expected)
