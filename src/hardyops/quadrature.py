@@ -338,18 +338,32 @@ def riesz_time_integral(s: float, q: KernelTriple, params: HardyParams):
                        (len(geometries), 3))
     half_s = 0.5 * s
 
+    # Each integral is taken of the integrand divided by e^sigma, its peak
+    # above 1, so that RIESZ_TOL is absolute for peaks up to 1 and relative
+    # to the peak above: an absolute 1e-9 lies below the rounding floor of
+    # a large integral, which then never converges.  The integrand's log in
+    # u = ln t (times t, for dt/t = du) is piecewise linear and falls off at
+    # both ends, so it peaks at a kink.
+    lx, ly = np.array(lcx), np.array(lcy)
+    u = np.stack([np.zeros_like(lx), -alpha * lx, -alpha * ly])
+    at_kinks = (half_s * u + np.minimum(0.0, (-d / alpha - 1.0) * u)
+                + delta * (np.maximum(0.0, lx + u / alpha) + np.maximum(0.0, ly + u / alpha)))
+    sigma = at_kinks.max(axis=0, initial=0.0).tolist()
+
     # Assembled in log space: the factored powers can overflow near the
     # probing tails even though the product is tiny there.
-    def integrand(t, lcx, lcy):
+    def integrand(t, lcx, lcy, sigma):
         lt = np.log(t)
+        lu = lt / alpha
         le = (half_s - 1.0) * lt + np.minimum(0.0, (-d / alpha - 1.0) * lt)
-        le = le + delta * np.maximum(0.0, lcx + lt / alpha)
-        le = le + delta * np.maximum(0.0, lcy + lt / alpha)
-        return np.exp(le)
+        le = le + delta * np.maximum(0.0, lcx + lu)
+        le = le + delta * np.maximum(0.0, lcy + lu)
+        return np.exp(le - sigma)
 
-    res = integrate_semiinfinite(integrand, RIESZ_TOL, kinks=kinks, args=(lcx, lcy))
-    values = [z ** (0.5 * alpha * s - d) * v
-              for (_, _, z), v in zip(geometries, res.value.tolist())]
+    res = integrate_semiinfinite(integrand, RIESZ_TOL, kinks=kinks, args=(lcx, lcy, sigma))
+    # Scaled back in Python floats; sigma = 0 leaves a value bit for bit unscaled.
+    values = [z ** (0.5 * alpha * s - d) * v * math.exp(peak)
+              for (_, _, z), v, peak in zip(geometries, res.value.tolist(), sigma)]
     return _value(np.reshape(values, shape))
 
 

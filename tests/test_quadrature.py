@@ -299,7 +299,8 @@ def test_riesz_check_equals_a_loop_of_scalar_integrals(d, alpha, u, share, seed)
 
 def _time_integral_by_quad(s, rx, ry, rxy, params):
     """I of riesz_time_integral by QUADPACK in u = ln t, split at the kinks;
-    returns the value and QUADPACK's error estimate."""
+    returns the value, QUADPACK's error estimate and the scale of
+    ``RIESZ_TOL``: 1, or the integrand's peak (at a kink) where above 1."""
     d, alpha, delta = params.d, params.alpha, params.delta
     lcx, lcy = math.log(rxy / rx), math.log(rxy / ry)
 
@@ -310,7 +311,8 @@ def _time_integral_by_quad(s, rx, ry, rxy, params):
     edges = [-math.inf, *sorted({0.0, -alpha * lcx, -alpha * lcy}), math.inf]
     pieces = [sp_integrate.quad(integrand, a, b, epsabs=1e-13, epsrel=1e-13, limit=200)
               for a, b in zip(edges[:-1], edges[1:])]
-    return sum(v for v, _ in pieces), sum(e for _, e in pieces)
+    peak = max(1.0, *map(integrand, edges[1:-1]))
+    return sum(v for v, _ in pieces), sum(e for _, e in pieces), peak
 
 
 @settings(max_examples=25, deadline=None)
@@ -320,9 +322,9 @@ def test_batched_riesz_integrals_match_scipy_quad(d, alpha, u, share, batch):
     rx, ry, rxy = _lengths(batch)
     values = riesz_time_integral(s, _array_triple(rx, ry, rxy), params)
     for value, lengths in zip(values, zip(rx, ry, rxy)):
-        reference, quad_error = _time_integral_by_quad(s, *lengths, params)
+        reference, quad_error, peak = _time_integral_by_quad(s, *lengths, params)
         time_integral = value / lengths[2] ** (0.5 * params.alpha * s - params.d)
-        assert abs(time_integral - reference) <= RIESZ_TOL + quad_error
+        assert abs(time_integral - reference) <= RIESZ_TOL * peak + quad_error
 
 
 def test_single_integral_is_a_batch_of_one():
@@ -342,13 +344,29 @@ def test_single_integral_is_a_batch_of_one():
 # failures in a batch
 
 
-def test_riesz_budget_reproducer_still_exits_three(capsys):
-    rc = main([
-        "riesz-verify", "--d=5", "--alpha=1.1975915514046693", "--a=-1.6356399056289268",
-        "--s=0.7868220546998024,2.478680856865038,1.916793778594522", "--seed=716877914",
-    ])
-    assert rc == 3
-    assert "refinement budget exhausted" in capsys.readouterr().err
+def test_riesz_integrals_near_a_star_converge_to_quad(capsys):
+    # Near a_star at d = 5 (delta about 1.6) some time integrals reach 1e7,
+    # where an absolute 1e-9 lies below the G7K15 rounding floor: this draw
+    # once exhausted the refinement budget and exited 3.
+    recorded = []
+
+    def spy(s, q, params):
+        recorded.append((s, q, params, riesz_time_integral(s, q, params)))
+        return recorded[-1][-1]
+
+    with mock.patch.object(verify, "riesz_time_integral", spy):
+        rc = main([
+            "riesz-verify", "--d=5", "--alpha=1.1975915514046693", "--a=-1.6356399056289268",
+            "--s=0.7868220546998024,2.478680856865038,1.916793778594522", "--seed=716877914",
+        ])
+    assert rc in (0, 2), capsys.readouterr().err
+    assert len(recorded) == 3
+    for s, q, params, values in recorded:
+        for value, lengths in zip(values.tolist(), zip(q.rx.tolist(), q.ry.tolist(),
+                                                       q.rxy.tolist())):
+            reference, _, _ = _time_integral_by_quad(s, *lengths, params)
+            time_integral = value / lengths[2] ** (0.5 * params.alpha * s - params.d)
+            assert time_integral == pytest.approx(reference, rel=1e-8)
 
 
 def _alone_error(f, c, kinks):
