@@ -497,14 +497,17 @@ def _top_eigenvalue(matvec, n: int) -> float:
     return theta if theta > 0.0 else 0.0
 
 
-def _generalized_rung_value(op, params: HardyParams, s: float) -> float:
-    grid = op.grid
-    lam = op.eigenvalues
+def _kept_modes(lam: np.ndarray) -> np.ndarray:
     # Exclude the numerically-zero subspace: at the critical coupling the
     # construction carries an exact kernel vector whose eigenvalue lands
     # at rounding level, far below any genuine excited level.
-    cut = 1e-15 * float(lam.max())
-    keep = lam > cut
+    return lam > 1e-15 * float(lam.max())
+
+
+def _generalized_rung_value(op, params: HardyParams, s: float) -> float:
+    grid = op.grid
+    lam = op.eigenvalues
+    keep = _kept_modes(lam)
     row_scale = np.sqrt(grid.weights) * grid.nodes ** (-0.5 * params.alpha * s)
     y_mat = op.modes[:, keep]
     y_mat *= row_scale[:, None]
@@ -549,6 +552,12 @@ def generalized_hardy_constant(
     measure the constant on a subspace that lacks part of the physical
     spectrum.
 
+    The guard: a rung that cuts more eigenvalues than the exact kernel
+    vector (one at ``a == a_star``, none otherwise) measures the constant
+    on part of the spectrum only.  A ladder with such a rung does not pass:
+    its ``pass`` becomes ``fail``, and a note names the rungs and their
+    cut counts.
+
     The rungs' Hardy eigensystems are kept in a one-slot memo keyed by
     ``(params, n_refinements + 1, r_min, r_max, grid_n)``
     and shared with :func:`reverse_hardy_constant`.  The slot holds
@@ -561,8 +570,19 @@ def generalized_hardy_constant(
         rungs = _hardy_rungs(params, n_rungs, r_min, r_max, grid_n)
         return [_generalized_rung_value(op, params, s) for op in rungs]
 
-    return _ladder_report("generalized_hardy_constant", params, s, n_refinements,
-                          r_min, r_max, grid_n, values)
+    report = _ladder_report("generalized_hardy_constant", params, s, n_refinements,
+                            r_min, r_max, grid_n, values)
+    allowed = 1 if params.a == params.a_star else 0
+    rungs = _hardy_rungs(params, n_refinements + 1, r_min, r_max, grid_n)
+    cuts = [int(np.count_nonzero(~_kept_modes(op.eigenvalues))) for op in rungs]
+    over = [(k, c) for k, c in enumerate(cuts) if c > allowed]
+    if not over:
+        return report
+    note = (f"untrusted: rungs {', '.join(str(k) for k, _ in over)} cut "
+            f"{', '.join(str(c) for _, c in over)} eigenvalues at or below 1e-15 of the "
+            f"spectral radius, {allowed} allowed")
+    return replace(report, verdict="fail" if report.verdict == "pass" else report.verdict,
+                   notes=report.notes + (note,))
 
 
 def _sym_power_matrix(op, s: float) -> np.ndarray:

@@ -16,6 +16,7 @@ from hardyops import (
     build_log_grid,
     difference_envelope_check,
     generalized_hardy_constant,
+    hardy_constant,
     heat_sandwich_check,
     make_params,
     norm_ratio_sweep,
@@ -160,6 +161,16 @@ def test_generalized_hardy_zero_coupling_recovers_sharp_constant():
     rep = generalized_hardy_constant(params, 1.0, n_refinements=1, grid_n=512)
     assert rep.verdict == "pass"
     assert rep.empirical_upper == pytest.approx(math.sqrt(math.pi / 2.0), rel=1e-10)
+
+
+def test_generalized_ladder_that_cuts_physical_spectrum_does_not_pass():
+    # Above the threshold (s = 1.18 here) the ladder should grow, but at
+    # alpha = 1.9 the deep rungs cut hundreds of eigenvalues as rounding
+    # zeros and read a flat 67.4, 63.6, 63.4, 64.2.
+    params = make_params(3, 1.9, -0.9 * hardy_constant(3, 1.9))
+    rep = generalized_hardy_constant(params, 1.43)
+    assert rep.verdict == "fail"
+    assert rep.notes[-1].startswith("untrusted: rungs 0, 1, 2, 3 cut ")
 
 
 def test_generalized_hardy_validation(params_zero):
