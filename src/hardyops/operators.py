@@ -186,10 +186,14 @@ def _chord_power_integrals(xm: np.ndarray, width: float, e_pow: float,
     hi_end = lo_end + width
     c_left = 2.0 * lo_end
     c_right = 0.5 * hi_end
+    # Near xi ~ xm the factors xi^-e_pow and (xi - xm)^beta can over- and
+    # underflow although their product is moderate, so the left panel takes
+    # xm^(beta + 1 - e_pow) out in one power (xi / xm = 1.5 + xl / 2 there),
+    # and the doubling panels take (1 - xm / xi)^beta xi^(beta - e_pow).
     xl, wl = gauss_jacobi(_CHORD_GJ_NODES, 0.0, beta)
     xi = lo_end + (c_left - lo_end) * 0.5 * (1.0 + xl)
-    left = (0.5 * (c_left - lo_end)) ** (beta + 1.0) * (
-        ((hi_end - xi) ** beta * xi**-e_pow) @ wl[:, None]
+    left = 0.5 ** (beta + 1.0) * lo_end ** (beta + 1.0 - e_pow) * (
+        ((hi_end - xi) ** beta * (1.5 + 0.5 * xl) ** -e_pow) @ wl[:, None]
     )
     xr, wr = gauss_jacobi(_CHORD_GJ_NODES, beta, 0.0)
     xi = c_right + (hi_end - c_right) * 0.5 * (1.0 + xr)
@@ -201,7 +205,8 @@ def _chord_power_integrals(xm: np.ndarray, width: float, e_pow: float,
     lo = np.minimum(c_left * 2.0 ** np.arange(n_panels), c_right)
     hi = np.minimum(2.0 * lo, c_right)
     xi = lo[..., None] + (hi - lo)[..., None] * 0.5 * (1.0 + xg)
-    vals = (xi - lo_end[..., None]) ** beta * (hi_end[..., None] - xi) ** beta * xi**-e_pow
+    vals = ((1.0 - lo_end[..., None] / xi) ** beta * (hi_end[..., None] - xi) ** beta
+            * xi ** (beta - e_pow))
     panels = 0.5 * (hi - lo) * (vals @ wg)
     out[~sym] = (left + right)[:, 0] + panels.sum(axis=1)
     return out

@@ -384,6 +384,23 @@ def test_jump_profile_rejects_bad_input(s, d, alpha):
             jump_profile(s, d, alpha)
 
 
+def test_jump_profile_scales_down_to_tiny_separations():
+    # kappa ~ s^(-1-alpha) near zero: at s = 1e-46 it is about 6e133, finite,
+    # though xi^-e_pow alone overflows there on the chord panels.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        tiny = jump_profile(1e-46, 5, 1.9)
+    assert math.isfinite(tiny)
+    assert tiny == pytest.approx(jump_profile(1e-40, 5, 1.9) * 1e-6**-2.9, rel=1e-6)
+
+
+@pytest.mark.parametrize("d", [150, 200])
+def test_jump_profile_in_high_dimensions_at_the_default_step(d):
+    h = math.log(1e6) / 1023
+    kappa = jump_profile(h * np.arange(1, 9), d, 1.0)
+    assert np.all(np.isfinite(kappa) & (kappa > 0.0))
+
+
 @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
 @pytest.mark.parametrize("d", [2, 4, 5])
 @pytest.mark.parametrize("alpha", [0.5, 1.9])
