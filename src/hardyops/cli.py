@@ -704,10 +704,10 @@ _register(
 _register(
     "sweep", _cmd_sweep,
     ("d", "alpha", "a", "s", "family", "sigma", "eps",
-     "grid_n", "r_min", "r_max", "seed", "tol"),
+     "grid_n", "r_min", "r_max", "tol"),
     ("d", "alpha"),
     {"a": 0.0, "s": (0.5, 1.0, 1.5), "family": "gaussian-dilates",
-     **_DEFAULT_BOX, "seed": 0, "tol": 1e3},
+     **_DEFAULT_BOX, "tol": 1e3},
     verify.SWEEP_COLUMNS,
     "sweep norm-equivalence ratios over a test family and a list of powers",
 )

@@ -144,7 +144,7 @@ def test_sweep_rejects_bad_eps(capsys):
 
 def test_sweep_byte_identical_reruns(capsys, tmp_path):
     args = ["sweep", "--d", "3", "--alpha", "1", "--a", CRITICAL,
-            "--s", "0.5", "--grid-n", "256", "--seed", "7"]
+            "--s", "0.5", "--grid-n", "256"]
     p1 = tmp_path / "one.csv"
     p2 = tmp_path / "two.csv"
     assert main(args + ["--out-csv", str(p1)]) == 0
@@ -152,6 +152,18 @@ def test_sweep_byte_identical_reruns(capsys, tmp_path):
     assert main(args + ["--out-csv", str(p2)]) == 0
     capsys.readouterr()
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def test_sweep_has_no_seed(capsys, tmp_path):
+    # A sweep draws nothing at random, so a seed would only echo in its config.
+    args = ["sweep", "--d", "3", "--alpha", "1", "--s", "0.5", "--grid-n", "256"]
+    rc, _, err = run(capsys, *args, "--seed", "7")
+    assert rc == 1
+    assert "--seed" in err
+    out_json = tmp_path / "sweep.json"
+    rc, _, _ = run(capsys, *args, "--out-json", str(out_json))
+    assert rc == 0
+    assert "seed" not in json.loads(out_json.read_text())["config"]
 
 
 def test_sweep_rejects_a_bad_power_before_any_row(capsys, tmp_path):
