@@ -575,11 +575,11 @@ def generalized_hardy_constant(
     allowed = 1 if params.a == params.a_star else 0
     rungs = _hardy_rungs(params, n_refinements + 1, r_min, r_max, grid_n)
     cuts = [int(np.count_nonzero(~_kept_modes(op.eigenvalues))) for op in rungs]
-    over = [(k, c) for k, c in enumerate(cuts) if c > allowed]
+    over = {k: c for k, c in enumerate(cuts) if c > allowed}
     if not over:
         return report
-    note = (f"untrusted: rungs {', '.join(str(k) for k, _ in over)} cut "
-            f"{', '.join(str(c) for _, c in over)} eigenvalues at or below 1e-15 of the "
+    note = (f"untrusted: rungs {', '.join(map(str, over))} cut "
+            f"{', '.join(map(str, over.values()))} eigenvalues at or below 1e-15 of the "
             f"spectral radius, {allowed} allowed")
     return replace(report, verdict="fail" if report.verdict == "pass" else report.verdict,
                    notes=report.notes + (note,))
