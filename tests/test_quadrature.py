@@ -345,7 +345,7 @@ def test_single_integral_is_a_batch_of_one():
 
 
 def test_riesz_integrals_near_a_star_converge_to_quad(capsys):
-    # Near a_star at d = 5 (delta about 1.6) some time integrals reach 1e7,
+    # Near a_star at d = 5 (delta about 1.5) some time integrals reach 6e5,
     # where an absolute 1e-9 lies below the G7K15 rounding floor: this draw
     # once exhausted the refinement budget and exited 3.
     recorded = []
