@@ -54,6 +54,7 @@ from .verify import (
     VerificationReport,
     difference_envelope_check,
     generalized_hardy_constant,
+    heat_sandwich_by_time,
     heat_sandwich_check,
     norm_ratio_sweep,
     reverse_hardy_constant,

@@ -375,10 +375,9 @@ def _cmd_riesz_verify(cfg: dict, em: _Emitter) -> None:
 def _cmd_heat_verify(cfg: dict, em: _Emitter) -> None:
     params = make_params(cfg["d"], cfg["alpha"], cfg["a"])
     grid = build_log_grid(params.d, cfg["r_min"], cfg["r_max"], cfg["grid_n"])
-    for t in cfg["t"]:
-        report = verify.heat_sandwich_check(
-            params, [t], grid=grid, seed=cfg["seed"], band_bound=cfg["tol"]
-        )
+    reports = verify.heat_sandwich_by_time(params, cfg["t"], grid=grid, seed=cfg["seed"],
+                                           band_bound=cfg["tol"])
+    for t, report in zip(cfg["t"], reports):
         lo, hi = report.empirical_lower, report.empirical_upper
         em.check(report, f"t={t:g}: kernel/profile band [{lo:.6g}, {hi:.6g}]",
                  (params.d, params.alpha, params.a, params.delta, t, lo, hi))

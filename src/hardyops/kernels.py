@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -321,12 +320,6 @@ def m_envelope(t: float, q: KernelTriple, params: HardyParams):
 ANGULAR_NODES = 48  # Gauss-Jacobi nodes of every angular average
 
 
-@lru_cache(maxsize=64)
-def _jacobi_rule(n: int, beta: float):
-    x, w = gauss_jacobi(n, beta, beta)
-    return x, w, float(np.sum(w))
-
-
 def angular_average(fn, rx, ry, d: int):
     """Average fn(|x-y|) over the sphere angle between x and y.
 
@@ -350,7 +343,7 @@ def angular_average(fn, rx, ry, d: int):
     # At a vanishing radius every distance is |rx - ry|: read one of them.
     point = width <= 1e-300
     width = np.where(point, 0.0, width)
-    x, w, wsum = _jacobi_rule(ANGULAR_NODES, 0.5 * (d - 3))
+    x, w = gauss_jacobi(ANGULAR_NODES, 0.5 * (d - 3), 0.5 * (d - 3))
     chords = np.sqrt(xi_min[..., None] + width[..., None] * 0.5 * (1.0 + x))
     vals = np.broadcast_to(np.asarray(fn(chords), dtype=float), chords.shape)
-    return _value(np.where(point, vals[..., 0], vals @ w / wsum))
+    return _value(np.where(point, vals[..., 0], vals @ w / np.sum(w)))

@@ -38,7 +38,7 @@ graded Gauss-Jacobi panels otherwise.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -83,15 +83,12 @@ class RadialGrid:
 
     weights[i] approximates the volume element |S^{d-1}| r^{d-1} dr around
     node i, so sum(f**2 * weights) is the squared L^2 norm of the radial
-    function f.  The private cache holds eigensystems only, keyed by
-    (alpha, coupling); no assembled matrix is kept.  It never affects
-    equality.
+    function f.
     """
 
     d: int
     nodes: np.ndarray
     weights: np.ndarray
-    _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def n(self) -> int:
@@ -384,50 +381,35 @@ class SpectralOperator:
 
 
 def _finalize_eigensystem(grid: RadialGrid, alpha: float, coupling: Optional[float],
-                          label: str, diagonal: Optional[np.ndarray] = None,
-                          cache_key=None) -> SpectralOperator:
-    """Eigensystem of the free matrix plus an optional diagonal, looked up
-    in the grid cache before anything is assembled.
+                          label: str, diagonal: Optional[np.ndarray] = None) -> SpectralOperator:
+    """Eigensystem of the free matrix plus an optional diagonal.
 
     Each build assembles the free matrix afresh and adds the diagonal in
-    place; no assembled matrix outlives the build.
+    place; no assembled matrix outlives the build, and the eigensystem
+    lives exactly as long as the returned operator.
     """
-    if cache_key is not None and cache_key in grid._cache:
-        lam, modes = grid._cache[cache_key]
-    else:
-        s_mat = _symmetric_free_matrix(grid, alpha)
-        if diagonal is not None:
-            s_mat.flat[:: grid.n + 1] += diagonal
-        lam, modes = np.linalg.eigh(s_mat)
-        spec_radius = float(max(abs(lam[0]), abs(lam[-1])))
-        tol_neg = 1e-8 * spec_radius
-        if lam[0] < -tol_neg:
-            raise ConstructionError(
-                f"{label}: smallest eigenvalue {lam[0]:.6e} is negative "
-                f"beyond the tolerance {tol_neg:.2e}; the continuum "
-                f"operator this represents would not be semibounded here"
-            )
-        lam = np.maximum(lam, 0.0)
-        modes /= np.sqrt(grid.weights)[:, None]
-        if cache_key is not None:
-            grid._cache[cache_key] = (lam, modes)
-    return SpectralOperator(
-        grid=grid,
-        alpha=alpha,
-        coupling=coupling,
-        eigenvalues=lam,
-        modes=modes,
-        label=label,
-    )
+    s_mat = _symmetric_free_matrix(grid, alpha)
+    if diagonal is not None:
+        s_mat.flat[:: grid.n + 1] += diagonal
+    lam, modes = np.linalg.eigh(s_mat)
+    spec_radius = float(max(abs(lam[0]), abs(lam[-1])))
+    tol_neg = 1e-8 * spec_radius
+    if lam[0] < -tol_neg:
+        raise ConstructionError(
+            f"{label}: smallest eigenvalue {lam[0]:.6e} is negative "
+            f"beyond the tolerance {tol_neg:.2e}; the continuum "
+            f"operator this represents would not be semibounded here"
+        )
+    lam = np.maximum(lam, 0.0)
+    modes /= np.sqrt(grid.weights)[:, None]
+    return SpectralOperator(grid=grid, alpha=alpha, coupling=coupling, eigenvalues=lam,
+                            modes=modes, label=label)
 
 
 def build_fractional_laplacian(grid: RadialGrid, alpha: float) -> SpectralOperator:
     """Discrete |p|^alpha restricted to radial functions on the grid."""
-    return _finalize_eigensystem(
-        grid, float(alpha), 0.0,
-        label=f"fractional_laplacian(alpha={alpha})",
-        cache_key=("eig", float(alpha), 0.0),
-    )
+    return _finalize_eigensystem(grid, float(alpha), 0.0,
+                                 label=f"fractional_laplacian(alpha={alpha})")
 
 
 def build_hardy_operator(grid: RadialGrid, params: HardyParams) -> SpectralOperator:
@@ -447,7 +429,6 @@ def build_hardy_operator(grid: RadialGrid, params: HardyParams) -> SpectralOpera
         grid, params.alpha, params.a,
         label=f"hardy_operator(alpha={params.alpha}, a={params.a})",
         diagonal=params.a * grid.nodes**-params.alpha,
-        cache_key=("eig", float(params.alpha), float(params.a)),
     )
 
 

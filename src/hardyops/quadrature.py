@@ -313,8 +313,11 @@ def riesz_time_integral(s: float, q: KernelTriple, params: HardyParams):
     ``integrate_semiinfinite`` call; each value is bit for bit that of
     its geometry alone.  Every length is checked before any integral
     starts, and the DomainError names the lowest (in flat order) geometry
-    with a non-positive one; a failure during integration is that of the
-    lowest-index geometry that fails.
+    with a non-positive one.  So does the DomainError for the lowest
+    geometry whose scale factor |x-y|^{alpha s/2 - d} or peak factor
+    overflows a double, also raised before any integral starts.  A
+    failure during integration is that of the lowest-index geometry that
+    fails.
     """
     s = float(s)
     smax = riesz_exponent_window(params)
@@ -360,10 +363,19 @@ def riesz_time_integral(s: float, q: KernelTriple, params: HardyParams):
         le = le + delta * np.maximum(0.0, lcy + lu)
         return np.exp(le - sigma)
 
+    # The value is scaled back in Python floats, whose powers raise
+    # OverflowError where numpy's would give inf; sigma = 0 leaves a value
+    # bit for bit unscaled.  The factors are formed before any integral.
+    factors = []
+    for geometry, peak in zip(geometries, sigma):
+        try:
+            factors.append((geometry[2] ** (0.5 * alpha * s - d), math.exp(peak)))
+        except OverflowError:
+            raise DomainError(f"riesz_time_integral overflows double precision at "
+                              f"{geometry}, index {len(factors)}") from None
     res = integrate_semiinfinite(integrand, RIESZ_TOL, kinks=kinks, args=(lcx, lcy, sigma))
-    # Scaled back in Python floats; sigma = 0 leaves a value bit for bit unscaled.
-    values = [z ** (0.5 * alpha * s - d) * v * math.exp(peak)
-              for (_, _, z), v, peak in zip(geometries, res.value.tolist(), sigma)]
+    values = [prefactor * v * scale
+              for (prefactor, scale), v in zip(factors, res.value.tolist())]
     return _value(np.reshape(values, shape))
 
 

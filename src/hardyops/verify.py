@@ -168,7 +168,9 @@ class TestFamily:
                 yield f"center={center:.6g}", np.exp(-(arg * arg) / (2.0 * 0.35**2))
 
 
-def _default_grid(params: HardyParams) -> RadialGrid:
+def _grid_or_default(grid: Optional[RadialGrid], params: HardyParams) -> RadialGrid:
+    if grid is not None:
+        return grid
     return build_log_grid(params.d, DEFAULT_R_MIN, DEFAULT_R_MAX, DEFAULT_GRID_N)
 
 
@@ -183,16 +185,6 @@ def _report_params(params: HardyParams, grid: Optional[RadialGrid] = None, **ext
         out.update({"grid_n": grid.n, "r_min": grid.r_min, "r_max": grid.r_max})
     out.update(extra)
     return out
-
-
-def _private_grid(grid: RadialGrid) -> RadialGrid:
-    """The grid's nodes and weights, shared, with an empty cache of its own.
-
-    An operator built on it caches its eigensystem there, so the
-    eigensystem is released with the operator and nothing lands in the
-    cache of ``grid``.
-    """
-    return RadialGrid(grid.d, grid.nodes, grid.weights)
 
 
 def _weighted_coeffs(op, vec: np.ndarray) -> np.ndarray:
@@ -213,19 +205,28 @@ def _power_norm(lam: np.ndarray, c: np.ndarray, s: float) -> float:
 # norm-equivalence sweep
 
 
-def _rows_by_power(params, s_values, family, grid) -> tuple:
-    """``(blocks, notes)``: the per-member ratio rows of each s, one list
-    per s in the order of ``s_values``.
+def _rows_by_power(params, s_values, family, grid, pass_bound) -> tuple:
+    """``(s_list, grid, blocks, notes)``: the powers as floats and the grid
+    (the default one for None), with every power and ``pass_bound``
+    checked before any operator is built, and the per-member ratio rows
+    of each s, one list per s in the order of ``s_values``.
 
     Each row is a dict keyed exactly by ``SWEEP_COLUMNS``.  Degenerate
     members (zero or non-finite weighted norm on the grid) are skipped
     and recorded in ``notes``.
 
-    The free and the coupled operator are built one at a time, each on a
-    private copy of ``grid``: the members' weighted coefficients and the
-    eigenvalues are kept, and the modes are released before the next
-    build.  The cache of ``grid`` stays as it was.
+    The free and the coupled operator are built one at a time: the
+    members' weighted coefficients and the eigenvalues are kept, and the
+    modes are released before the next build.
     """
+    s_list = [float(s) for s in s_values]
+    if not s_list:
+        raise DomainError("need at least one s value")
+    for s in s_list:
+        if not (0.0 < s <= 2.0):
+            raise DomainError(f"s={s} outside (0, 2]")
+    _check_pass_bound(pass_bound)
+    grid = _grid_or_default(grid, params)
     notes: list = []
     members = []
     for member_id, vec in family.members(grid, delta=params.delta):
@@ -238,32 +239,21 @@ def _rows_by_power(params, s_values, family, grid) -> tuple:
     def spectral_data(op) -> tuple:
         return op.eigenvalues, [_weighted_coeffs(op, vec) for _, vec in members]
 
-    lam_free, coeffs_free = spectral_data(build_fractional_laplacian(_private_grid(grid), params.alpha))
-    lam_full, coeffs_full = spectral_data(build_hardy_operator(_private_grid(grid), params))
+    lam_free, coeffs_free = spectral_data(build_fractional_laplacian(grid, params.alpha))
+    lam_full, coeffs_full = spectral_data(build_hardy_operator(grid, params))
     blocks = []
-    for s in s_values:
-        s = float(s)
+    for s in s_list:
         rows = []
         for (member_id, _), c_free, c_full in zip(members, coeffs_free, coeffs_full):
             norm_free = _power_norm(lam_free, c_free, s)
             norm_full = _power_norm(lam_full, c_full, s)
             forward = norm_free / norm_full if norm_full > 0.0 else math.inf
             backward = norm_full / norm_free if norm_free > 0.0 else math.inf
-            rows.append(
-                {
-                    "d": params.d,
-                    "alpha": params.alpha,
-                    "a": params.a,
-                    "delta": params.delta,
-                    "s": s,
-                    "family": family.tag,
-                    "member_id": member_id,
-                    "ratio_forward": forward,
-                    "ratio_backward": backward,
-                }
-            )
+            rows.append(dict(zip(SWEEP_COLUMNS, (
+                params.d, params.alpha, params.a, params.delta, s, family.tag, member_id,
+                forward, backward))))
         blocks.append(rows)
-    return blocks, notes
+    return s_list, grid, blocks, notes
 
 
 def norm_ratio_sweep(
@@ -283,10 +273,7 @@ def norm_ratio_sweep(
     and last member; absence of that growth is reported as a failure since
     the family then certifies nothing.
     """
-    s_list = _sweep_powers(s_values)
-    if grid is None:
-        grid = _default_grid(params)
-    blocks, notes = _rows_by_power(params, s_list, family, grid)
+    s_list, grid, blocks, notes = _rows_by_power(params, s_values, family, grid, pass_bound)
     rows = [row for block in blocks for row in block]
     return _sweep_verdict(params, s_list, family, grid, rows, notes, pass_bound)
 
@@ -305,10 +292,7 @@ def sweep_by_power(
     and for each s the report ``norm_ratio_sweep(params, [s], ...)``
     gives.  Each power norm is computed once, and every s is checked
     before any norm is computed."""
-    s_list = _sweep_powers(s_values)
-    if grid is None:
-        grid = _default_grid(params)
-    blocks, notes = _rows_by_power(params, s_list, family, grid)
+    s_list, grid, blocks, notes = _rows_by_power(params, s_values, family, grid, pass_bound)
     reports = [
         _sweep_verdict(params, [s], family, grid, block, notes, pass_bound)
         for s, block in zip(s_list, blocks)
@@ -316,14 +300,11 @@ def sweep_by_power(
     return [row for block in blocks for row in block], notes, reports
 
 
-def _sweep_powers(s_values: Sequence[float]) -> list:
-    s_list = [float(s) for s in s_values]
-    if not s_list:
-        raise DomainError("need at least one s value")
-    for s in s_list:
-        if not (0.0 < s <= 2.0):
-            raise DomainError(f"s={s} outside (0, 2]")
-    return s_list
+def _check_pass_bound(pass_bound: float) -> None:
+    # Ratios are positive, so a bound of 0 or below never passes, and a NaN
+    # bound would pass every ratio: no comparison with NaN is true.
+    if not pass_bound > 0.0:
+        raise DomainError(f"pass_bound must be positive, got {pass_bound!r}")
 
 
 def _sweep_verdict(params, s_list, family, grid, rows, notes, pass_bound):
@@ -409,8 +390,7 @@ def _ladder_report(check_name: str, params: HardyParams, s: float, n_refinements
     s = float(s)
     if not (0.0 < s <= 2.0):
         raise DomainError(f"s={s} outside (0, 2]")
-    if n_refinements < 1:
-        raise DomainError("need at least one refinement")
+    _check_count("n_refinements", n_refinements)
     values = rung_values(s, n_refinements + 1)
     return VerificationReport(
         check_name=check_name,
@@ -601,7 +581,7 @@ def _reverse_rung_value(full, params: HardyParams, s: float) -> float:
     if params.a == 0.0:
         free = full
     else:
-        free = build_fractional_laplacian(_private_grid(grid), params.alpha)
+        free = build_fractional_laplacian(grid, params.alpha)
     right = grid.nodes ** (0.5 * params.alpha * s)
     diff_mat = _sym_power_matrix(full, s)
     diff_mat -= _sym_power_matrix(free, s)
@@ -636,7 +616,7 @@ def reverse_hardy_constant(
     The Hardy eigensystems L come from the same one-slot memo as
     :func:`generalized_hardy_constant`, so after that function on the same
     parameters and ladder only the free eigensystem T is computed per
-    rung, on a grid of its own that is released with the rung.  At zero
+    rung, and released with the rung.  At zero
     coupling the Hardy rung serves as T, which makes the ladder exactly
     zero.  The s = 2 case builds no eigensystem and leaves the memo alone.
     """
@@ -693,9 +673,11 @@ def _interior_pairs(rng: np.random.Generator, n: int, count: int) -> np.ndarray:
     return rng.integers(lo, hi, size=(count, 2))
 
 
-def _check_sample_pairs(count) -> None:
-    if not isinstance(count, int) or isinstance(count, bool) or count < 1:
-        raise DomainError(f"sample_pairs must be a positive integer, got {count!r}")
+def _check_count(name: str, count, least: int = 1) -> None:
+    # Python ints only: a float or a bool would fail later as a TypeError
+    # or count as 0 or 1.
+    if not isinstance(count, int) or isinstance(count, bool) or count < least:
+        raise DomainError(f"{name} must be an integer >= {least}, got {count!r}")
 
 
 def _pair_average(profile, t: float, params: HardyParams, rx: np.ndarray,
@@ -741,13 +723,48 @@ def heat_sandwich_check(
     zero coupling at alpha = 1, where the exact Poisson kernel is
     available and the ratio band hugs 1.
     """
-    _check_sample_pairs(sample_pairs)
+    _check_count("sample_pairs", sample_pairs)
     _check_band_bound(band_bound)
-    if grid is None:
-        grid = _default_grid(params)
+    grid = _grid_or_default(grid, params)
     notes: list = []
     times = _admissible_times(grid, params.alpha, t_values, notes)
-    op = build_hardy_operator(grid, params)
+    return _heat_report(build_hardy_operator(grid, params), params, times, sample_pairs,
+                        seed, band_bound, notes)
+
+
+def heat_sandwich_by_time(
+    params: HardyParams,
+    t_values: Sequence[float],
+    sample_pairs: int = 200,
+    *,
+    grid: Optional[RadialGrid] = None,
+    seed: int = 0,
+    band_bound: float = 100.0,
+) -> Iterator[VerificationReport]:
+    """Yield, for each t of ``t_values`` in order, the report that
+    ``heat_sandwich_check(params, [t], ...)`` gives, from one Hardy
+    operator built at the first admissible time.  Each report is yielded
+    before the next time is looked at, so a time that check rejects
+    raises its error here after the reports of the times before it.
+    """
+    _check_count("sample_pairs", sample_pairs)
+    _check_band_bound(band_bound)
+    grid = _grid_or_default(grid, params)
+    op = None
+    for t in t_values:
+        notes: list = []
+        times = _admissible_times(grid, params.alpha, [t], notes)
+        if op is None:
+            op = build_hardy_operator(grid, params)
+        yield _heat_report(op, params, times, sample_pairs, seed, band_bound, notes)
+
+
+def _heat_report(op, params: HardyParams, times: list, sample_pairs: int, seed: int,
+                 band_bound: float, notes: list) -> VerificationReport:
+    """The :func:`heat_sandwich_check` report of ``op`` at the admissible
+    ``times``, the pairs of each time drawn in turn from one fresh
+    ``default_rng(seed)``; ``notes`` holds the notes made before."""
+    grid = op.grid
     rng = np.random.default_rng(seed)
     exact_poisson = params.a == 0.0 and params.alpha == 1.0
     ratios = []
@@ -806,23 +823,21 @@ def _difference_ratio_sup(
     finite envelope.  A pass without a usable pair raises DomainError.
 
     Every time's pairs are drawn first.  The upper operator (free, or the
-    potential one) and then the lower Hardy operator are built, each on a
-    private copy of ``grid``, and each is released once its sampled heat
-    kernel entries at every time are computed, so at most one
-    eigensystem is held at a time and the cache of ``grid`` is left as
-    it was.
+    potential one) and then the lower Hardy operator are built, and each
+    is released once its sampled heat kernel entries at every time are
+    computed, so at most one eigensystem is held at a time.
     """
     rng = np.random.default_rng(seed)
     draws = [(t, _interior_pairs(rng, grid.n, sample_pairs)) for t in times]
     if potential is None:
-        upper = _sampled_entries(build_fractional_laplacian(_private_grid(grid), params.alpha), draws)
+        upper = _sampled_entries(build_fractional_laplacian(grid, params.alpha), draws)
         expected_sign = math.copysign(1.0, params.a) if params.a != 0.0 else 0.0
     else:
         upper = _sampled_entries(
-            build_potential_operator(_private_grid(grid), params.alpha, potential), draws)
+            build_potential_operator(grid, params.alpha, potential), draws)
         # V <= a_tilde r^{-alpha} makes the potential kernel dominate
         expected_sign = 1.0
-    lower = _sampled_entries(build_hardy_operator(_private_grid(grid), subtract_params), draws)
+    lower = _sampled_entries(build_hardy_operator(grid, subtract_params), draws)
     sup_ratio = 0.0
     violation = 0.0
     n_usable = 0
@@ -869,26 +884,22 @@ def difference_envelope_check(
     with none raises DomainError.
 
     The refined pass runs first.  Each pass builds its two operators one
-    at a time on private copies of its grid and releases each eigensystem
-    before the next build, so the check holds at most one eigensystem at
-    a time and leaves the cache of ``grid`` as it was.
+    at a time and releases each eigensystem before the next build, so the
+    check holds at most one eigensystem at a time.
 
     The envelope is always evaluated with the exponent of the stronger
     (lower) coupling: the potential's difference kernel sits inside the
     gap between the two comparison kernels, and the gap's small-radius
     weight is set by the more singular of the two.
     """
-    _check_sample_pairs(sample_pairs)
-    if grid is None:
-        grid = _default_grid(params)
+    _check_count("sample_pairs", sample_pairs)
+    grid = _grid_or_default(grid, params)
     notes: list = []
     times = _admissible_times(grid, params.alpha, t_values, notes)
+    subtract_params = env_params = params
     if potential is not None:
         subtract_params = make_params(params.d, params.alpha, potential.a_tilde)
         env_params = make_params(params.d, params.alpha, potential.a)
-    else:
-        subtract_params = params
-        env_params = params
 
     if potential is None and params.a == 0.0:
         return VerificationReport(
@@ -956,8 +967,7 @@ def riesz_equivalence_check(
     convergence window is rejected there, before any integral starts.
     """
     s = float(s)
-    if n_triples < 2:
-        raise DomainError("need at least two triples")
+    _check_count("n_triples", n_triples, least=2)
     _check_band_bound(band_bound)
     # One draw for all triples, scaled as Generator.uniform scales it, so
     # the triples are bit for bit those of three uniform calls per triple;
@@ -1020,8 +1030,8 @@ def sobolev_check(
     window = d / alpha if params.a >= 0.0 else (d - 2.0 * params.delta) / alpha
     if not (0.0 < s < window):
         raise DomainError(f"s={s} outside the embedding window (0, {window:.6g})")
-    if grid is None:
-        grid = _default_grid(params)
+    _check_pass_bound(pass_bound)
+    grid = _grid_or_default(grid, params)
     q = 2.0 * d / (d - alpha * s)
     op = build_hardy_operator(grid, params)
     ratios = []

@@ -26,10 +26,9 @@ def params_half_critical():
 
 @pytest.fixture(scope="session")
 def small_grid():
-    # Two decades either side of r = 1; operators built on this grid are
-    # cached on the grid object, so sharing the fixture shares the
-    # eigendecompositions across tests.  The difference check and the
-    # sweep build on private copies and leave this cache alone.
+    # Two decades either side of r = 1.  A grid holds only nodes and
+    # weights, so tests share the grid, not its eigensystems: every
+    # operator built on it runs its own eigh.
     return build_log_grid(3, 1e-2, 1e2, 256)
 
 

@@ -1,10 +1,9 @@
 """Memory of the operator builds, and the outputs they must keep.
 
 The free matrix is assembled into one n x n buffer in blocks of rows, each
-build assembles afresh, and the grid cache holds eigensystems only.  The
-difference check and the sweep hold one eigensystem at a time and leave
-the caller's grid cache empty.  None of that may change a bit of any
-matrix, eigensystem or report.
+build assembles afresh, and an eigensystem lives exactly as long as its
+operator.  The difference check and the sweep hold one eigensystem at a
+time.  None of that may change a bit of any matrix, eigensystem or report.
 """
 
 import math
@@ -63,7 +62,6 @@ def test_each_assembly_returns_a_fresh_matrix():
     first += 1.0
     assert np.array_equal(operators._symmetric_free_matrix(grid, 1.3),
                           _whole_matrix_free_matrix(grid, 1.3))
-    assert not grid._cache
 
 
 def test_cold_hardy_build_traces_at_most_two_matrices():
@@ -83,23 +81,24 @@ def test_cold_hardy_build_traces_at_most_two_matrices():
     assert peak <= 2.2 * 8 * n * n
 
 
-def _cached_matrices(grid):
-    """Every n x n array in the grid cache, whose entries are (lam, modes)."""
-    return [a for entry in grid._cache.values() for a in entry if a.shape == (grid.n, grid.n)]
-
-
-def test_grid_cache_holds_no_matrix_but_the_modes():
+def test_no_builder_keeps_an_eigensystem_alive():
+    # The grid outlives every operator; each build computes its own
+    # eigensystem, and dropping the operator releases it.
     grid = build_log_grid(3, 1e-2, 1e2, 128)
     lower, upper = a_star(3, 1.0), 0.5 * a_star(3, 1.0)
-    ops = [
-        build_fractional_laplacian(grid, 1.0),
-        build_hardy_operator(grid, make_params(3, 1.0, upper)),
-        build_potential_operator(grid, 1.0, PotentialSpec(lambda r: upper * r**-1.0, lower, upper)),
-    ]
-    cached = _cached_matrices(grid)
-    # Free and Hardy eigensystems are cached; the potential's is not.
-    assert len(cached) == 2
-    assert all(any(a is op.modes for op in ops[:2]) for a in cached)
+    builds = (
+        lambda: build_fractional_laplacian(grid, 1.0),
+        lambda: build_hardy_operator(grid, make_params(3, 1.0, upper)),
+        lambda: build_potential_operator(grid, 1.0,
+                                         PotentialSpec(lambda r: upper * r**-1.0, lower, upper)),
+    )
+    for build in builds:
+        op, twin = build(), build()
+        assert op.modes is not twin.modes and op.eigenvalues is not twin.eigenvalues
+        assert np.array_equal(op.modes, twin.modes)
+        refs = [weakref.ref(a) for a in (op.modes, op.eigenvalues, twin.modes, twin.eigenvalues)]
+        del op, twin
+        assert all(ref() is None for ref in refs)
 
 
 _BUILDERS = ("build_fractional_laplacian", "build_hardy_operator", "build_potential_operator")
@@ -156,7 +155,6 @@ def test_difference_check_releases_the_refined_grid_before_the_base_pass(monkeyp
         assert [r_min < grid.r_min for r_min, _ in builds] == [True, True, False, False]
         assert all(modes() is None for _, modes in builds)
         assert report.samples == 32
-        assert not grid._cache
 
 
 def test_difference_check_report_is_pinned():
@@ -199,7 +197,6 @@ def test_sweep_holds_one_eigensystem_at_a_time(monkeypatch):
     assert len(builds) == 2
     assert all(modes() is None for _, modes in builds)
     assert len(rows) == 8
-    assert not grid._cache
 
 
 def _reference_power_norm(op, vec, s):

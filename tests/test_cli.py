@@ -350,6 +350,9 @@ _CONTRACT_CASES = [
     (("suite", "--quick"), 0, ["pass"] * 8),
     (("schur", "--d=-3", "--beta=1"), 1, []),
     (("schur", "--d=1", "--beta=1"), 1, []),
+    # A sweep's pass bound must be positive; --tol 0 used to fail every ratio.
+    (("sweep", "--d=3", "--alpha=1", "--a=0", "--s=1", "--grid-n=256", "--tol=0"), 1, []),
+    (("heat-verify", "--d=3", "--alpha=1", "--a=-0.3", "--t=1,1e9", "--grid-n=256"), 1, ["pass"]),
 ]
 
 

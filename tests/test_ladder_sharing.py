@@ -70,7 +70,6 @@ def test_slot_holds_only_the_latest_hardy_rungs(params_zero, params_half_critica
     assert len(rungs) == 2
     for op in rungs:
         assert op.coupling == params_half_critical.a
-        assert not any(k[0] == "free_sym" for k in op.grid._cache)
 
 
 def test_call_order_does_not_change_results(params_half_critical):

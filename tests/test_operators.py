@@ -125,13 +125,6 @@ def test_grid_dimension_mismatch_rejected(small_grid):
         build_hardy_operator(small_grid, params)
 
 
-def test_eigensystem_cached_per_grid(small_grid):
-    op1 = build_fractional_laplacian(small_grid, 1.0)
-    op2 = build_fractional_laplacian(small_grid, 1.0)
-    assert op1.eigenvalues is op2.eigenvalues
-    assert op1.modes is op2.modes
-
-
 # ---------------------------------------------------------------------------
 # semigroup
 
@@ -608,17 +601,3 @@ def test_potential_build_is_bitwise_the_dense_sum_formula():
     lam, modes = _dense_sum_eigensystem(grid, 1.0, profile(grid.nodes))
     assert np.array_equal(op.eigenvalues, lam)
     assert np.array_equal(op.modes, modes)
-
-
-def test_cached_hardy_build_assembles_nothing(params_half_critical, monkeypatch):
-    grid = build_log_grid(3, 1e-2, 1e2, 128)
-    first = build_hardy_operator(grid, params_half_critical)
-
-    def no_assembly(*args):
-        raise AssertionError("a cached eigensystem should need no matrix")
-
-    monkeypatch.setattr(operators, "_symmetric_free_matrix", no_assembly)
-    monkeypatch.setattr(operators.np.linalg, "eigh", no_assembly)
-    second = build_hardy_operator(grid, params_half_critical)
-    assert second.eigenvalues is first.eigenvalues
-    assert second.modes is first.modes

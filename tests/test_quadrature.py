@@ -417,6 +417,22 @@ def test_riesz_integrals_name_the_first_non_positive_length(params_zero):
         riesz_time_integral(1.0, triple, params_zero)
 
 
+def test_riesz_scale_overflow_is_a_domain_error_naming_its_index(monkeypatch):
+    # |x-y|^{alpha s/2 - d} = 1e637 here, past the largest double; the
+    # Python-float power used to raise a bare OverflowError.
+    params = make_params(5, 1.5, 0.9 * a_star(5, 1.5))
+    with pytest.raises(DomainError, match=r"overflows double precision at \(1e-150, 1e-150, 1e-150\), index 0"):
+        riesz_time_integral(1.0, KernelTriple(1e-150, 1e-150, 1e-150), params)
+
+    def no_integral(*args, **kwargs):
+        raise AssertionError("an integral started")
+
+    monkeypatch.setattr(quadrature, "integrate_semiinfinite", no_integral)
+    triple = _array_triple(*[[1.0, 1e-150, 1e-150]] * 3)
+    with pytest.raises(DomainError, match="index 1$"):
+        riesz_time_integral(1.0, triple, params)
+
+
 # ---------------------------------------------------------------------------
 # kink seeding: one array pass, as a row-by-row scalar loop seeds them
 

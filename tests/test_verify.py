@@ -153,6 +153,25 @@ def test_sweep_by_power_checks_every_power_before_any_norm(params_zero, small_gr
             sweep_by_power(params_zero, bad, fam, small_grid)
 
 
+@pytest.mark.parametrize("bound", [math.nan, 0.0, -1.0])
+def test_pass_bounds_must_be_positive(monkeypatch, bound):
+    # A NaN bound used to pass every ratio, since no comparison with NaN is
+    # true.  A bad bound is rejected before any operator is built.
+    def no_build(*args):
+        raise AssertionError("an operator was built")
+
+    monkeypatch.setattr(verify, "build_fractional_laplacian", no_build)
+    monkeypatch.setattr(verify, "build_hardy_operator", no_build)
+    params = make_params(3, 1.0, -0.3)
+    fam = TestFamily("gaussian-dilates")
+    grid = build_log_grid(3, 1e-2, 1e2, 128)
+    for check in (norm_ratio_sweep, sweep_by_power):
+        with pytest.raises(DomainError, match="pass_bound must be positive"):
+            check(params, [1.0, 1.9], fam, grid, pass_bound=bound)
+    with pytest.raises(DomainError, match="pass_bound must be positive"):
+        sobolev_check(params, 1.0, fam, grid, pass_bound=bound)
+
+
 # ---------------------------------------------------------------------------
 # refinement ladders
 
@@ -178,6 +197,21 @@ def test_generalized_hardy_validation(params_zero):
         generalized_hardy_constant(params_zero, 2.5)
     with pytest.raises(DomainError):
         generalized_hardy_constant(params_zero, 1.0, n_refinements=0)
+
+
+@pytest.mark.parametrize("count", [1.5, 2.5, True, 0, -2, "3", None, np.int64(3)])
+def test_counts_must_be_integers(params_zero, count):
+    # Each count used to fail as a bare TypeError or slip through as 0 or 1.
+    for ladder in (generalized_hardy_constant, reverse_hardy_constant):
+        with pytest.raises(DomainError, match="n_refinements must be an integer >= 1"):
+            ladder(params_zero, 1.0, n_refinements=count, grid_n=128)
+    with pytest.raises(DomainError, match="n_triples must be an integer >= 2"):
+        riesz_equivalence_check(params_zero, 1.0, n_triples=count)
+
+
+def test_riesz_check_needs_two_triples(params_zero):
+    with pytest.raises(DomainError, match="n_triples must be an integer >= 2, got 1"):
+        riesz_equivalence_check(params_zero, 1.0, n_triples=1)
 
 
 def test_reverse_constant_zero_coupling_vanishes(params_zero):
