@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .specfun import HardyParams, gauss_jacobi, log_gamma
+from .specfun import HardyParams, _check_count, gauss_jacobi, log_gamma
 
 __all__ = [
     "KernelTriple",
@@ -194,8 +194,7 @@ def poisson_kernel_exact(t, rxy, d: int = 3):
 
     Accepts array input in rxy and broadcasts.
     """
-    if isinstance(d, bool) or not isinstance(d, int) or d < 1:
-        raise DomainError(f"dimension must be an integer >= 1, got {d!r}")
+    _check_count("dimension", d)
     t = _check_time(t)
     rxy = np.asarray(rxy, dtype=float)
     if np.any(rxy < 0) or not np.all(np.isfinite(rxy)):
@@ -335,8 +334,7 @@ def angular_average(fn, rx, ry, d: int):
     allowed.  Degenerate geometry (a vanishing radius) collapses to a
     point evaluation.
     """
-    if isinstance(d, bool) or not isinstance(d, int) or d < 2:
-        raise DomainError(f"dimension must be an integer >= 2, got {d!r}")
+    _check_count("dimension", d, least=2)
     rx, ry = np.asarray(rx, dtype=float), np.asarray(ry, dtype=float)
     xi_min = (rx - ry) ** 2
     width = 4.0 * rx * ry  # (rx+ry)^2 - (rx-ry)^2, exact in this form

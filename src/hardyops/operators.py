@@ -47,6 +47,7 @@ from .errors import ConstructionError, DomainError
 from .specfun import (
     HardyParams,
     _check_alpha,
+    _check_count,
     _check_dimension,
     _scaled_log_abs_gamma,
     a_star,
@@ -117,8 +118,7 @@ def build_log_grid(d: int, r_min: float, r_max: float, n: int) -> RadialGrid:
         raise DomainError(
             f"need 0 < r_min < r_max (finite), got [{r_min!r}, {r_max!r}]"
         )
-    if not isinstance(n, int) or isinstance(n, bool) or n < 2:
-        raise DomainError(f"grid size must be an integer >= 2, got {n!r}")
+    _check_count("grid size", n, least=2)
     nodes = np.geomspace(r_min, r_max, n)
     h = math.log(r_max / r_min) / (n - 1)
     c = np.ones(n)

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -63,15 +63,15 @@ GAMMA_TOL = 1e-10  # absolute tolerance of the Gamma(-s/2) quadrature check
 
 @dataclass(frozen=True)
 class QuadResult:
-    """Outcome of an adaptive integration: floats for one integral, arrays
-    with one entry per integral for a batch.  ``evaluations`` is the number
-    of integrand evaluations summed over the batch; ``evaluations_each``
-    splits it by integral."""
+    """Outcome of a batch of adaptive integrations: ``value``,
+    ``abs_error_estimate`` and ``evaluations_each`` hold one entry per
+    integral; ``evaluations`` is the number of integrand evaluations summed
+    over the batch."""
 
-    value: float | np.ndarray
-    abs_error_estimate: float | np.ndarray
+    value: np.ndarray
+    abs_error_estimate: np.ndarray
     evaluations: int
-    evaluations_each: int | np.ndarray
+    evaluations_each: np.ndarray
 
 
 def _seed_edges(kinks: np.ndarray) -> np.ndarray:
@@ -121,37 +121,33 @@ def _panel_table(made, n):
 def integrate_semiinfinite(
     f: Callable,
     tol: float,
-    kinks: Iterable[float] | Sequence[Sequence[float]] = (),
+    kinks: Sequence[Sequence[float]],
     args: Sequence = (),
 ) -> QuadResult:
-    """Integrate f over (0, inf) to absolute tolerance tol.
+    """Integrate a batch of m functions over (0, inf), each to absolute
+    tolerance tol and exactly as it would be integrated alone.
 
-    One integral: kinks is a flat sequence of interior points where f loses
-    smoothness (panel edges are seeded there so each panel sees an analytic
-    integrand), and f(t) must map an ndarray of positive abscissae to values
-    of the same shape.
+    kinks is an (m, k) array (k may be 0): row r holds the points where
+    integral r's integrand loses smoothness, and panel edges are seeded
+    there.  Any other shape raises DomainError.  Each entry of args holds
+    one parameter per integral (length m, or a scalar shared by all).
+    f(t, *a) is called on a (p, 15) array t of panel abscissae, with each a
+    the panels' parameters as a (p, 1) column, and must return values
+    broadcast to t's shape.
 
-    A batch of m integrals: kinks is an (m, k) array, one row of kink
-    locations per integral (k may be 0), and each entry of args holds one
-    parameter per integral (length m, or a scalar shared by all).  f(t, *a)
-    is called on a (p, 15) array t of panel abscissae, with each a the
-    matching parameters of the panels' integrals as a (p, 1) column, and
-    must return values broadcast to t's shape.  Every integral is refined
-    exactly as it would be alone; the result holds one value per integral
-    and the evaluations summed over the batch.
-
-    Every kink of the batch is checked before f is first called: a
-    non-positive or non-finite one raises DomainError.  During integration,
+    Every kink is checked before f is first called: a non-positive or
+    non-finite one raises DomainError.  During integration,
     ConvergenceError is raised when either tail refuses to decay before the
     underflow boundary or the refinement budget is exhausted, and
-    DomainError if f produces non-finite values; in a batch the error is
-    that of the lowest-index failing integral, as it would raise alone.
+    DomainError if f produces non-finite values; the error is that of the
+    lowest-index failing integral, as it would raise alone.
     """
     tol = float(tol)
     if not (tol > 0.0) or math.isinf(tol):
         raise DomainError(f"tolerance must be finite and > 0, got {tol!r}")
-    batch = np.ndim(kinks) == 2
-    kinks = np.asarray(kinks if batch else [list(kinks)], dtype=float)
+    kinks = np.asarray(kinks, dtype=float)
+    if kinks.ndim != 2:
+        raise DomainError(f"kinks must be an (m, k) array, got shape {kinks.shape}")
     m = len(kinks)
     args = [np.broadcast_to(np.asarray(a, dtype=float), (m,)) for a in args]
     if not m:
@@ -287,9 +283,7 @@ def integrate_semiinfinite(
 
     if failure is not None:
         raise failure
-    if batch:
-        return QuadResult(value, error, int(evals.sum()), evals)
-    return QuadResult(float(value[0]), float(error[0]), int(evals[0]), int(evals[0]))
+    return QuadResult(value, error, int(evals.sum()), evals)
 
 
 def riesz_time_integral(s: float, q: KernelTriple, params: HardyParams):
@@ -315,9 +309,9 @@ def riesz_time_integral(s: float, q: KernelTriple, params: HardyParams):
     starts, and the DomainError names the lowest (in flat order) geometry
     with a non-positive one.  So does the DomainError for the lowest
     geometry whose scale factor |x-y|^{alpha s/2 - d} or peak factor
-    overflows a double, also raised before any integral starts.  A
-    failure during integration is that of the lowest-index geometry that
-    fails.
+    overflows a double, raised before any integral starts, or whose scaled
+    value does, raised after them.  A failure during integration is that
+    of the lowest-index geometry that fails.
     """
     s = float(s)
     smax = riesz_exponent_window(params)
@@ -365,17 +359,24 @@ def riesz_time_integral(s: float, q: KernelTriple, params: HardyParams):
 
     # The value is scaled back in Python floats, whose powers raise
     # OverflowError where numpy's would give inf; sigma = 0 leaves a value
-    # bit for bit unscaled.  The factors are formed before any integral.
+    # bit for bit unscaled.  Factors are checked before any integral and
+    # products, inf past the largest double, after them.
+    def overflow(index):
+        return DomainError(f"riesz_time_integral overflows double precision at "
+                           f"{geometries[index]}, index {index}")
+
     factors = []
     for geometry, peak in zip(geometries, sigma):
         try:
             factors.append((geometry[2] ** (0.5 * alpha * s - d), math.exp(peak)))
         except OverflowError:
-            raise DomainError(f"riesz_time_integral overflows double precision at "
-                              f"{geometry}, index {len(factors)}") from None
+            raise overflow(len(factors)) from None
     res = integrate_semiinfinite(integrand, RIESZ_TOL, kinks=kinks, args=(lcx, lcy, sigma))
     values = [prefactor * v * scale
               for (prefactor, scale), v in zip(factors, res.value.tolist())]
+    bad = next((i for i, v in enumerate(values) if not math.isfinite(v)), None)
+    if bad is not None:
+        raise overflow(bad)
     return _value(np.reshape(values, shape))
 
 
@@ -428,7 +429,7 @@ def gamma_negative_half_integral_check(s: float) -> float:
     def integrand(t):
         return t ** (-0.5 * s - 1.0) * np.expm1(-t)
 
-    return integrate_semiinfinite(integrand, GAMMA_TOL).value
+    return float(integrate_semiinfinite(integrand, GAMMA_TOL, np.empty((1, 0))).value[0])
 
 
 def gamma_reflection_oracle(s: float) -> float:

@@ -182,8 +182,7 @@ def gauss_jacobi(n: int, a: float, b: float) -> tuple:
     symmetric.  Memoized; the arrays are read-only because every caller
     shares them.
     """
-    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
-        raise DomainError(f"rule size must be an integer >= 1, got {n!r}")
+    _check_count("rule size", n)
     if not (-1.0 < a < math.inf and -1.0 < b < math.inf):
         raise DomainError(f"Jacobi exponents must be finite and > -1, got a={a!r}, b={b!r}")
     k = np.arange(n, dtype=float)
@@ -229,6 +228,13 @@ def sphere_area(d: int) -> float:
     """Surface measure of the unit sphere in R^d, 2 pi^{d/2} / Gamma(d/2)."""
     d = _check_dimension(d, minimum=1)
     return 2.0 * math.pi ** (0.5 * d) / math.exp(log_gamma(0.5 * d))
+
+
+def _check_count(name: str, count, least: int = 1) -> None:
+    # Python ints only: a float or a bool would fail later as a TypeError
+    # or count as 0 or 1.
+    if not isinstance(count, int) or isinstance(count, bool) or count < least:
+        raise DomainError(f"{name} must be an integer >= {least}, got {count!r}")
 
 
 def _check_dimension(d, minimum: int = 2) -> int:

@@ -44,7 +44,7 @@ from .operators import (
     heat_kernel_matrix,
 )
 from .quadrature import riesz_time_integral
-from .specfun import HardyParams, make_params
+from .specfun import HardyParams, _check_count, make_params
 
 _VERDICTS = ("pass", "fail", "diverging")
 
@@ -68,6 +68,8 @@ REFINE_FACTOR = 100.0  # inner radius shrinks by this factor per ladder rung
 SIGN_SLACK = 1e-10  # entrywise sign violation tolerated in a difference kernel
 RIESZ_DECADES = 2.0  # sampled Riesz radii are log-uniform in [10^-2, 10^2]
 PLATEAU_OUTER = 50.0  # outer ramp radius of the singular-cutoff family
+FAMILY_MEMBERS = 8  # test vectors in every family
+DILATION_RANGE = (0.25, 4.0)  # widths of the gaussian-dilates family
 
 DEFAULT_R_MIN = 1e-3
 DEFAULT_R_MAX = 1e3
@@ -124,6 +126,8 @@ class TestFamily:
     Members are ordered along the family's probe direction, so a growth
     measurement across members is meaningful: dilates go from narrow to
     wide, cutoff scales shrink toward zero, bump centers move outward.
+    Every family has ``FAMILY_MEMBERS`` members; dilate widths span
+    ``DILATION_RANGE``.
 
     ``sigma`` is the singularity exponent of the cutoff family; when left
     unset it is resolved at evaluation time to ``delta - 0.01`` so the
@@ -133,37 +137,31 @@ class TestFamily:
     """
 
     tag: str
-    n_members: int = 8
-    dilation_range: tuple = (0.25, 4.0)
     sigma: Optional[float] = None
     eps_range: tuple = (1e-4, 3e-2)
 
     def __post_init__(self):
         if self.tag not in FAMILY_TAGS:
             raise DomainError(f"unknown family tag {self.tag!r}; expected one of {FAMILY_TAGS}")
-        if self.n_members < 2:
-            raise DomainError("a family needs at least two members")
-        for name in ("dilation_range", "eps_range"):
-            lo, hi = getattr(self, name)
-            if not (0.0 < lo < hi) or not math.isfinite(hi):
-                raise DomainError(f"{name} must be an increasing pair of positive reals")
+        lo, hi = self.eps_range
+        if not (0.0 < lo < hi) or not math.isfinite(hi):
+            raise DomainError("eps_range must be an increasing pair of positive reals")
 
     def members(self, grid: RadialGrid, delta: float = 0.0) -> Iterator[tuple]:
         """Yield ``(member_id, values_on_grid)`` pairs in probe order."""
         r = grid.nodes
         if self.tag == "gaussian-dilates":
-            lo, hi = self.dilation_range
-            for lam in np.geomspace(lo, hi, self.n_members):
+            for lam in np.geomspace(*DILATION_RANGE, FAMILY_MEMBERS):
                 yield f"lam={lam:.6g}", np.exp(-((r / lam) ** 2))
         elif self.tag == "singular-cutoff":
             sig = self.sigma if self.sigma is not None else delta - 0.01
             # probe direction is eps -> 0, so iterate eps descending
-            for eps in np.geomspace(self.eps_range[1], self.eps_range[0], self.n_members):
+            for eps in np.geomspace(self.eps_range[1], self.eps_range[0], FAMILY_MEMBERS):
                 ramp_in = _smoothstep(r / eps - 1.0)
                 ramp_out = 1.0 - _smoothstep(r / PLATEAU_OUTER - 1.0)
                 yield f"eps={eps:.6g}", r ** (-sig) * ramp_in * ramp_out
         else:
-            for center in np.geomspace(0.05, 20.0, self.n_members):
+            for center in np.geomspace(0.05, 20.0, FAMILY_MEMBERS):
                 arg = np.log(r / center)
                 yield f"center={center:.6g}", np.exp(-(arg * arg) / (2.0 * 0.35**2))
 
@@ -671,13 +669,6 @@ def _check_band_bound(band_bound: float) -> None:
 def _interior_pairs(rng: np.random.Generator, n: int, count: int) -> np.ndarray:
     lo, hi = n // 4, 3 * n // 4
     return rng.integers(lo, hi, size=(count, 2))
-
-
-def _check_count(name: str, count, least: int = 1) -> None:
-    # Python ints only: a float or a bool would fail later as a TypeError
-    # or count as 0 or 1.
-    if not isinstance(count, int) or isinstance(count, bool) or count < least:
-        raise DomainError(f"{name} must be an integer >= {least}, got {count!r}")
 
 
 def _pair_average(profile, t: float, params: HardyParams, rx: np.ndarray,

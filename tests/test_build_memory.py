@@ -193,10 +193,10 @@ def test_sweep_holds_one_eigensystem_at_a_time(monkeypatch):
     grid = build_log_grid(3, 1e-2, 1e2, 128)
     builds = _record_builds(monkeypatch, grid)
     rows, _, _ = verify.sweep_by_power(
-        make_params(3, 1.0, -0.2), [0.5, 1.0], verify.TestFamily("gaussian-dilates", n_members=4), grid)
+        make_params(3, 1.0, -0.2), [0.5, 1.0], verify.TestFamily("gaussian-dilates"), grid)
     assert len(builds) == 2
     assert all(modes() is None for _, modes in builds)
-    assert len(rows) == 8
+    assert len(rows) == 2 * verify.FAMILY_MEMBERS
 
 
 def _reference_power_norm(op, vec, s):
@@ -212,7 +212,7 @@ def _reference_power_norm(op, vec, s):
 
 def test_sweep_rows_are_bitwise_the_per_power_norms():
     params = make_params(3, 1.2, -0.3)
-    family = verify.TestFamily("singular-cutoff", n_members=5)
+    family = verify.TestFamily("singular-cutoff")
     s_values = [0.5, 1.0, 1.75]
     rows, _, _ = verify.sweep_by_power(params, s_values, family, build_log_grid(3, 1e-2, 1e2, 128))
     grid = build_log_grid(3, 1e-2, 1e2, 128)

@@ -33,57 +33,60 @@ from hardyops.quadrature import RIESZ_TOL, gamma_reflection_oracle
 mpmath.mp.dps = 30
 
 
+NO_KINKS = np.empty((1, 0))  # one integral, no kinks
+
+
 def test_integrator_exponential():
-    res = integrate_semiinfinite(lambda t: np.exp(-t), 1e-10)
+    res = integrate_semiinfinite(lambda t: np.exp(-t), 1e-10, NO_KINKS)
     assert isinstance(res, QuadResult)
-    assert res.value == pytest.approx(1.0, abs=1e-10)
+    assert res.value[0] == pytest.approx(1.0, abs=1e-10)
     assert res.evaluations > 0
-    assert res.abs_error_estimate <= 1e-10
+    assert res.abs_error_estimate[0] <= 1e-10
 
 
 def test_integrator_algebraic_tail():
-    res = integrate_semiinfinite(lambda t: 1.0 / (1.0 + t * t), 1e-9)
-    assert res.value == pytest.approx(0.5 * math.pi, abs=1e-8)
+    res = integrate_semiinfinite(lambda t: 1.0 / (1.0 + t * t), 1e-9, NO_KINKS)
+    assert res.value[0] == pytest.approx(0.5 * math.pi, abs=1e-8)
 
 
 def test_integrator_with_kink_matches_scipy():
     def f(t):
         return np.exp(-t) * np.abs(t - 1.0)
 
-    res = integrate_semiinfinite(f, 1e-10, kinks=(1.0,))
+    res = integrate_semiinfinite(f, 1e-10, kinks=[[1.0]])
     head, _ = sp_integrate.quad(lambda t: math.exp(-t) * abs(t - 1.0), 0, 50.0,
                                 points=[1.0])
     tail, _ = sp_integrate.quad(lambda t: math.exp(-t) * abs(t - 1.0), 50.0, np.inf)
-    assert res.value == pytest.approx(head + tail, abs=1e-9)
+    assert res.value[0] == pytest.approx(head + tail, abs=1e-9)
 
 
 def test_integrator_gaussian_spike_off_origin():
     res = integrate_semiinfinite(
-        lambda t: np.exp(-((t - 20.0) ** 2)), 1e-10, kinks=(20.0,)
+        lambda t: np.exp(-((t - 20.0) ** 2)), 1e-10, kinks=[[20.0]]
     )
-    assert res.value == pytest.approx(math.sqrt(math.pi), rel=1e-9)
+    assert res.value[0] == pytest.approx(math.sqrt(math.pi), rel=1e-9)
 
 
 def test_integrator_rejects_bad_tolerance():
     with pytest.raises(DomainError):
-        integrate_semiinfinite(lambda t: np.exp(-t), 0.0)
+        integrate_semiinfinite(lambda t: np.exp(-t), 0.0, NO_KINKS)
     with pytest.raises(DomainError):
-        integrate_semiinfinite(lambda t: np.exp(-t), float("inf"))
+        integrate_semiinfinite(lambda t: np.exp(-t), float("inf"), NO_KINKS)
 
 
 def test_integrator_rejects_non_finite_integrand():
     with pytest.raises(DomainError):
-        integrate_semiinfinite(lambda t: np.full_like(t, np.nan), 1e-8)
+        integrate_semiinfinite(lambda t: np.full_like(t, np.nan), 1e-8, NO_KINKS)
 
 
 def test_integrator_rejects_non_decaying_tail():
     with pytest.raises(ConvergenceError):
-        integrate_semiinfinite(lambda t: np.ones_like(t), 1e-8)
+        integrate_semiinfinite(lambda t: np.ones_like(t), 1e-8, NO_KINKS)
 
 
 def test_integrator_unreachable_tolerance_raises():
     with pytest.raises(ConvergenceError):
-        integrate_semiinfinite(lambda t: 1.0 / (1.0 + t * t), 1e-18)
+        integrate_semiinfinite(lambda t: 1.0 / (1.0 + t * t), 1e-18, NO_KINKS)
 
 
 def test_riesz_time_anchor_sixteen_sevenths():
@@ -328,16 +331,24 @@ def test_batched_riesz_integrals_match_scipy_quad(d, alpha, u, share, batch):
 
 
 def test_single_integral_is_a_batch_of_one():
-    alone = integrate_semiinfinite(lambda t: np.exp(-t), 1e-10, kinks=(3.0,))
+    alone = integrate_semiinfinite(lambda t: np.exp(-t), 1e-10, kinks=[[3.0]])
     pair = integrate_semiinfinite(lambda t, c: c * np.exp(-t), 1e-10,
                                   kinks=[[3.0], [3.0]], args=([1.0, 1.0],))
-    assert type(alone.value) is float and type(alone.evaluations) is int
-    assert alone.evaluations_each == alone.evaluations
-    assert pair.value.tolist() == [alone.value, alone.value]
+    for res, m in ((alone, 1), (pair, 2)):
+        assert res.value.shape == res.abs_error_estimate.shape == (m,)
+        assert res.evaluations_each.shape == (m,) and type(res.evaluations) is int
+    assert alone.evaluations_each[0] == alone.evaluations
+    assert pair.value.tolist() == [alone.value[0]] * 2
     assert pair.evaluations_each.tolist() == [alone.evaluations] * 2
     assert pair.evaluations == 2 * alone.evaluations
     empty = integrate_semiinfinite(lambda t: np.exp(-t), 1e-10, kinks=np.zeros((0, 1)))
     assert empty.value.shape == (0,) and empty.evaluations == 0
+
+
+@pytest.mark.parametrize("kinks", [(), (3.0,), 3.0, np.ones((1, 1, 1))])
+def test_kinks_other_than_an_m_by_k_array_are_rejected(kinks):
+    with pytest.raises(DomainError, match=r"kinks must be an \(m, k\) array"):
+        integrate_semiinfinite(_never_called, 1e-10, kinks=kinks)
 
 
 # ---------------------------------------------------------------------------
@@ -371,7 +382,7 @@ def test_riesz_integrals_near_a_star_converge_to_quad(capsys):
 
 def _alone_error(f, c, kinks):
     with pytest.raises((ConvergenceError, DomainError)) as alone:
-        integrate_semiinfinite(lambda t: f(t, c), 1e-10, kinks=kinks)
+        integrate_semiinfinite(f, 1e-10, kinks=[kinks], args=([c],))
     return alone.value
 
 
@@ -430,6 +441,18 @@ def test_riesz_scale_overflow_is_a_domain_error_naming_its_index(monkeypatch):
     monkeypatch.setattr(quadrature, "integrate_semiinfinite", no_integral)
     triple = _array_triple(*[[1.0, 1e-150, 1e-150]] * 3)
     with pytest.raises(DomainError, match="index 1$"):
+        riesz_time_integral(1.0, triple, params)
+
+
+def test_riesz_value_overflow_is_a_domain_error_naming_its_index():
+    # Every factor is finite at both lengths, but at 3e-73 their product
+    # with the integral passes the largest double; it used to come back as
+    # a silent inf.
+    params = make_params(5, 1.5, 0.9 * a_star(5, 1.5))
+    largest = riesz_time_integral(1.0, KernelTriple(1e-72, 1e-72, 1e-72), params)
+    assert largest == pytest.approx(2.4391016368355564e306, rel=1e-12)
+    triple = _array_triple(*[[1.0, 1e-72, 3e-73]] * 3)
+    with pytest.raises(DomainError, match=r"overflows double precision at \(3e-73, 3e-73, 3e-73\), index 2$"):
         riesz_time_integral(1.0, triple, params)
 
 
