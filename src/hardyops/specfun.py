@@ -338,19 +338,45 @@ def _psi(d: int, alpha: float, sigma: float, critical: float) -> float:
         # sigma + alpha is the smallest subnormal; psi ~ 2/(sigma + alpha)
         # is far beyond the double range there.
         return math.inf
-    log_mag = (
-        alpha * _LN2
-        + log_gamma(head)
-        + log_gamma(0.5 * (d - sigma))
-        - log_gamma(0.5 * (d - sigma - alpha))
-    )
+    # Both gamma ratios shift their argument by alpha/2, so each is taken
+    # as one log-ratio: for small alpha, differences of log_gamma values
+    # would cancel to a few ulps of noise and psi, flat near -1 there,
+    # would stop decreasing.
+    shift = 0.5 * alpha
+    log_mag = alpha * _LN2 + _log_gamma_ratio(0.5 * (d - sigma - alpha), shift)
     if sigma > 0.0:
         # Rounding in the gamma ratios can land an ulp below the minimum
         # a_star just left of the right endpoint; the exact symbol cannot.
-        return max(-math.exp(log_mag - log_gamma(0.5 * sigma)), critical)
+        log_mag += _log_gamma_ratio(0.5 * sigma, shift)
+        return max(-math.exp(log_mag), critical)
     half = 0.5 * sigma
     # 1/Gamma(half) = half / Gamma(half + 1); half in (-1, 0) here.
-    return -half * math.exp(log_mag - log_gamma(half + 1.0))
+    return -half * math.exp(log_mag + log_gamma(head) - log_gamma(half + 1.0))
+
+
+def _log_gamma_ratio(x: float, h: float) -> float:
+    """log Gamma(x + h) - log Gamma(x) for x > 0 and h >= 0.
+
+    Shifts x up to Stirling's range through Gamma(z + 1) = z Gamma(z),
+    which takes log1p(h / z) off per step, then differences Stirling's
+    formula term by term with log1p and expm1.  Every term is computed
+    from h directly, so the value keeps its relative accuracy however
+    small h is against x, where log_gamma(x + h) - log_gamma(x) cancels.
+    """
+    total = 0.0
+    while x < _STIRLING_MODULUS:
+        total -= math.log1p(h / x)
+        x += 1.0
+    step = math.log1p(h / x)
+    inv = 1.0 / x
+    inv_sq = inv * inv
+    power = inv
+    series = 0.0
+    for order, coeff in enumerate(_STIRLING):
+        # (x + h)^-m - x^-m with m = 2 order + 1.
+        series += coeff * power * math.expm1(-(2 * order + 1) * step)
+        power *= inv_sq
+    return total + (x - 0.5) * step + h * (math.log(x + h) - 1.0) + series
 
 
 def psi_inv(d: int, alpha: float, a: float) -> float:
