@@ -31,7 +31,6 @@ from .kernels import (
 from .quadrature import (
     QuadResult,
     SchurIntegral,
-    gamma_negative_half_integral_check,
     integrate_semiinfinite,
     riesz_time_integral,
     schur_weight_integral,
@@ -55,11 +54,8 @@ from .verify import (
     difference_envelope_check,
     generalized_hardy_constant,
     heat_sandwich_by_time,
-    heat_sandwich_check,
-    norm_ratio_sweep,
     reverse_hardy_constant,
     riesz_equivalence_check,
-    sobolev_check,
     sweep_by_power,
 )
 

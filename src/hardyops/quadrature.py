@@ -9,9 +9,8 @@ of independent integrals in lockstep: each phase step evaluates the next
 panels of every integral still in that phase with one integrand call,
 while every integral keeps to the sequential rule above, so its panels,
 value and error estimate do not depend on the rest of the batch.  The
-Riesz time integral and the Gamma check are thin wrappers that prepare a
-specific integrand and kink set; the Schur weight integral has a closed
-form.
+Riesz time integral is a thin wrapper that prepares a specific integrand
+and kink set; the Schur weight integral has a closed form.
 """
 
 from __future__ import annotations
@@ -24,7 +23,7 @@ import numpy as np
 
 from .errors import ConvergenceError, DomainError
 from .kernels import KernelTriple, _value, riesz_exponent_window
-from .specfun import HardyParams, _check_dimension, log_gamma, sphere_area
+from .specfun import HardyParams, _check_dimension, sphere_area
 
 __all__ = [
     "QuadResult",
@@ -32,7 +31,6 @@ __all__ = [
     "riesz_time_integral",
     "SchurIntegral",
     "schur_weight_integral",
-    "gamma_negative_half_integral_check",
 ]
 
 # 15-point Kronrod nodes/weights with the embedded 7-point Gauss rule.
@@ -58,7 +56,6 @@ _U_CEIL = 690.0
 
 MAX_SPLITS = 4000  # panel bisections before the integrator gives up
 RIESZ_TOL = 1e-9  # absolute tolerance on the Riesz time integral I
-GAMMA_TOL = 1e-10  # absolute tolerance of the Gamma(-s/2) quadrature check
 
 
 @dataclass(frozen=True)
@@ -414,30 +411,3 @@ def schur_weight_integral(
     value = sphere_area(d) * (1.0 / (d - beta - delta_plus) + 1.0 / (beta - delta_plus))
     return SchurIntegral(value=value, divergent=False)
 
-
-def gamma_negative_half_integral_check(s: float) -> float:
-    """Quadrature value of int_0^inf t^{-s/2} (e^{-t} - 1) dt/t for
-    0 < s < 2, which equals Gamma(-s/2); absolute tolerance ``GAMMA_TOL``.
-
-    The integrand is negative on all of (0, inf); the small-t side is
-    evaluated through expm1 to keep the e^{-t} - 1 cancellation exact.
-    """
-    s = float(s)
-    if not (0.0 < s < 2.0):
-        raise DomainError(f"s must lie strictly inside (0, 2), got {s!r}")
-
-    def integrand(t):
-        return t ** (-0.5 * s - 1.0) * np.expm1(-t)
-
-    return float(integrate_semiinfinite(integrand, GAMMA_TOL, np.empty((1, 0))).value[0])
-
-
-def gamma_reflection_oracle(s: float) -> float:
-    """Gamma(-s/2) for 0 < s < 2 via the recurrence
-    Gamma(z) = Gamma(z+2)/(z (z+1)) with z = -s/2, evaluated on the
-    positive axis through log_gamma."""
-    s = float(s)
-    if not (0.0 < s < 2.0):
-        raise DomainError(f"s must lie strictly inside (0, 2), got {s!r}")
-    z = -0.5 * s
-    return math.exp(log_gamma(z + 2.0)) / (z * (z + 1.0))

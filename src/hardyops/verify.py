@@ -12,8 +12,9 @@ stable when it moves by less than ``STABLE_FACTOR``.
 The checks never assume monotone convergence under refinement; ladders are
 recorded in the report notes and judged only against the stated thresholds.
 With ``a = 0`` each check degenerates to an exactly known case (unit ratio,
-vanishing difference kernel), which is what the CLI suite uses as smoke
-coverage.
+vanishing difference kernel), which the CLI suite uses for its
+zero-coupling rows; its sweep row is anchored at s = 1 and a != 0
+instead, where the ratio of a Gaussian has a closed form.
 """
 
 from __future__ import annotations
@@ -203,15 +204,30 @@ def _power_norm(lam: np.ndarray, c: np.ndarray, s: float) -> float:
 # norm-equivalence sweep
 
 
-def _rows_by_power(params, s_values, family, grid, pass_bound) -> tuple:
-    """``(s_list, grid, blocks, notes)``: the powers as floats and the grid
-    (the default one for None), with every power and ``pass_bound``
-    checked before any operator is built, and the per-member ratio rows
-    of each s, one list per s in the order of ``s_values``.
+def sweep_by_power(
+    params: HardyParams,
+    s_values: Sequence[float],
+    family: TestFamily,
+    grid: Optional[RadialGrid] = None,
+    *,
+    pass_bound: float = 1e3,
+) -> tuple:
+    """Two-sided norm comparison between the free and the coupled operator.
 
-    Each row is a dict keyed exactly by ``SWEEP_COLUMNS``.  Degenerate
-    members (zero or non-finite weighted norm on the grid) are skipped
-    and recorded in ``notes``.
+    Returns ``(rows, notes, reports)`` for the sweep CSV: the per-member
+    ratio rows, each a dict keyed exactly by ``SWEEP_COLUMNS``, power by
+    power in the order of ``s_values``; the notes on skipped degenerate
+    members (zero or non-finite weighted norm on the grid); and one
+    ``norm_ratio_sweep`` report per s.  Every power and ``pass_bound`` are
+    checked before any operator is built, and each power norm is computed
+    once.  The default grid is used for None.
+
+    For each s the forward ratio ||T^{s/2} f|| / ||L^{s/2} f|| is expected
+    to stay bounded when s < (d - 2 delta)/alpha and the backward ratio
+    (its reciprocal) when s < d/alpha.  Outside a window the family is
+    expected to exhibit growth by ``DIVERGING_FACTOR`` between its first
+    and last member; absence of that growth is reported as a failure since
+    the family then certifies nothing.
 
     The free and the coupled operator are built one at a time: the
     members' weighted coefficients and the eigenvalues are kept, and the
@@ -239,63 +255,20 @@ def _rows_by_power(params, s_values, family, grid, pass_bound) -> tuple:
 
     lam_free, coeffs_free = spectral_data(build_fractional_laplacian(grid, params.alpha))
     lam_full, coeffs_full = spectral_data(build_hardy_operator(grid, params))
-    blocks = []
+    rows, reports = [], []
     for s in s_list:
-        rows = []
+        block = []
         for (member_id, _), c_free, c_full in zip(members, coeffs_free, coeffs_full):
             norm_free = _power_norm(lam_free, c_free, s)
             norm_full = _power_norm(lam_full, c_full, s)
             forward = norm_free / norm_full if norm_full > 0.0 else math.inf
             backward = norm_full / norm_free if norm_free > 0.0 else math.inf
-            rows.append(dict(zip(SWEEP_COLUMNS, (
+            block.append(dict(zip(SWEEP_COLUMNS, (
                 params.d, params.alpha, params.a, params.delta, s, family.tag, member_id,
                 forward, backward))))
-        blocks.append(rows)
-    return s_list, grid, blocks, notes
-
-
-def norm_ratio_sweep(
-    params: HardyParams,
-    s_values: Sequence[float],
-    family: TestFamily,
-    grid: Optional[RadialGrid] = None,
-    *,
-    pass_bound: float = 1e3,
-) -> VerificationReport:
-    """Two-sided norm comparison between the free and the coupled operator.
-
-    For each s the forward ratio ||T^{s/2} f|| / ||L^{s/2} f|| is expected
-    to stay bounded when s < (d - 2 delta)/alpha and the backward ratio
-    (its reciprocal) when s < d/alpha.  Outside a window the family is
-    expected to exhibit growth by ``DIVERGING_FACTOR`` between its first
-    and last member; absence of that growth is reported as a failure since
-    the family then certifies nothing.
-    """
-    s_list, grid, blocks, notes = _rows_by_power(params, s_values, family, grid, pass_bound)
-    rows = [row for block in blocks for row in block]
-    return _sweep_verdict(params, s_list, family, grid, rows, notes, pass_bound)
-
-
-def sweep_by_power(
-    params: HardyParams,
-    s_values: Sequence[float],
-    family: TestFamily,
-    grid: Optional[RadialGrid] = None,
-    *,
-    pass_bound: float = 1e3,
-) -> tuple:
-    """``(rows, notes, reports)`` for the sweep CSV: the per-member ratio
-    rows, each a dict keyed exactly by ``SWEEP_COLUMNS``, power by power
-    in the order of ``s_values``; the notes on skipped degenerate members;
-    and for each s the report ``norm_ratio_sweep(params, [s], ...)``
-    gives.  Each power norm is computed once, and every s is checked
-    before any norm is computed."""
-    s_list, grid, blocks, notes = _rows_by_power(params, s_values, family, grid, pass_bound)
-    reports = [
-        _sweep_verdict(params, [s], family, grid, block, notes, pass_bound)
-        for s, block in zip(s_list, blocks)
-    ]
-    return [row for block in blocks for row in block], notes, reports
+        rows.extend(block)
+        reports.append(_sweep_verdict(params, s, family, grid, block, notes, pass_bound))
+    return rows, notes, reports
 
 
 def _check_pass_bound(pass_bound: float) -> None:
@@ -305,9 +278,9 @@ def _check_pass_bound(pass_bound: float) -> None:
         raise DomainError(f"pass_bound must be positive, got {pass_bound!r}")
 
 
-def _sweep_verdict(params, s_list, family, grid, rows, notes, pass_bound):
-    """The :func:`norm_ratio_sweep` report on ``rows``, which hold every
-    row of exactly the powers ``s_list``."""
+def _sweep_verdict(params, s, family, grid, rows, notes, pass_bound):
+    """The ``norm_ratio_sweep`` report of the power ``s`` on ``rows``, which
+    hold every row of that power."""
     notes = list(notes)
     if not rows:
         return VerificationReport(
@@ -320,34 +293,30 @@ def _sweep_verdict(params, s_list, family, grid, rows, notes, pass_bound):
             notes=tuple(notes) + ("no valid family members on this grid",),
         )
 
-    forward_limit = (params.d - 2.0 * params.delta) / params.alpha
-    backward_limit = params.d / params.alpha
     verdicts = []
-    for s in s_list:
-        fwd = [row["ratio_forward"] for row in rows if row["s"] == s]
-        bwd = [row["ratio_backward"] for row in rows if row["s"] == s]
-        for label, vals, limit in (
-            ("forward", fwd, forward_limit),
-            ("backward", bwd, backward_limit),
-        ):
-            if s < limit:
-                worst = max(vals)
-                if worst > pass_bound or not math.isfinite(worst):
-                    verdicts.append("fail")
-                    notes.append(f"s={s} {label}: ratio {worst:.4g} exceeds bound {pass_bound:.4g}")
-                else:
-                    verdicts.append("pass")
+    for label, column, limit in (
+        ("forward", "ratio_forward", (params.d - 2.0 * params.delta) / params.alpha),
+        ("backward", "ratio_backward", params.d / params.alpha),
+    ):
+        vals = [row[column] for row in rows]
+        if s < limit:
+            worst = max(vals)
+            if worst > pass_bound or not math.isfinite(worst):
+                verdicts.append("fail")
+                notes.append(f"s={s} {label}: ratio {worst:.4g} exceeds bound {pass_bound:.4g}")
             else:
-                growth = vals[-1] / vals[0] if vals[0] > 0.0 else math.inf
-                if growth >= DIVERGING_FACTOR:
-                    verdicts.append("diverging")
-                    notes.append(f"s={s} {label}: outside window, ratio grew {growth:.4g}x along family")
-                else:
-                    verdicts.append("fail")
-                    notes.append(
-                        f"s={s} {label}: outside window but growth {growth:.4g}x "
-                        f"below {DIVERGING_FACTOR:.4g}x, family inconclusive"
-                    )
+                verdicts.append("pass")
+        else:
+            growth = vals[-1] / vals[0] if vals[0] > 0.0 else math.inf
+            if growth >= DIVERGING_FACTOR:
+                verdicts.append("diverging")
+                notes.append(f"s={s} {label}: outside window, ratio grew {growth:.4g}x along family")
+            else:
+                verdicts.append("fail")
+                notes.append(
+                    f"s={s} {label}: outside window but growth {growth:.4g}x "
+                    f"below {DIVERGING_FACTOR:.4g}x, family inconclusive"
+                )
     if "diverging" in verdicts:
         overall = "diverging"
     elif "fail" in verdicts:
@@ -357,7 +326,7 @@ def _sweep_verdict(params, s_list, family, grid, rows, notes, pass_bound):
     finite = [v for row in rows for v in (row["ratio_forward"], row["ratio_backward"]) if math.isfinite(v)]
     return VerificationReport(
         check_name="norm_ratio_sweep",
-        params=_report_params(params, grid, family=family.tag, s_values=s_list),
+        params=_report_params(params, grid, family=family.tag, s_values=[s]),
         empirical_lower=min(finite) if finite else math.nan,
         empirical_upper=max(finite) if finite else math.nan,
         verdict=overall,
@@ -692,37 +661,6 @@ def _usable(values: np.ndarray, pairs: np.ndarray, what: str, t: float, notes: l
     return usable
 
 
-def heat_sandwich_check(
-    params: HardyParams,
-    t_values: Sequence[float],
-    sample_pairs: int = 200,
-    *,
-    grid: Optional[RadialGrid] = None,
-    seed: int = 0,
-    band_bound: float = 100.0,
-) -> VerificationReport:
-    """Two-sided comparison of the discrete heat kernel with its profile.
-
-    Samples ``sample_pairs`` interior node pairs per time, computes only
-    those kernel entries, angular-averages the comparison profile over the
-    chord distance for all pairs at once, and reports the min/max of
-    kernel/profile.  Passes when every sampled entry is positive and the
-    band has C/c <= ``band_bound``, which must be at least 1.
-
-    The comparison profile carries unspecified structural constants, so
-    the band is informative only through its width.  The one exception is
-    zero coupling at alpha = 1, where the exact Poisson kernel is
-    available and the ratio band hugs 1.
-    """
-    _check_count("sample_pairs", sample_pairs)
-    _check_band_bound(band_bound)
-    grid = _grid_or_default(grid, params)
-    notes: list = []
-    times = _admissible_times(grid, params.alpha, t_values, notes)
-    return _heat_report(build_hardy_operator(grid, params), params, times, sample_pairs,
-                        seed, band_bound, notes)
-
-
 def heat_sandwich_by_time(
     params: HardyParams,
     t_values: Sequence[float],
@@ -732,11 +670,26 @@ def heat_sandwich_by_time(
     seed: int = 0,
     band_bound: float = 100.0,
 ) -> Iterator[VerificationReport]:
-    """Yield, for each t of ``t_values`` in order, the report that
-    ``heat_sandwich_check(params, [t], ...)`` gives, from one Hardy
-    operator built at the first admissible time.  Each report is yielded
-    before the next time is looked at, so a time that check rejects
-    raises its error here after the reports of the times before it.
+    """Two-sided comparison of the discrete heat kernel with its profile,
+    one ``heat_sandwich_check`` report per time.
+
+    Yields, for each t of ``t_values`` in order, the report at that time
+    alone, all from one Hardy operator built at the first admissible time.
+    Each report samples ``sample_pairs`` interior node pairs from a fresh
+    ``default_rng(seed)``, computes only those kernel entries,
+    angular-averages the comparison profile over the chord distance for
+    all pairs at once, and reports the min/max of kernel/profile.  It
+    passes when every sampled entry is positive and the band has C/c <=
+    ``band_bound``, which must be at least 1.
+
+    Each report is yielded before the next time is looked at, so a time
+    outside the grid's reliable window, or not positive, raises its
+    DomainError after the reports of the times before it.
+
+    The comparison profile carries unspecified structural constants, so
+    the band is informative only through its width.  The one exception is
+    zero coupling at alpha = 1, where the exact Poisson kernel is
+    available and the ratio band hugs 1.
     """
     _check_count("sample_pairs", sample_pairs)
     _check_band_bound(band_bound)
@@ -744,32 +697,26 @@ def heat_sandwich_by_time(
     op = None
     for t in t_values:
         notes: list = []
-        times = _admissible_times(grid, params.alpha, [t], notes)
+        [t] = _admissible_times(grid, params.alpha, [t], notes)
         if op is None:
             op = build_hardy_operator(grid, params)
-        yield _heat_report(op, params, times, sample_pairs, seed, band_bound, notes)
+        yield _heat_report(op, params, t, sample_pairs, seed, band_bound, notes)
 
 
-def _heat_report(op, params: HardyParams, times: list, sample_pairs: int, seed: int,
+def _heat_report(op, params: HardyParams, t: float, sample_pairs: int, seed: int,
                  band_bound: float, notes: list) -> VerificationReport:
-    """The :func:`heat_sandwich_check` report of ``op`` at the admissible
-    ``times``, the pairs of each time drawn in turn from one fresh
-    ``default_rng(seed)``; ``notes`` holds the notes made before."""
+    """The ``heat_sandwich_check`` report of ``op`` at the admissible time
+    ``t``; ``notes`` holds the notes made before."""
     grid = op.grid
-    rng = np.random.default_rng(seed)
-    exact_poisson = params.a == 0.0 and params.alpha == 1.0
-    ratios = []
-    for t in times:
-        pairs = _interior_pairs(rng, grid.n, sample_pairs)
-        entries = heat_kernel_matrix(op, t, pairs)
-        rx, ry = grid.nodes[pairs[:, 0]], grid.nodes[pairs[:, 1]]
-        if exact_poisson:
-            profile = poisson_radial_average(t, rx, ry, params.d)
-        else:
-            profile = _pair_average(hardy_heat_profile, t, params, rx, ry)
-        usable = _usable(profile, pairs, "profile", t, notes)
-        ratios.append(entries[usable] / profile[usable])
-    ratios = np.concatenate(ratios)
+    pairs = _interior_pairs(np.random.default_rng(seed), grid.n, sample_pairs)
+    entries = heat_kernel_matrix(op, t, pairs)
+    rx, ry = grid.nodes[pairs[:, 0]], grid.nodes[pairs[:, 1]]
+    if params.a == 0.0 and params.alpha == 1.0:
+        profile = poisson_radial_average(t, rx, ry, params.d)
+    else:
+        profile = _pair_average(hardy_heat_profile, t, params, rx, ry)
+    usable = _usable(profile, pairs, "profile", t, notes)
+    ratios = entries[usable] / profile[usable]
     if not ratios.size:
         raise DomainError("all sampled pairs were degenerate")
     c_low, c_high = float(ratios.min()), float(ratios.max())
@@ -777,7 +724,7 @@ def _heat_report(op, params: HardyParams, times: list, sample_pairs: int, seed: 
     notes.append(f"band C/c = {c_high / c_low if c_low > 0 else math.inf:.4g} over {len(ratios)} samples")
     return VerificationReport(
         check_name="heat_sandwich_check",
-        params=_report_params(params, grid, t_values=[float(t) for t in times]),
+        params=_report_params(params, grid, t_values=[t]),
         empirical_lower=c_low,
         empirical_upper=c_high,
         verdict="pass" if ok else "fail",
@@ -992,66 +939,5 @@ def riesz_equivalence_check(
         empirical_upper=float(ratios.max()),
         verdict="pass" if ok else "fail",
         samples=ratios.size,
-        notes=tuple(notes),
-    )
-
-
-# ---------------------------------------------------------------------------
-# Sobolev embedding
-
-
-def sobolev_check(
-    params: HardyParams,
-    s: float,
-    family: TestFamily,
-    grid: Optional[RadialGrid] = None,
-    *,
-    pass_bound: float = 1e3,
-) -> VerificationReport:
-    """Embedding ratio ||f||_{L^q} / ||L^{s/2} f|| with q = 2d/(d - alpha s).
-
-    Valid only inside the embedding window: alpha*s < d always, and
-    additionally s < d/alpha for nonnegative coupling or
-    s < (d - 2 delta)/alpha for negative coupling.
-    """
-    s = float(s)
-    d, alpha = params.d, params.alpha
-    if alpha * s >= d:
-        raise DomainError(f"alpha*s = {alpha * s:.6g} must stay below d = {d}")
-    window = d / alpha if params.a >= 0.0 else (d - 2.0 * params.delta) / alpha
-    if not (0.0 < s < window):
-        raise DomainError(f"s={s} outside the embedding window (0, {window:.6g})")
-    _check_pass_bound(pass_bound)
-    grid = _grid_or_default(grid, params)
-    q = 2.0 * d / (d - alpha * s)
-    op = build_hardy_operator(grid, params)
-    ratios = []
-    notes = []
-    for member_id, vec in family.members(grid, delta=params.delta):
-        lebesgue = float(np.sum(grid.weights * np.abs(vec) ** q)) ** (1.0 / q)
-        seminorm = _power_norm(op.eigenvalues, _weighted_coeffs(op, vec), s)
-        if seminorm <= 0.0 or not math.isfinite(lebesgue):
-            notes.append(f"member {member_id} skipped: degenerate norms")
-            continue
-        ratios.append(lebesgue / seminorm)
-    if not ratios:
-        return VerificationReport(
-            check_name="sobolev_check",
-            params=_report_params(params, grid, s=s, family=family.tag),
-            empirical_lower=math.nan,
-            empirical_upper=math.nan,
-            verdict="fail",
-            samples=0,
-            notes=tuple(notes) + ("no valid family members",),
-        )
-    lo, hi = min(ratios), max(ratios)
-    notes.append(f"ratio spread over family: {hi / lo:.4g}")
-    return VerificationReport(
-        check_name="sobolev_check",
-        params=_report_params(params, grid, s=s, family=family.tag, q=q),
-        empirical_lower=lo,
-        empirical_upper=hi,
-        verdict="pass" if hi <= pass_bound else "fail",
-        samples=len(ratios),
         notes=tuple(notes),
     )

@@ -202,14 +202,14 @@ def test_sweep_computes_each_power_norm_once(capsys, tmp_path, monkeypatch):
     assert len(calls) == 2 * 8 * 2
     monkeypatch.undo()
 
-    # Each power's report is the one norm_ratio_sweep computes on its own.
+    # Each power's report is the one a sweep of that power alone gives.
     params = make_params(3, 1.0, float(CRITICAL))
     family = verify.TestFamily("singular-cutoff")
     grid = build_log_grid(3, verify.DEFAULT_R_MIN, verify.DEFAULT_R_MAX, 256)
     reports = json.loads(out_json.read_text())["reports"]
     for s, report in zip((0.5, 1.5), reports):
-        alone = verify.norm_ratio_sweep(params, [s], family, grid).to_dict()
-        assert json.loads(json.dumps(alone)) == report
+        _, _, (alone,) = verify.sweep_by_power(params, [s], family, grid)
+        assert json.loads(json.dumps(alone.to_dict())) == report
 
 
 def _readme_usage_commands() -> list:
@@ -347,7 +347,7 @@ _CONTRACT_CASES = [
     (("sweep", "--d=3", "--alpha=1", f"--a={CRITICAL}", "--s=0.5,1.5", "--family=singular-cutoff",
       "--grid-n=256"), 2, ["pass", "diverging"]),
     (("sweep", "--d=3", "--alpha=1", "--a=1e300", "--grid-n=128"), 3, []),
-    (("suite", "--quick"), 0, ["pass"] * 8),
+    (("suite", "--quick"), 0, ["pass"] * 7),
     (("schur", "--d=-3", "--beta=1"), 1, []),
     (("schur", "--d=1", "--beta=1"), 1, []),
     # A sweep's pass bound must be positive; --tol 0 used to fail every ratio.
@@ -386,6 +386,27 @@ def test_suite_reports_a_failed_check(capsys, monkeypatch, tmp_path):
     assert doc["verdict"] == "fail"
     failed = [report["check_name"] for report in doc["reports"] if report["verdict"] != "pass"]
     assert failed == ["psi-roundtrip"]
+
+
+def test_suite_sweep_row_fails_on_a_perturbed_ratio(capsys, monkeypatch, tmp_path):
+    from hardyops import verify
+
+    sweep_by_power = verify.sweep_by_power
+
+    def perturbed(*args, **kwargs):
+        rows, notes, reports = sweep_by_power(*args, **kwargs)
+        for row in rows:
+            row["ratio_forward"] *= 1.01
+        return rows, notes, reports
+
+    monkeypatch.setattr(verify, "sweep_by_power", perturbed)
+    out_json = tmp_path / "suite.json"
+    rc, out, _ = run(capsys, "suite", "--quick", f"--out-json={out_json}")
+    assert rc == 2
+    assert "sweep-s1-closed-form: fail" in out.splitlines()
+    doc = json.loads(out_json.read_text())
+    failed = [report["check_name"] for report in doc["reports"] if report["verdict"] != "pass"]
+    assert failed == ["sweep-s1-closed-form"]
 
 
 # ---------------------------------------------------------------------------
@@ -518,6 +539,30 @@ def test_suite_quick_passes(capsys, tmp_path):
     assert rc == 0
     doc = json.loads(out_json.read_text())
     assert doc["verdict"] == "pass"
-    assert len(doc["reports"]) == 8
+    assert len(doc["reports"]) == 7
     for rep in doc["reports"]:
         assert rep["verdict"] == "pass", rep["check_name"]
+
+
+_QUICK_ROWS = [
+    "constants-anchors",
+    "psi-roundtrip",
+    "riesz-time-anchor",
+    "schur-anchor",
+    "sweep-s1-closed-form",
+    "reverse-zero-coupling",
+    "difference-zero-coupling",
+]
+
+
+@pytest.mark.parametrize("argv, rows", [
+    (("suite", "--quick"), _QUICK_ROWS),
+    (("suite",), _QUICK_ROWS + ["heat-poisson-exact", "generalized-hardy-anchor"]),
+])
+def test_suite_row_names_in_order(capsys, tmp_path, argv, rows):
+    out_json, out_csv = tmp_path / "suite.json", tmp_path / "suite.csv"
+    rc, out, _ = run(capsys, *argv, f"--out-json={out_json}", f"--out-csv={out_csv}")
+    assert rc == 0
+    assert [report["check_name"] for report in json.loads(out_json.read_text())["reports"]] == rows
+    assert [line.split(",")[0] for line in out_csv.read_text().splitlines()[1:]] == rows
+    assert out.splitlines() == [f"{row}: pass" for row in rows] + ["suite: pass"]

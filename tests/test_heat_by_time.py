@@ -1,7 +1,7 @@
 """heat-verify's times share one Hardy operator, made explicit.
 
-``verify.heat_sandwich_by_time`` yields, time by time, the report that
-``heat_sandwich_check(params, [t])`` gives, from a single operator build.
+``verify.heat_sandwich_by_time`` yields, time by time, the report that a
+run with that time alone gives, from a single operator build.
 The CLI's ``heat-verify`` iterates it, so one command runs one ``eigh``
 however many ``--t`` it has, and its outputs are those of the per-time
 checks, up to the first time that fails.
@@ -16,7 +16,7 @@ from hardyops.cli import main
 from hardyops.errors import DomainError
 from hardyops.operators import build_log_grid
 from hardyops.specfun import make_params
-from hardyops.verify import heat_sandwich_by_time, heat_sandwich_check
+from hardyops.verify import heat_sandwich_by_time
 
 # Every time lies inside each case's reliable window on this box; 1.0 twice.
 TIMES = [0.5, 1.0, 2.0, 1.0]
@@ -46,7 +46,7 @@ def test_reports_equal_the_single_time_check_from_one_build(monkeypatch, d, alph
     monkeypatch.undo()
     assert len(reports) == len(TIMES)
     for t, report in zip(TIMES, reports):
-        alone = heat_sandwich_check(params, [t], 40, grid=grid, seed=7, band_bound=50.0)
+        [alone] = heat_sandwich_by_time(params, [t], 40, grid=grid, seed=7, band_bound=50.0)
         assert report == alone  # floats compared with ==, so bit for bit
 
 
@@ -64,7 +64,7 @@ def test_errors_surface_at_their_time():
     # Nothing is checked before the first report is asked for; then each
     # time is checked only after the reports of the times before it.
     reports = heat_sandwich_by_time(params, [1.0, 1e9, 2.0], 20, grid=grid)
-    assert next(reports) == heat_sandwich_check(params, [1.0], 20, grid=grid)
+    assert [next(reports)] == list(heat_sandwich_by_time(params, [1.0], 20, grid=grid))
     with pytest.raises(DomainError, match="no t values inside the reliable window"):
         next(reports)
     reports = heat_sandwich_by_time(params, [1.0, -1.0], 20, grid=grid)
@@ -99,5 +99,5 @@ def test_out_of_window_time_writes_the_earlier_report_then_the_failure(capsys, t
     assert doc["config"]["t"] == [1.0, 1e9]
     # The one report is the per-time check's.
     params = make_params(3, 1.0, -0.3)
-    alone = heat_sandwich_check(params, [1.0], grid=build_log_grid(3, 1e-2, 1e2, 128))
+    [alone] = heat_sandwich_by_time(params, [1.0], grid=build_log_grid(3, 1e-2, 1e2, 128))
     assert doc["reports"] == [json.loads(json.dumps(alone.to_dict()))]

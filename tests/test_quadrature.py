@@ -15,7 +15,6 @@ from hardyops import (
     KernelTriple,
     QuadResult,
     a_star,
-    gamma_negative_half_integral_check,
     hardy_constant,
     integrate_semiinfinite,
     make_params,
@@ -28,7 +27,7 @@ from hardyops import (
     verify,
 )
 from hardyops.cli import main
-from hardyops.quadrature import RIESZ_TOL, gamma_reflection_oracle
+from hardyops.quadrature import RIESZ_TOL
 
 mpmath.mp.dps = 30
 
@@ -65,6 +64,17 @@ def test_integrator_gaussian_spike_off_origin():
         lambda t: np.exp(-((t - 20.0) ** 2)), 1e-10, kinks=[[20.0]]
     )
     assert res.value[0] == pytest.approx(math.sqrt(math.pi), rel=1e-9)
+
+
+def test_integrator_integrable_left_singularity():
+    # t^(-s/2 - 1) (e^-t - 1) blows up like t^(-s/2) at 0 and has no kink;
+    # its integral is Gamma(-s/2).  One batch, one s per integral.
+    s = np.array([0.5, 1.0, 1.5])
+    res = integrate_semiinfinite(lambda t, s: t ** (-0.5 * s - 1.0) * np.expm1(-t), 1e-10,
+                                 np.empty((3, 0)), args=(s,))
+    for value, error, s_k in zip(res.value, res.abs_error_estimate, s):
+        assert value == pytest.approx(math.gamma(-0.5 * s_k), abs=1e-9)
+        assert error <= 1e-10
 
 
 def test_integrator_rejects_bad_tolerance():
@@ -142,27 +152,6 @@ def test_riesz_time_integral_rejects_exponent_outside_window(params_critical):
         riesz_time_integral(2.5, KernelTriple(1.0, 1.0, 1.0), params_critical)
     with pytest.raises(DomainError):
         riesz_time_integral(-0.5, KernelTriple(1.0, 1.0, 1.0), params_critical)
-
-
-def test_gamma_integral_matches_reflection_oracle():
-    for s in (0.5, 1.0, 1.5):
-        measured = gamma_negative_half_integral_check(s)
-        assert measured == pytest.approx(gamma_reflection_oracle(s), rel=1e-9)
-
-
-def test_gamma_oracle_against_mpmath(rng):
-    for s in np.concatenate([[0.5, 1.0, 1.5], rng.uniform(0.1, 1.9, 10)]):
-        s = float(s)
-        expected = float(mpmath.gamma(mpmath.mpf(-s) / 2))
-        assert gamma_reflection_oracle(s) == pytest.approx(expected, rel=1e-12)
-        assert expected < 0.0  # gamma(-s/2) is negative throughout (0, 2)
-
-
-def test_gamma_integral_domain():
-    with pytest.raises(DomainError):
-        gamma_negative_half_integral_check(0.0)
-    with pytest.raises(DomainError):
-        gamma_negative_half_integral_check(2.0)
 
 
 def test_schur_anchor_six_pi():

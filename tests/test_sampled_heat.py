@@ -33,7 +33,7 @@ from hardyops.operators import (
     heat_kernel_matrix,
 )
 from hardyops.specfun import a_star, make_params
-from hardyops.verify import difference_envelope_check, heat_sandwich_check
+from hardyops.verify import difference_envelope_check, heat_sandwich_by_time
 
 EPS = np.finfo(float).eps
 
@@ -111,7 +111,7 @@ def test_heat_checks_build_no_full_kernel(monkeypatch, params_half_critical, sma
         return real(op, t, pairs)
 
     monkeypatch.setattr(verify, "heat_kernel_matrix", spy)
-    heat_sandwich_check(params_half_critical, [0.5, 2.0], sample_pairs=20, grid=small_grid)
+    list(heat_sandwich_by_time(params_half_critical, [0.5, 2.0], sample_pairs=20, grid=small_grid))
     difference_envelope_check(params_half_critical, [1.0], sample_pairs=20, grid=small_grid)
     assert len(calls) == 2 + 4
     assert all(p is not None and p.shape == (20, 2) for p in calls)
@@ -120,7 +120,7 @@ def test_heat_checks_build_no_full_kernel(monkeypatch, params_half_critical, sma
 @pytest.mark.parametrize("count", [True, False, 2.5, 0, -3, "200", None, np.float64(3.0)])
 def test_sample_pairs_must_be_a_positive_integer(params_half_critical, small_grid, count):
     with pytest.raises(DomainError, match="sample_pairs"):
-        heat_sandwich_check(params_half_critical, [1.0], sample_pairs=count, grid=small_grid)
+        next(heat_sandwich_by_time(params_half_critical, [1.0], sample_pairs=count, grid=small_grid))
     with pytest.raises(DomainError, match="sample_pairs"):
         difference_envelope_check(params_half_critical, [1.0], sample_pairs=count, grid=small_grid)
 

@@ -13,17 +13,14 @@ from hardyops import (
     DomainError,
     TestFamily,
     VerificationReport,
-    a_star,
     build_log_grid,
     difference_envelope_check,
     generalized_hardy_constant,
     hardy_constant,
-    heat_sandwich_check,
+    heat_sandwich_by_time,
     make_params,
-    norm_ratio_sweep,
     reverse_hardy_constant,
     riesz_equivalence_check,
-    sobolev_check,
     sweep_by_power,
     verify,
 )
@@ -113,18 +110,19 @@ def test_sweep_by_power_rows_schema_and_zero_coupling(params_zero, small_grid):
 
 def test_norm_ratio_sweep_zero_coupling_passes(params_zero, small_grid):
     fam = TestFamily("gaussian-dilates")
-    rep = norm_ratio_sweep(params_zero, [0.5, 1.0], fam, small_grid)
-    assert rep.verdict == "pass"
-    assert rep.empirical_lower == pytest.approx(1.0, abs=1e-12)
-    assert rep.empirical_upper == pytest.approx(1.0, abs=1e-12)
+    _, _, reports = sweep_by_power(params_zero, [0.5, 1.0], fam, small_grid)
+    for rep in reports:
+        assert rep.verdict == "pass"
+        assert rep.empirical_lower == pytest.approx(1.0, abs=1e-12)
+        assert rep.empirical_upper == pytest.approx(1.0, abs=1e-12)
 
 
 def test_norm_ratio_sweep_validation(params_zero, small_grid):
     fam = TestFamily("gaussian-dilates")
     with pytest.raises(DomainError):
-        norm_ratio_sweep(params_zero, [], fam, small_grid)
+        sweep_by_power(params_zero, [], fam, small_grid)
     with pytest.raises(DomainError):
-        norm_ratio_sweep(params_zero, [2.5], fam, small_grid)
+        sweep_by_power(params_zero, [2.5], fam, small_grid)
 
 
 def test_sweep_by_power_matches_one_sweep_per_power(params_half_critical, small_grid):
@@ -135,10 +133,7 @@ def test_sweep_by_power_matches_one_sweep_per_power(params_half_critical, small_
     singles = [sweep_by_power(params_half_critical, [s], fam, small_grid) for s in s_values]
     assert rows == [row for one_rows, _, _ in singles for row in one_rows]
     assert all(one_notes == notes for _, one_notes, _ in singles)
-    assert len(reports) == len(s_values)
-    for s, report in zip(s_values, reports):
-        alone = norm_ratio_sweep(params_half_critical, [s], fam, small_grid)
-        assert report.to_dict() == alone.to_dict()
+    assert reports == [one_report for _, _, (one_report,) in singles]
 
 
 def test_sweep_by_power_checks_every_power_before_any_norm(params_zero, small_grid, monkeypatch):
@@ -166,11 +161,8 @@ def test_pass_bounds_must_be_positive(monkeypatch, bound):
     params = make_params(3, 1.0, -0.3)
     fam = TestFamily("gaussian-dilates")
     grid = build_log_grid(3, 1e-2, 1e2, 128)
-    for check in (norm_ratio_sweep, sweep_by_power):
-        with pytest.raises(DomainError, match="pass_bound must be positive"):
-            check(params, [1.0, 1.9], fam, grid, pass_bound=bound)
     with pytest.raises(DomainError, match="pass_bound must be positive"):
-        sobolev_check(params, 1.0, fam, grid, pass_bound=bound)
+        sweep_by_power(params, [1.0, 1.9], fam, grid, pass_bound=bound)
 
 
 # ---------------------------------------------------------------------------
@@ -263,15 +255,15 @@ def test_reverse_constant_s_two_is_exactly_the_coupling(params_half_critical):
 # heat kernel comparisons
 
 def test_heat_sandwich_exact_branch_near_unity(params_zero, medium_grid):
-    rep = heat_sandwich_check(params_zero, [1.0], sample_pairs=60,
-                              grid=medium_grid, seed=5)
+    rep = next(heat_sandwich_by_time(params_zero, [1.0], sample_pairs=60,
+                                     grid=medium_grid, seed=5))
     assert rep.verdict == "pass"
     assert 0.9 < rep.empirical_lower <= rep.empirical_upper < 1.1
 
 
 def test_heat_sandwich_profile_branch(params_critical, medium_grid):
-    rep = heat_sandwich_check(params_critical, [1.0], sample_pairs=50,
-                              grid=medium_grid, seed=3)
+    rep = next(heat_sandwich_by_time(params_critical, [1.0], sample_pairs=50,
+                                     grid=medium_grid, seed=3))
     assert rep.verdict == "pass"
     assert rep.empirical_lower > 0.0
     assert rep.empirical_upper / rep.empirical_lower < 50.0
@@ -279,8 +271,8 @@ def test_heat_sandwich_profile_branch(params_critical, medium_grid):
 
 def test_heat_sandwich_deterministic(params_critical, medium_grid):
     kw = dict(sample_pairs=30, grid=medium_grid, seed=11)
-    rep1 = heat_sandwich_check(params_critical, [1.0], **kw)
-    rep2 = heat_sandwich_check(params_critical, [1.0], **kw)
+    rep1 = next(heat_sandwich_by_time(params_critical, [1.0], **kw))
+    rep2 = next(heat_sandwich_by_time(params_critical, [1.0], **kw))
     assert rep1.empirical_lower == rep2.empirical_lower
     assert rep1.empirical_upper == rep2.empirical_upper
 
@@ -289,16 +281,16 @@ def test_heat_sandwich_deterministic(params_critical, medium_grid):
 def test_band_checks_reject_a_bound_below_one(params_zero, medium_grid, bound):
     # C/c >= 1 for every band, so such a bound could never pass.
     with pytest.raises(DomainError, match="band_bound must be >= 1"):
-        heat_sandwich_check(params_zero, [1.0], grid=medium_grid, band_bound=bound)
+        next(heat_sandwich_by_time(params_zero, [1.0], grid=medium_grid, band_bound=bound))
     with pytest.raises(DomainError, match="band_bound must be >= 1"):
         riesz_equivalence_check(params_zero, 1.0, n_triples=10, band_bound=bound)
 
 
 def test_heat_sandwich_rejects_out_of_window_times(params_zero, medium_grid):
     with pytest.raises(DomainError):
-        heat_sandwich_check(params_zero, [1e9], grid=medium_grid)
+        next(heat_sandwich_by_time(params_zero, [1e9], grid=medium_grid))
     with pytest.raises(DomainError):
-        heat_sandwich_check(params_zero, [-1.0], grid=medium_grid)
+        next(heat_sandwich_by_time(params_zero, [-1.0], grid=medium_grid))
 
 
 # ---------------------------------------------------------------------------
@@ -374,25 +366,6 @@ def test_riesz_triples_equal_scalar_uniform_draws(params_zero, seed, n_triples):
     with mock.patch.object(verify, "riesz_time_integral", record):
         riesz_equivalence_check(params_zero, 1.0, n_triples=n_triples, seed=seed)
     assert drawn == _uniform_triples(seed, n_triples)  # bitwise
-
-
-# ---------------------------------------------------------------------------
-# embedding
-
-def test_sobolev_zero_coupling_passes(params_zero, medium_grid):
-    fam = TestFamily("gaussian-dilates")
-    rep = sobolev_check(params_zero, 1.0, fam, grid=medium_grid)
-    assert rep.verdict == "pass"
-    assert rep.empirical_upper < 1.0
-
-
-def test_sobolev_preconditions(medium_grid):
-    fam = TestFamily("gaussian-dilates")
-    with pytest.raises(DomainError):
-        sobolev_check(make_params(3, 1.5, 0.0), 2.2, fam, grid=medium_grid)
-    crit = make_params(3, 1.0, a_star(3, 1.0))
-    with pytest.raises(DomainError):
-        sobolev_check(crit, 1.5, fam, grid=medium_grid)
 
 
 # ---------------------------------------------------------------------------
