@@ -417,11 +417,12 @@ def _cmd_sweep(cfg: dict, em: _Emitter) -> None:
         fam_kwargs["sigma"] = cfg["sigma"]
     if cfg["eps"] is not None:
         eps = cfg["eps"]
-        if not (0.0 < eps < 3e-2):
+        if not (0.0 < eps < verify.CUTOFF_MAX):
             raise CliError(
-                f"eps must lie in (0, 0.03) below the family's largest scale, got {eps!r}"
+                f"eps must lie in (0, {verify.CUTOFF_MAX:g}) below the family's largest scale, "
+                f"got {eps!r}"
             )
-        fam_kwargs["eps_range"] = (eps, 3e-2)
+        fam_kwargs["eps"] = eps
     family = verify.TestFamily(tag=cfg["family"], **fam_kwargs)
     grid = build_log_grid(params.d, cfg["r_min"], cfg["r_max"], cfg["grid_n"])
 

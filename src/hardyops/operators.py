@@ -367,26 +367,22 @@ class SpectralOperator:
 
     eigenvalues are ascending and clamped to [0, inf); modes holds the
     eigenvectors as columns, orthonormal in the grid's weighted inner
-    product (modes.T @ diag(weights) @ modes = I).  coupling is the
-    scalar a for |p|^alpha + a r^{-alpha} operators and None for general
-    sandwiched potentials.
+    product (modes.T @ diag(weights) @ modes = I).
     """
 
     grid: RadialGrid
-    alpha: float
-    coupling: Optional[float]
     eigenvalues: np.ndarray
     modes: np.ndarray
-    label: str
 
 
-def _finalize_eigensystem(grid: RadialGrid, alpha: float, coupling: Optional[float],
-                          label: str, diagonal: Optional[np.ndarray] = None) -> SpectralOperator:
+def _finalize_eigensystem(grid: RadialGrid, alpha: float, label: str,
+                          diagonal: Optional[np.ndarray] = None) -> SpectralOperator:
     """Eigensystem of the free matrix plus an optional diagonal.
 
     Each build assembles the free matrix afresh and adds the diagonal in
     place; no assembled matrix outlives the build, and the eigensystem
-    lives exactly as long as the returned operator.
+    lives exactly as long as the returned operator.  ``label`` names the
+    operator in the error raised for a spectrum below the tolerance.
     """
     s_mat = _symmetric_free_matrix(grid, alpha)
     if diagonal is not None:
@@ -402,14 +398,12 @@ def _finalize_eigensystem(grid: RadialGrid, alpha: float, coupling: Optional[flo
         )
     lam = np.maximum(lam, 0.0)
     modes /= np.sqrt(grid.weights)[:, None]
-    return SpectralOperator(grid=grid, alpha=alpha, coupling=coupling, eigenvalues=lam,
-                            modes=modes, label=label)
+    return SpectralOperator(grid=grid, eigenvalues=lam, modes=modes)
 
 
 def build_fractional_laplacian(grid: RadialGrid, alpha: float) -> SpectralOperator:
     """Discrete |p|^alpha restricted to radial functions on the grid."""
-    return _finalize_eigensystem(grid, float(alpha), 0.0,
-                                 label=f"fractional_laplacian(alpha={alpha})")
+    return _finalize_eigensystem(grid, float(alpha), label=f"fractional_laplacian(alpha={alpha})")
 
 
 def build_hardy_operator(grid: RadialGrid, params: HardyParams) -> SpectralOperator:
@@ -426,7 +420,7 @@ def build_hardy_operator(grid: RadialGrid, params: HardyParams) -> SpectralOpera
             f"grid dimension {grid.d} does not match params.d={params.d}"
         )
     return _finalize_eigensystem(
-        grid, params.alpha, params.a,
+        grid, params.alpha,
         label=f"hardy_operator(alpha={params.alpha}, a={params.a})",
         diagonal=params.a * grid.nodes**-params.alpha,
     )
@@ -476,7 +470,7 @@ def build_potential_operator(grid: RadialGrid, alpha: float,
             f"V={v_vals[i]:.6g} outside [{lo[i]:.6g}, {hi[i]:.6g}]"
         )
     return _finalize_eigensystem(
-        grid, alpha, None,
+        grid, alpha,
         label=f"potential_operator(alpha={alpha})",
         diagonal=v_vals,
     )

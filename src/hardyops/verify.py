@@ -71,6 +71,7 @@ RIESZ_DECADES = 2.0  # sampled Riesz radii are log-uniform in [10^-2, 10^2]
 PLATEAU_OUTER = 50.0  # outer ramp radius of the singular-cutoff family
 FAMILY_MEMBERS = 8  # test vectors in every family
 DILATION_RANGE = (0.25, 4.0)  # widths of the gaussian-dilates family
+CUTOFF_MAX = 3e-2  # largest cutoff scale of the singular-cutoff family
 
 DEFAULT_R_MIN = 1e-3
 DEFAULT_R_MAX = 1e3
@@ -133,20 +134,20 @@ class TestFamily:
     ``sigma`` is the singularity exponent of the cutoff family; when left
     unset it is resolved at evaluation time to ``delta - 0.01`` so the
     member profile tracks the near-zero-mode power law of the operator
-    under test.  Cutoff members ramp down to zero between
-    ``PLATEAU_OUTER`` and twice that radius.
+    under test.  Cutoff scales run from ``CUTOFF_MAX`` down to ``eps``,
+    which must lie in (0, ``CUTOFF_MAX``); cutoff members ramp down to
+    zero between ``PLATEAU_OUTER`` and twice that radius.
     """
 
     tag: str
     sigma: Optional[float] = None
-    eps_range: tuple = (1e-4, 3e-2)
+    eps: float = 1e-4
 
     def __post_init__(self):
         if self.tag not in FAMILY_TAGS:
             raise DomainError(f"unknown family tag {self.tag!r}; expected one of {FAMILY_TAGS}")
-        lo, hi = self.eps_range
-        if not (0.0 < lo < hi) or not math.isfinite(hi):
-            raise DomainError("eps_range must be an increasing pair of positive reals")
+        if not (0.0 < self.eps < CUTOFF_MAX):
+            raise DomainError(f"eps must lie in (0, {CUTOFF_MAX:g}), got {self.eps!r}")
 
     def members(self, grid: RadialGrid, delta: float = 0.0) -> Iterator[tuple]:
         """Yield ``(member_id, values_on_grid)`` pairs in probe order."""
@@ -157,7 +158,7 @@ class TestFamily:
         elif self.tag == "singular-cutoff":
             sig = self.sigma if self.sigma is not None else delta - 0.01
             # probe direction is eps -> 0, so iterate eps descending
-            for eps in np.geomspace(self.eps_range[1], self.eps_range[0], FAMILY_MEMBERS):
+            for eps in np.geomspace(CUTOFF_MAX, self.eps, FAMILY_MEMBERS):
                 ramp_in = _smoothstep(r / eps - 1.0)
                 ramp_out = 1.0 - _smoothstep(r / PLATEAU_OUTER - 1.0)
                 yield f"eps={eps:.6g}", r ** (-sig) * ramp_in * ramp_out
@@ -193,11 +194,9 @@ def _weighted_coeffs(op, vec: np.ndarray) -> np.ndarray:
 def _power_norm(lam: np.ndarray, c: np.ndarray, s: float) -> float:
     """Weighted norm of the fractional power s/2 applied to the vector
     whose weighted coefficients (:func:`_weighted_coeffs`) in the
-    eigenbasis of the eigenvalues ``lam`` are ``c``."""
-    scale = np.zeros_like(lam)
-    pos = lam > 0.0
-    scale[pos] = lam[pos] ** s
-    return math.sqrt(float(np.sum(scale * c * c)))
+    eigenbasis of the eigenvalues ``lam`` are ``c``.  The eigenvalues are
+    clamped to [0, inf) by the build, and 0**s = 0 for the s > 0 here."""
+    return math.sqrt(float(np.sum(lam**s * c * c)))
 
 
 # ---------------------------------------------------------------------------
@@ -533,22 +532,16 @@ def generalized_hardy_constant(
 
 
 def _sym_power_matrix(op, s: float) -> np.ndarray:
-    lam = op.eigenvalues
-    scale = np.zeros_like(lam)
-    pos = lam > 0.0
-    scale[pos] = lam[pos] ** (0.25 * s)
-    # Gram form B @ B.T: a symmetric rank-k update, exactly symmetric.
+    # Gram form B @ B.T: a symmetric rank-k update, exactly symmetric.  The
+    # build clamps the eigenvalues to [0, inf), and 0**p = 0 for p > 0.
     b_mat = op.modes * np.sqrt(op.grid.weights)[:, None]
-    b_mat *= scale
+    b_mat *= op.eigenvalues ** (0.25 * s)
     return b_mat @ b_mat.T
 
 
 def _reverse_rung_value(full, params: HardyParams, s: float) -> float:
     grid = full.grid
-    if params.a == 0.0:
-        free = full
-    else:
-        free = build_fractional_laplacian(grid, params.alpha)
+    free = build_fractional_laplacian(grid, params.alpha)
     right = grid.nodes ** (0.5 * params.alpha * s)
     diff_mat = _sym_power_matrix(full, s)
     diff_mat -= _sym_power_matrix(free, s)
@@ -570,8 +563,9 @@ def reverse_hardy_constant(
     At s = 2 the difference of the operators is exactly the coupling
     diagonal a r^{-alpha}, which the weight r^{alpha} undoes, so the
     constant is |a| on every rung, returned in closed form; the rungs'
-    boxes are still validated.  Fractional s goes through the spectral
-    calculus.  The rungs and the verdict follow
+    boxes are still validated.  At a = 0 the two operators coincide and
+    every rung is exactly 0 = |a|, returned the same way.  Other s go
+    through the spectral calculus.  The rungs and the verdict follow
     :func:`generalized_hardy_constant`.
 
     For fractional s the constant is the square root of the largest
@@ -583,14 +577,13 @@ def reverse_hardy_constant(
     The Hardy eigensystems L come from the same one-slot memo as
     :func:`generalized_hardy_constant`, so after that function on the same
     parameters and ladder only the free eigensystem T is computed per
-    rung, and released with the rung.  At zero
-    coupling the Hardy rung serves as T, which makes the ladder exactly
-    zero.  The s = 2 case builds no eigensystem and leaves the memo alone.
+    rung, and released with the rung.  The closed-form cases, s = 2 and
+    a = 0, build no eigensystem and leave the memo alone.
     """
 
     def values(s: float, n_rungs: int) -> list:
-        if s == 2.0:
-            # Each rung's grid only validates its box, as at fractional s.
+        if s == 2.0 or params.a == 0.0:
+            # Each rung's grid only validates its box, as the spectral path's would.
             for k in range(n_rungs):
                 build_log_grid(params.d, r_min * REFINE_FACTOR ** (-k), r_max, grid_n)
             return [abs(params.a)] * n_rungs

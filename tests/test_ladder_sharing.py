@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from hardyops import verify
+from hardyops.errors import DomainError
 from hardyops.operators import _symmetric_free_matrix, build_log_grid
 from hardyops.verify import generalized_hardy_constant, reverse_hardy_constant
 
@@ -68,8 +69,6 @@ def test_slot_holds_only_the_latest_hardy_rungs(params_zero, params_half_critica
     ((key, rungs),) = verify._ladder_slot.items()
     assert key[0] == params_half_critical
     assert len(rungs) == 2
-    for op in rungs:
-        assert op.coupling == params_half_critical.a
 
 
 def test_call_order_does_not_change_results(params_half_critical):
@@ -89,9 +88,31 @@ def test_s_two_reverse_ladder_leaves_the_slot_alone(params_zero, params_half_cri
     assert verify._ladder_slot == before
 
 
+@pytest.mark.parametrize("s", [0.5, 1.0, 1.5, 2.0])
+def test_zero_coupling_reverse_ladder_builds_nothing(params_zero, params_half_critical, s,
+                                                     monkeypatch):
+    generalized_hardy_constant(params_half_critical, 1.0, **LADDER)
+    ((key, rungs),) = verify._ladder_slot.items()
+
+    def no_build(*args):
+        raise AssertionError("the zero-coupling reverse ladder is exact and builds no operator")
+
+    monkeypatch.setattr(verify, "build_hardy_operator", no_build)
+    monkeypatch.setattr(verify, "build_fractional_laplacian", no_build)
+    rep = reverse_hardy_constant(params_zero, s, **LADDER)
+    ((key_after, rungs_after),) = verify._ladder_slot.items()
+    assert key_after == key and rungs_after is rungs
+    assert (rep.empirical_lower, rep.empirical_upper, rep.verdict, rep.samples) == (
+        0.0, 0.0, "pass", 2)
+    assert rep.notes == ("coupling is zero, difference operator vanishes",)
+    # The rungs' boxes are still validated.
+    with pytest.raises(DomainError):
+        reverse_hardy_constant(params_zero, s, n_refinements=1, r_min=1e3, r_max=1e2)
+
+
 def test_zero_coupling_reverse_ladder_is_exactly_zero_at_default_grid(params_zero, monkeypatch):
     def no_free_build(grid, alpha):
-        raise AssertionError("at zero coupling the Hardy rung is the free operator")
+        raise AssertionError("the zero-coupling reverse ladder builds no free operator")
 
     monkeypatch.setattr(verify, "build_fractional_laplacian", no_free_build)
     rep = reverse_hardy_constant(params_zero, 1.0, n_refinements=1)

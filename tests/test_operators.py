@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -10,6 +11,7 @@ from hardyops import (
     ConstructionError,
     DomainError,
     PotentialSpec,
+    SpectralOperator,
     a_star,
     build_fractional_laplacian,
     build_hardy_operator,
@@ -83,7 +85,11 @@ def test_free_operator_positive_spectrum(medium_grid):
     op = build_fractional_laplacian(medium_grid, 1.0)
     assert np.all(op.eigenvalues >= 0.0)
     assert np.all(np.diff(op.eigenvalues) >= 0.0)
-    assert op.coupling == 0.0
+
+
+def test_operator_holds_only_its_spectrum():
+    assert [f.name for f in dataclasses.fields(SpectralOperator)] == [
+        "grid", "eigenvalues", "modes"]
 
 
 def test_modes_weighted_orthonormal(medium_grid):
@@ -309,7 +315,6 @@ def test_potential_operator_accepts_sandwiched_profile(small_grid):
         a_tilde=crit / 2,
     )
     op = build_potential_operator(small_grid, 1.0, pot)
-    assert op.coupling is None
     assert np.all(op.eigenvalues >= 0.0)
 
 

@@ -81,15 +81,16 @@ def test_family_cutoff_sigma_defaults_to_near_delta(small_grid):
         assert np.array_equal(v1, v2)
 
 
-def test_family_takes_only_tag_sigma_and_eps_range():
-    assert [f.name for f in dataclasses.fields(TestFamily)] == ["tag", "sigma", "eps_range"]
+def test_family_takes_only_tag_sigma_and_eps():
+    assert [f.name for f in dataclasses.fields(TestFamily)] == ["tag", "sigma", "eps"]
 
 
 def test_family_validation():
     with pytest.raises(DomainError):
         TestFamily("no-such-family")
-    with pytest.raises(DomainError):
-        TestFamily("singular-cutoff", eps_range=(0.0, 1.0))
+    for eps in (0.0, -1e-3, verify.CUTOFF_MAX, 1.0, math.nan):
+        with pytest.raises(DomainError):
+            TestFamily("singular-cutoff", eps=eps)
 
 
 # ---------------------------------------------------------------------------
