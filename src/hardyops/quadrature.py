@@ -55,7 +55,9 @@ _U_FLOOR = -690.0
 _U_CEIL = 690.0
 
 MAX_SPLITS = 4000  # panel bisections before the integrator gives up
-RIESZ_TOL = 1e-9  # absolute tolerance on the Riesz time integral I
+# Tolerance on the Riesz time integral I divided by e^sigma, its peak above
+# 1: absolute on I for peaks up to 1, relative to the peak above.
+RIESZ_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -98,23 +100,6 @@ def _row_dot(rows: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return (rows[:, None, :] @ weights)[:, 0]
 
 
-def _panel_table(made, n):
-    """One table of the panels made so far, listed in ``made`` as columns
-    (row, lo, hi, val, err) of arrays, one array per phase step.
-
-    The table holds each row's panels side by side in increasing u, rows
-    in order, so row r has entries starts[r] to starts[r] + count[r] of lo,
-    hi (edges in u = ln t), val and err (G7K15 value and error estimate).
-    Also returns each row's error total, summed over its panels in the
-    order they were made.
-    """
-    owner, lo, hi, val, err = (np.concatenate(column) for column in made)
-    total = np.bincount(owner, weights=err, minlength=n)
-    count = np.bincount(owner, minlength=n)
-    order = np.lexsort((lo, owner))
-    return total, count, lo[order], hi[order], val[order], err[order]
-
-
 def integrate_semiinfinite(
     f: Callable,
     tol: float,
@@ -150,17 +135,26 @@ def integrate_semiinfinite(
     if not m:
         return QuadResult(np.zeros(0), np.zeros(0), 0, np.zeros(0, dtype=int))
     edges = _seed_edges(kinks)
-    # Work row r refines integral ids[r].  Rows stay sorted by integral, so
-    # the lowest failing integral is the lowest failing row; the rows from
-    # it on are dropped, since no result past it can be returned.
-    ids = np.arange(m)
+    # Row r of the table holds integral r's first count[r] panels as (lo,
+    # hi, val, err), edges in u = ln t and G7K15 value and error estimate,
+    # in the order they were made; the -inf padding is never the worst.
+    table = np.full((4, m, edges.shape[1]), -math.inf)
     alive = np.ones(m, dtype=bool)
     failure = None
 
     def fail(row, exc):
+        # The lowest failing integral is the one whose error is raised; the
+        # rows from it on stop, since no result past it can be returned.
         nonlocal failure
         failure = exc
         alive[row:] = False
+
+    def append(rows, *panel):
+        nonlocal table
+        if count[rows].max() == table.shape[2]:
+            table = np.concatenate([table, np.full_like(table, -math.inf)], axis=2)
+        table[:, rows, count[rows]] = panel
+        count[rows] += 1
 
     def evaluate(rows, lo, hi):
         # One integrand call for the panels [lo, hi] of the given rows.  A
@@ -171,7 +165,7 @@ def integrate_semiinfinite(
         u = mid[:, None] + hl[:, None] * _NODES
         with np.errstate(all="ignore"):
             t = np.exp(u)
-            g = np.asarray(f(t, *(a[ids[rows], None] for a in args)), dtype=float) * t
+            g = np.asarray(f(t, *(a[rows, None] for a in args)), dtype=float) * t
         shaped = g.shape == u.shape
         if not (shaped and np.isfinite(g).all()):
             j = np.argmin(np.isfinite(g).all(axis=1)) if shaped else 0
@@ -187,10 +181,15 @@ def integrate_semiinfinite(
         return k15, np.abs(k15 - g7)
 
     # Seed panels between consecutive distinct edges, in increasing order.
+    # A row's error total is summed over its panels in the order they were
+    # made, as bincount sums them.
     fresh = edges[:, 1:] > edges[:, :-1]
     rows = np.nonzero(fresh)[0]
     lo, hi = edges[:, :-1][fresh], edges[:, 1:][fresh]
-    made = tuple([x] for x in (rows, lo, hi, *evaluate(rows, lo, hi)))
+    val, err = evaluate(rows, lo, hi)
+    table[:, rows, (np.cumsum(fresh, axis=1) - 1)[fresh]] = lo, hi, val, err
+    count = fresh.sum(axis=1)
+    total = np.bincount(rows, weights=err, minlength=m)
 
     # Extend each tail until two consecutive panels are negligible.
     tails = (
@@ -211,72 +210,58 @@ def integrate_semiinfinite(
             nxt = u[rows] + 2.0 * direction
             a, b = (u[rows], nxt) if direction > 0 else (nxt, u[rows])
             val, err = evaluate(rows, a, b)
-            for column, x in zip(made, (rows, a, b, val, err)):
-                column.append(x)
+            append(rows, a, b, val, err)
+            total[rows] += err
             quiet[rows] = np.where(np.abs(val) + err < 0.1 * tol, quiet[rows] + 1, 0)
             u[rows] = nxt
             rows = rows[alive[rows] & (quiet[rows] < 2)]
 
-    total, count, lo, hi, val, err = _panel_table(made, m)
     splits = np.zeros(m, dtype=int)
     value, error = np.zeros(m), np.zeros(m)
     evals = np.zeros(m, dtype=int)
+    rows = np.flatnonzero(alive)
     while True:
-        done = alive & ~(total > tol)
-        ends = np.cumsum(count)
-        for r in np.flatnonzero(done):
-            value[ids[r]] = math.fsum(val[ends[r] - count[r] : ends[r]].tolist())
-        error[ids[done]] = total[done]
-        evals[ids[done]] = 15 * (count[done] + splits[done])  # a split discards one panel
-        keep = alive & ~done
-        if not keep.all():
-            # One column at a time, so only one old column is held with the new.
-            kept = np.repeat(keep, count)
-            lo = lo[kept]
-            hi = hi[kept]
-            val = val[kept]
-            err = err[kept]
-            ids, alive, total, splits, count = (
-                x[keep] for x in (ids, alive, total, splits, count))
-        if not ids.size:
+        rows = rows[alive[rows]]
+        over = total[rows] > tol
+        done = rows[~over]
+        for r in done:
+            value[r] = math.fsum(table[2, r, : count[r]].tolist())
+        error[done] = total[done]
+        evals[done] = 15 * (count[done] + splits[done])  # a split discards one panel
+        rows = rows[over]
+        if not rows.size:
             break
-        spent = splits >= MAX_SPLITS
+        spent = splits[rows] >= MAX_SPLITS
         if spent.any():
-            r = np.argmax(spent)
+            r = rows[np.argmax(spent)]
             fail(r, ConvergenceError(
                 f"refinement budget exhausted: error estimate {total[r]:.3e} "
                 f"above tolerance {tol:.3e} after {splits[r]} splits"
             ))
             continue
         # Every remaining row bisects its worst panel: the largest error,
-        # ties to the smallest lo (the first in the row), as a heap keyed on
-        # (-err, lo) pops them.
-        starts = np.cumsum(count) - count
-        at = np.flatnonzero(err == np.repeat(np.maximum.reduceat(err, starts), count))
-        row = np.searchsorted(starts, at, side="right") - 1
-        worst = at[np.diff(row, prepend=-1) > 0]
-        a, b, e = lo[worst], hi[worst], err[worst]
+        # ties to the smallest lo, as a heap keyed on (-err, lo) pops them.
+        width = count[rows].max()
+        lo, err = table[0, rows, :width], table[3, rows, :width]
+        worst = np.where(err == err.max(axis=1)[:, None], lo, math.inf).argmin(axis=1)
+        a, b, _, e = table[:, rows, worst]
         narrow = b - a < 1e-13
         if narrow.any():
-            r = np.argmax(narrow)
-            fail(r, ConvergenceError(
-                f"panel at t ~ {math.exp(a[r]):.3e} shrank below resolution "
-                f"with error {e[r]:.3e} remaining"
+            j = np.argmax(narrow)
+            fail(rows[j], ConvergenceError(
+                f"panel at t ~ {math.exp(a[j]):.3e} shrank below resolution "
+                f"with error {e[j]:.3e} remaining"
             ))
             continue
         mid = 0.5 * (a + b)
-        halves = evaluate(np.repeat(np.arange(ids.size), 2),
+        halves = evaluate(np.repeat(rows, 2),
                           np.column_stack([a, mid]).ravel(), np.column_stack([mid, b]).ravel())
         (v1, v2), (e1, e2) = (x.reshape(-1, 2).T for x in halves)
-        total = (total - e) + (e1 + e2)
-        # The left half replaces the worst panel, the right half follows it.
-        hi[worst], val[worst], err[worst] = mid, v1, e1
-        lo = np.insert(lo, worst + 1, mid)
-        hi = np.insert(hi, worst + 1, b)
-        val = np.insert(val, worst + 1, v2)
-        err = np.insert(err, worst + 1, e2)
-        count += 1
-        splits += 1
+        total[rows] = (total[rows] - e) + (e1 + e2)
+        # The left half replaces the worst panel, the right half is appended.
+        table[1:, rows, worst] = mid, v1, e1
+        append(rows, mid, b, v2, e2)
+        splits[rows] += 1
 
     if failure is not None:
         raise failure
@@ -296,8 +281,9 @@ def riesz_time_integral(s: float, q: KernelTriple, params: HardyParams):
     with kinks at t = 1 and t = (|x|/|x-y|)^alpha, (|y|/|x-y|)^alpha.
     Requires all three radial lengths positive and s inside the window
     (0, min(2d/alpha, 2(d - 2 delta)/alpha)), which is exactly the
-    condition making the integral converge.  I is integrated to the
-    absolute tolerance ``RIESZ_TOL``.
+    condition making the integral converge.  I / e^sigma, e^sigma the
+    integrand's peak above 1, is integrated to the absolute tolerance
+    ``RIESZ_TOL``: absolute on I for peaks up to 1, relative above.
 
     Returns a float for a scalar triple.  An array triple gives an array
     of its broadcast shape, with every time integral in one batched

@@ -77,6 +77,28 @@ def test_non_convergence_exits_three(capsys):
     assert err != ""
 
 
+def test_integrator_non_convergence_exits_three_after_the_reports_before_it(capsys, tmp_path):
+    # At s = 1e-6 the time integrand falls off like t^{s/2} as t -> 0, too
+    # slowly to turn negligible before the underflow boundary; s = 0.5,
+    # integrated first, is reported.
+    out_json, out_csv = tmp_path / "riesz.json", tmp_path / "riesz.csv"
+    rc, _, err = run(capsys, "riesz-verify", "--d", "3", "--alpha", "1", "--a", "0",
+                     "--s", "0.5,1e-6", "--out-json", str(out_json), "--out-csv", str(out_csv))
+    failure = "ConvergenceError: left tail did not decay before the underflow boundary"
+    assert rc == 3
+    assert err == "error: left tail did not decay before the underflow boundary\n"
+    header, passed, failed = out_csv.read_text().splitlines()
+    assert header == "d,alpha,a,delta,s,ratio_min,ratio_max,spread,verdict"
+    assert passed.startswith("3,1.0,0.0,0.0,0.5,") and passed.endswith(",pass")
+    assert failed == f"FAILURE,{failure},,,,,,,"
+    payload = json.loads(out_json.read_text())
+    assert payload["verdict"] == "error"
+    assert payload["failure"] == failure
+    [report] = payload["reports"]
+    assert report["params"]["s"] == 0.5
+    assert report["verdict"] == "pass"
+
+
 def test_schur_finite_and_divergent(capsys):
     rc, out, _ = run(capsys, "schur", "--d", "3", "--beta", "1", "--delta-plus", "0")
     assert rc == 0

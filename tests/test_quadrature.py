@@ -1,3 +1,4 @@
+import heapq
 import math
 from contextlib import contextmanager
 from unittest import mock
@@ -517,3 +518,143 @@ def test_bad_kink_names_the_lowest_bad_row(kinks, data):
     with pytest.raises(DomainError) as raised:
         integrate_semiinfinite(_never_called, 1e-10, kinks=kinks, args=(1.0,))
     assert str(raised.value) == str(expected)
+
+
+# ---------------------------------------------------------------------------
+# the lockstep integrator against a sequential one, one integral at a time
+
+
+def _panel(f, lo, hi, params):
+    """G7K15 value and error estimate of one panel [lo, hi] in u = ln t."""
+    mid, hl = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    u = np.array([mid + hl * quadrature._NODES])
+    with np.errstate(all="ignore"):
+        t = np.exp(u)
+        g = np.asarray(f(t, *(np.full((1, 1), a) for a in params)), dtype=float) * t
+    if not np.isfinite(g).all():
+        raise DomainError(f"integrand returned a non-finite or misshaped value on "
+                          f"[{math.exp(lo):.3g}, {math.exp(hi):.3g}]")
+    sym = g[:, :7] + g[:, :7:-1]
+    k15 = hl * (quadrature._row_dot(sym, quadrature._WK[:-1]) + quadrature._WK[-1] * g[:, 7])
+    g7 = hl * (quadrature._row_dot(sym[:, 1::2], quadrature._WG[:-1])
+               + quadrature._WG[-1] * g[:, 7])
+    return float(k15[0]), float(abs(k15[0] - g7[0]))
+
+
+def _integrate_alone(f, tol, kinks, params):
+    """Value, error estimate and evaluation count of one integral, one panel
+    at a time: seeds at the kinks in increasing u, the right tail and then
+    the left in steps of 2 until two consecutive panels are negligible, and
+    then bisections of the worst panel, popped from a heap keyed on
+    (-err, lo)."""
+    seeds = sorted([math.log(k) for k in kinks] + [0.0])
+    edges = [seeds[0] - 2.0, *seeds, seeds[-1] + 2.0]
+    panels = [(lo, hi, *_panel(f, lo, hi, params))
+              for lo, hi in zip(edges, edges[1:]) if hi > lo]
+    for direction, u, stuck in (
+        (+1, edges[-1], "right tail did not decay before the overflow boundary"),
+        (-1, edges[0], "left tail did not decay before the underflow boundary"),
+    ):
+        quiet = 0
+        while quiet < 2:
+            if u >= quadrature._U_CEIL if direction > 0 else u <= quadrature._U_FLOOR:
+                raise ConvergenceError(stuck)
+            nxt = u + 2.0 * direction
+            lo, hi = (u, nxt) if direction > 0 else (nxt, u)
+            val, err = _panel(f, lo, hi, params)
+            panels.append((lo, hi, val, err))
+            quiet = quiet + 1 if abs(val) + err < 0.1 * tol else 0
+            u = nxt
+    total = 0.0
+    for *_, err in panels:
+        total += err
+    heap = [(-err, lo, hi, val) for lo, hi, val, err in panels]
+    heapq.heapify(heap)
+    splits = 0
+    while total > tol:
+        if splits >= quadrature.MAX_SPLITS:
+            raise ConvergenceError(
+                f"refinement budget exhausted: error estimate {total:.3e} "
+                f"above tolerance {tol:.3e} after {splits} splits")
+        neg_err, lo, hi, _ = heapq.heappop(heap)
+        err = -neg_err
+        if hi - lo < 1e-13:
+            raise ConvergenceError(f"panel at t ~ {math.exp(lo):.3e} shrank below "
+                                   f"resolution with error {err:.3e} remaining")
+        mid = 0.5 * (lo + hi)
+        (v1, e1), (v2, e2) = _panel(f, lo, mid, params), _panel(f, mid, hi, params)
+        total = (total - err) + (e1 + e2)
+        heapq.heappush(heap, (-e1, lo, mid, v1))
+        heapq.heappush(heap, (-e2, mid, hi, v2))
+        splits += 1
+    return math.fsum(val for *_, val in heap), total, 15 * (len(heap) + splits)
+
+
+def _exp_with_kink(t, c, k):
+    return np.exp(-c * np.abs(t - k))
+
+
+def _log_gaussian(t):
+    # exp(-(ln t)^2) dt/t is e^{-u^2} du: mirrored panels tie on error.
+    return np.exp(-np.log(t) ** 2) / t
+
+
+def _riesz_form(t, lcx, lcy):
+    # The Riesz time integrand's shape at (d, alpha, delta, s) = (3, 1.5, 0.4, 0.8):
+    # the exp of a function of ln t, linear between kinks at 1, e^{-1.5 lcx}
+    # and e^{-1.5 lcy}.
+    lt = np.log(t)
+    le = -0.6 * lt + np.minimum(0.0, -3.0 * lt)
+    le = le + 0.4 * np.maximum(0.0, lcx + lt / 1.5)
+    return np.exp(le + 0.4 * np.maximum(0.0, lcy + lt / 1.5))
+
+
+def _gamma_form(t, c):
+    # t^(c - 1) e^-t: at c = 0 the left tail is flat in u and never decays.
+    return t ** (c - 1.0) * np.exp(-t)
+
+
+def _lorentzian(t, c):
+    return c / (1.0 + t * t)
+
+
+# Five hand-picked geometries and 195 drawn ones: in a batch this size a
+# total summed in another order than the panels were made shows.
+_RIESZ_LOGS = [(0.0, 0.0), (-2.0, 1.0), (3.0, -4.0), (1e-3, 0.5), (-6.0, -6.0),
+               *np.random.default_rng(5).uniform(-6.0, 6.0, (195, 2)).tolist()]
+_SEQUENTIAL_CASES = {
+    "exponentials-with-kinks": (_exp_with_kink, 1e-10,
+                                [[1.0, 2.0], [0.3, 0.6], [5.0, 10.0], [20.0, 40.0]],
+                                ([1.0, 0.5, 3.0, 2.0], [1.0, 0.3, 5.0, 20.0])),
+    "log-gaussian-ties": (_log_gaussian, 1e-12,
+                          [[math.exp(-1.0), math.e], [math.exp(-2.0), math.exp(2.0)]], ()),
+    "riesz-form": (_riesz_form, 1e-9,
+                   [[1.0, math.exp(-1.5 * x), math.exp(-1.5 * y)] for x, y in _RIESZ_LOGS],
+                   tuple(zip(*_RIESZ_LOGS))),
+    "right-tail-flat": (_flat_or_nan, 1e-10, np.ones((3, 1)), ([1.0, 0.0, 1.0],)),
+    "left-tail-flat": (_gamma_form, 1e-10, [[1.0], [2.0], [0.5]], ([1.5, 0.5, 0.0],)),
+    "non-finite": (_flat_or_nan, 1e-10, [[1.0], [3.0], [1.0]], ([1.0, math.nan, 0.0],)),
+    "unreachable-tolerance": (_lorentzian, 1e-18, [[1.0], [1.0]], ([0.0, 1.0],)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_SEQUENTIAL_CASES))
+def test_batch_equals_a_sequential_integrator(case):
+    f, tol, kinks, args = _SEQUENTIAL_CASES[case]
+    m = len(kinks)
+    params = [[a[r] for a in args] for r in range(m)]
+    expected = []
+    try:
+        for r in range(m):
+            expected.append(_integrate_alone(f, tol, kinks[r], params[r]))
+    except (ConvergenceError, DomainError) as exc:
+        expected = (type(exc), str(exc))
+    got = _outcome(integrate_semiinfinite, f, tol, np.asarray(kinks, dtype=float), args)
+    if isinstance(expected, tuple):
+        assert got == expected
+        return
+    value, error, evals = (np.array(x) for x in zip(*expected))
+    assert got.value.tobytes() == value.tobytes()
+    assert got.abs_error_estimate.tobytes() == error.tobytes()
+    assert got.evaluations_each.tolist() == evals.tolist()
+    assert got.evaluations == evals.sum()
