@@ -236,8 +236,7 @@ def sweep_by_power(
     if not s_list:
         raise DomainError("need at least one s value")
     for s in s_list:
-        if not (0.0 < s <= 2.0):
-            raise DomainError(f"s={s} outside (0, 2]")
+        _check_power(s)
     _check_pass_bound(pass_bound)
     grid = _grid_or_default(grid, params)
     notes: list = []
@@ -268,6 +267,14 @@ def sweep_by_power(
         rows.extend(block)
         reports.append(_sweep_verdict(params, s, family, grid, block, notes, pass_bound))
     return rows, notes, reports
+
+
+def _check_power(s) -> float:
+    """``s`` as a float, which must lie in (0, 2]."""
+    s = float(s)
+    if not (0.0 < s <= 2.0):
+        raise DomainError(f"s={s} outside (0, 2]")
+    return s
 
 
 def _check_pass_bound(pass_bound: float) -> None:
@@ -349,48 +356,46 @@ def _ladder_verdict(values: Sequence[float]) -> str:
     return "fail"
 
 
-def _ladder_report(check_name: str, params: HardyParams, s: float, n_refinements: int,
-                   r_min: float, r_max: float, grid_n: int, rung_values) -> VerificationReport:
-    """Validate a ladder check's s and ``n_refinements``, take its values
-    ``rung_values(s, n_refinements + 1)`` and judge the ladder."""
-    s = float(s)
-    if not (0.0 < s <= 2.0):
-        raise DomainError(f"s={s} outside (0, 2]")
-    _check_count("n_refinements", n_refinements)
-    values = rung_values(s, n_refinements + 1)
+def _ladder_report(check_name: str, params: HardyParams, s: float, r_min: float, r_max: float,
+                   grid_n: int, values: Sequence[float], verdict: Optional[str] = None,
+                   notes: Optional[tuple] = None) -> VerificationReport:
+    """The report of a ladder on its rung ``values``, judged by :func:`_ladder_verdict`
+    and noting the values unless ``verdict`` and ``notes`` are given."""
     return VerificationReport(
         check_name=check_name,
         params=_report_params(params, None, s=s, r_min=r_min, r_max=r_max, grid_n=grid_n),
         empirical_lower=min(values),
         empirical_upper=max(values),
-        verdict=_ladder_verdict(values),
+        verdict=verdict or _ladder_verdict(values),
         samples=len(values),
-        notes=("ladder: " + ", ".join(f"{v:.6g}" for v in values),),
+        notes=notes or ("ladder: " + ", ".join(f"{v:.6g}" for v in values),),
     )
 
 
-# One-slot memo of the Hardy eigensystems of the latest ladder: at most one
-# entry, (params, n_rungs, r_min, r_max, grid_n) -> tuple of
-# SpectralOperators, one per rung.  Both ladder functions read their rungs
-# from it, so a generalized and a reverse ladder on the same parameters
-# share every Hardy eigh.
+def _ladder_grids(params: HardyParams, s, n_refinements: int, r_min: float, r_max: float,
+                  grid_n: int) -> tuple:
+    """Check a ladder's s, then ``n_refinements``; return s as a float, the slot key and
+    the rung grids (inner radius r_min / REFINE_FACTOR**k), each built as it is drawn."""
+    s = _check_power(s)
+    _check_count("n_refinements", n_refinements)
+    grids = (build_log_grid(params.d, r_min * REFINE_FACTOR ** (-k), r_max, grid_n)
+             for k in range(n_refinements + 1))
+    return s, (params, n_refinements + 1, r_min, r_max, grid_n), grids
+
+
+# One-slot memo: the latest ladder's key from _ladder_grids -> its Hardy rungs.
+# Both ladders read it, so on the same parameters they share every Hardy eigh.
 _ladder_slot: dict = {}
 
 
-def _hardy_rungs(params: HardyParams, n_rungs: int, r_min: float, r_max: float,
-                 grid_n: int) -> tuple:
-    """Hardy operators on the ladder's rungs, inner radius r_min / REFINE_FACTOR**k."""
-    key = (params, n_rungs, r_min, r_max, grid_n)
+def _hardy_rungs(params: HardyParams, key: tuple, grids) -> tuple:
+    """Hardy operators on the rung ``grids``, from the slot when it holds ``key``."""
     rungs = _ladder_slot.get(key)
     if rungs is None:
         # Release the previous ladder before building the next, so two
         # ladders' eigensystems are never held at once.
         _ladder_slot.clear()
-        rungs = tuple(
-            build_hardy_operator(
-                build_log_grid(params.d, r_min * REFINE_FACTOR ** (-k), r_max, grid_n), params)
-            for k in range(n_rungs)
-        )
+        rungs = tuple(build_hardy_operator(grid, params) for grid in grids)
         _ladder_slot[key] = rungs
     return rungs
 
@@ -443,23 +448,26 @@ def _top_eigenvalue(matvec, n: int) -> float:
     return theta if theta > 0.0 else 0.0
 
 
-def _kept_modes(lam: np.ndarray) -> np.ndarray:
+def _cut_count(lam: np.ndarray) -> int:
     # Exclude the numerically-zero subspace: at the critical coupling the
     # construction carries an exact kernel vector whose eigenvalue lands
-    # at rounding level, far below any genuine excited level.
-    return lam > 1e-15 * float(lam.max())
+    # at rounding level, far below any genuine excited level.  The
+    # spectrum ascends, so the cut modes are its first ones.
+    return int(np.searchsorted(lam, 1e-15 * float(lam[-1]), side="right"))
 
 
-def _generalized_rung_value(op, params: HardyParams, s: float) -> float:
+def _generalized_rung(op, params: HardyParams, s: float) -> tuple:
+    """The rung's constant and the number of modes it cuts."""
     grid = op.grid
     lam = op.eigenvalues
-    keep = _kept_modes(lam)
+    cut = _cut_count(lam)
     row_scale = np.sqrt(grid.weights) * grid.nodes ** (-0.5 * params.alpha * s)
-    y_mat = op.modes[:, keep]
+    # Column-major, as a boolean column gather was, so the products round alike.
+    y_mat = op.modes[:, cut:].copy(order="F")
     y_mat *= row_scale[:, None]
-    y_mat *= lam[keep] ** (-0.5 * s)
+    y_mat *= lam[cut:] ** (-0.5 * s)
     top = _top_eigenvalue(lambda x: y_mat.T @ (y_mat @ x), y_mat.shape[1])
-    return math.sqrt(top)
+    return math.sqrt(top), cut
 
 
 def generalized_hardy_constant(
@@ -511,16 +519,11 @@ def generalized_hardy_constant(
     and is released when a ladder with a different key is requested,
     before that ladder is built.
     """
-
-    def values(s: float, n_rungs: int) -> list:
-        rungs = _hardy_rungs(params, n_rungs, r_min, r_max, grid_n)
-        return [_generalized_rung_value(op, params, s) for op in rungs]
-
-    report = _ladder_report("generalized_hardy_constant", params, s, n_refinements,
-                            r_min, r_max, grid_n, values)
+    s, key, grids = _ladder_grids(params, s, n_refinements, r_min, r_max, grid_n)
+    values, cuts = zip(*(_generalized_rung(op, params, s)
+                         for op in _hardy_rungs(params, key, grids)))
+    report = _ladder_report("generalized_hardy_constant", params, s, r_min, r_max, grid_n, values)
     allowed = 1 if params.a == params.a_star else 0
-    rungs = _hardy_rungs(params, n_refinements + 1, r_min, r_max, grid_n)
-    cuts = [int(np.count_nonzero(~_kept_modes(op.eigenvalues))) for op in rungs]
     over = {k: c for k, c in enumerate(cuts) if c > allowed}
     if not over:
         return report
@@ -563,8 +566,8 @@ def reverse_hardy_constant(
     At s = 2 the difference of the operators is exactly the coupling
     diagonal a r^{-alpha}, which the weight r^{alpha} undoes, so the
     constant is |a| on every rung, returned in closed form; the rungs'
-    boxes are still validated.  At a = 0 the two operators coincide and
-    every rung is exactly 0 = |a|, returned the same way.  Other s go
+    boxes are still validated.  At a = 0 the two operators coincide,
+    every rung is exactly 0 and the ladder passes at once.  Other s go
     through the spectral calculus.  The rungs and the verdict follow
     :func:`generalized_hardy_constant`.
 
@@ -580,23 +583,18 @@ def reverse_hardy_constant(
     rung, and released with the rung.  The closed-form cases, s = 2 and
     a = 0, build no eigensystem and leave the memo alone.
     """
-
-    def values(s: float, n_rungs: int) -> list:
-        if s == 2.0 or params.a == 0.0:
-            # Each rung's grid only validates its box, as the spectral path's would.
-            for k in range(n_rungs):
-                build_log_grid(params.d, r_min * REFINE_FACTOR ** (-k), r_max, grid_n)
-            return [abs(params.a)] * n_rungs
-        rungs = _hardy_rungs(params, n_rungs, r_min, r_max, grid_n)
-        return [_reverse_rung_value(full, params, s) for full in rungs]
-
-    report = _ladder_report("reverse_hardy_constant", params, s, n_refinements,
-                            r_min, r_max, grid_n, values)
+    s, key, grids = _ladder_grids(params, s, n_refinements, r_min, r_max, grid_n)
+    # In the closed forms each rung's grid only checks its box, as a build's would.
     if params.a == 0.0:
-        # difference operator vanishes identically; the ladder is all zeros
-        return replace(report, verdict="pass" if report.empirical_upper == 0.0 else "fail",
-                       notes=("coupling is zero, difference operator vanishes",))
-    return report
+        return _ladder_report("reverse_hardy_constant", params, s, r_min, r_max, grid_n,
+                              [0.0 for _ in grids], "pass",
+                              ("coupling is zero, difference operator vanishes",))
+    if s == 2.0:
+        values = [abs(params.a) for _ in grids]
+    else:
+        values = [_reverse_rung_value(full, params, s)
+                  for full in _hardy_rungs(params, key, grids)]
+    return _ladder_report("reverse_hardy_constant", params, s, r_min, r_max, grid_n, values)
 
 
 # ---------------------------------------------------------------------------
@@ -744,14 +742,15 @@ def _difference_ratio_sup(
     grid: RadialGrid,
     seed: int,
     potential: Optional[PotentialSpec],
+    nonnegative: bool,
     notes: list,
 ) -> tuple:
     """Sup of |difference kernel| / envelope over sampled interior pairs.
 
-    Returns ``(sup_ratio, sign_violation, usable)`` where the sign
-    violation is the worst entry breaking the expected entrywise ordering
-    (0.0 when clean) and ``usable`` counts the pairs with a positive
-    finite envelope.  A pass without a usable pair raises DomainError.
+    Returns ``(sup_ratio, sign_violation, usable)``: the sign violation is the
+    worst entry of the wrong sign, < 0 if ``nonnegative`` and > 0 otherwise (0.0
+    when clean); ``usable`` counts the pairs with a positive finite envelope.
+    A pass without a usable pair raises DomainError.
 
     Every time's pairs are drawn first.  The upper operator (free, or the
     potential one) and then the lower Hardy operator are built, and each
@@ -762,22 +761,17 @@ def _difference_ratio_sup(
     draws = [(t, _interior_pairs(rng, grid.n, sample_pairs)) for t in times]
     if potential is None:
         upper = _sampled_entries(build_fractional_laplacian(grid, params.alpha), draws)
-        expected_sign = math.copysign(1.0, params.a) if params.a != 0.0 else 0.0
     else:
         upper = _sampled_entries(
             build_potential_operator(grid, params.alpha, potential), draws)
-        # V <= a_tilde r^{-alpha} makes the potential kernel dominate
-        expected_sign = 1.0
     lower = _sampled_entries(build_hardy_operator(grid, subtract_params), draws)
     sup_ratio = 0.0
     violation = 0.0
     n_usable = 0
     for (t, pairs), upper_entries, lower_entries in zip(draws, upper, lower):
         diff = upper_entries - lower_entries
-        if expected_sign > 0.0:
-            violation = min(violation, float(diff.min()))
-        elif expected_sign < 0.0:
-            violation = max(violation, float(diff.max()))
+        violation = (min(violation, float(diff.min())) if nonnegative
+                     else max(violation, float(diff.max())))
         rx, ry = grid.nodes[pairs[:, 0]], grid.nodes[pairs[:, 1]]
         env = _pair_average(_envelope, t, env_params, rx, ry)
         usable = _usable(env, pairs, "envelope", t, notes)
@@ -843,19 +837,24 @@ def difference_envelope_check(
             notes=tuple(notes) + ("coupling is zero, difference kernel vanishes identically",),
         )
 
+    # A repulsive coupling lowers the coupled kernel below the free one,
+    # and V <= a_tilde r^{-alpha} makes the potential kernel dominate.
+    nonnegative = potential is not None or params.a > 0.0
     # The refined pass runs first.  Each pass releases each of its two
     # eigensystems before the next build, and the refined grid is released
     # when its pass returns; its notes follow the base pass's.
     fine_notes: list = []
     sup_fine, viol_fine, used_fine = _difference_ratio_sup(
         params, subtract_params, env_params, times, sample_pairs,
-        build_log_grid(grid.d, grid.r_min / 10.0, grid.r_max, grid.n), seed, potential, fine_notes
+        build_log_grid(grid.d, grid.r_min / 10.0, grid.r_max, grid.n), seed, potential,
+        nonnegative, fine_notes
     )
     sup_base, viol_base, used_base = _difference_ratio_sup(
-        params, subtract_params, env_params, times, sample_pairs, grid, seed, potential, notes
+        params, subtract_params, env_params, times, sample_pairs, grid, seed, potential,
+        nonnegative, notes
     )
     notes.extend(fine_notes)
-    worst_violation = min(viol_base, viol_fine) if potential or params.a > 0 else max(viol_base, viol_fine)
+    worst_violation = max(viol_base, viol_fine, key=abs)
     sign_ok = abs(worst_violation) <= SIGN_SLACK
     if not sign_ok:
         notes.append(f"entrywise sign violation {worst_violation:.3e} beyond slack {SIGN_SLACK:.1e}")

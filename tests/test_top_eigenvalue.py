@@ -60,7 +60,9 @@ def test_rung_top_eigenvalues_match_dense_and_arpack(d, alpha):
     # [a_star, H / 2], and zero.
     for a in (crit, 0.25 * crit, 0.0):
         params = make_params(d, alpha, a)
-        rungs = verify._hardy_rungs(params, 2, verify.DEFAULT_R_MIN, verify.DEFAULT_R_MAX, GRID_N)
+        _, key, grids = verify._ladder_grids(params, 1.0, 1, verify.DEFAULT_R_MIN,
+                                             verify.DEFAULT_R_MAX, GRID_N)
+        rungs = verify._hardy_rungs(params, key, grids)
         for op in rungs:
             grid = op.grid
             lam = op.eigenvalues
@@ -77,8 +79,9 @@ def test_rung_top_eigenvalues_match_dense_and_arpack(d, alpha):
                 top = verify._top_eigenvalue(lambda x: gram @ x, gram.shape[0])
                 assert close(top, dense)
                 assert close(top, arpack)
-                value = verify._generalized_rung_value(op, params, s)
+                value, cut = verify._generalized_rung(op, params, s)
                 assert close(value, math.sqrt(dense))
+                assert cut == np.count_nonzero(~keep)
 
                 right = grid.nodes ** (0.5 * alpha * s)
                 reverse = verify._reverse_rung_value(op, params, s)

@@ -11,6 +11,7 @@ from hardyops import (
     FAMILY_TAGS,
     SWEEP_COLUMNS,
     DomainError,
+    PotentialSpec,
     TestFamily,
     VerificationReport,
     build_log_grid,
@@ -252,6 +253,85 @@ def test_reverse_constant_s_two_is_exactly_the_coupling(params_half_critical):
             reverse_hardy_constant(params_half_critical, 2.0, n_refinements=1, **box)
 
 
+# Every ladder path: the generalized ladder, and the reverse ladder through
+# its spectral path, its s = 2 closed form and its a = 0 closed form.
+LADDER_PATHS = (
+    (generalized_hardy_constant, "half", 1.0),
+    (reverse_hardy_constant, "half", 0.5),
+    (reverse_hardy_constant, "half", 2.0),
+    (reverse_hardy_constant, "zero", 1.0),
+    (reverse_hardy_constant, "zero", 2.0),
+)
+
+
+@pytest.mark.parametrize("bad", [
+    {"r_min": 0.0}, {"r_min": 1e3, "r_max": 1e2}, {"r_max": math.inf}, {"grid_n": 1},
+    {"s": 2.5}, {"s": 0.0},
+])
+def test_every_ladder_path_rejects_a_bad_input_alike(params_zero, params_half_critical, bad):
+    params = {"zero": params_zero, "half": params_half_critical}
+    messages = set()
+    for check, which, s in LADDER_PATHS:
+        kwargs = {"n_refinements": 1, "grid_n": 64, **bad}
+        with pytest.raises(DomainError) as err:
+            check(params[which], kwargs.pop("s", s), **kwargs)
+        messages.add(str(err.value))
+    if "s" in bad:
+        # The sweep checks its powers with the same rule.
+        with pytest.raises(DomainError) as err:
+            sweep_by_power(params_zero, [bad["s"]], TestFamily("gaussian-dilates"))
+        messages.add(str(err.value))
+    assert len(messages) == 1, messages
+    (message,) = messages
+    if "s" in bad:
+        assert message == f"s={bad['s']} outside (0, 2]"
+
+
+def _inject_sign_violations(monkeypatch, gap):
+    """Set one sampled entry of the lower (Hardy) kernel in each difference
+    pass to the upper kernel's entry plus a multiple of ``gap``: 2.5 gap in
+    the refined pass, which runs first, and gap in the base pass.  The
+    difference at that pair is then about -2.5 gap and -gap."""
+    sampled = verify._sampled_entries
+    calls = []
+
+    def entries(op, draws):
+        out = sampled(op, draws)
+        calls.append(out)
+        if len(calls) % 2 == 0:  # the lower (Hardy) operator of a pass
+            scale = 2.5 if len(calls) == 2 else 1.0
+            out[0][0] = calls[-2][0][0] + scale * gap
+        return out
+
+    monkeypatch.setattr(verify, "_sampled_entries", entries)
+
+
+@pytest.mark.parametrize("case", ["attractive", "repulsive", "potential"])
+def test_difference_envelope_flags_a_sign_violation(small_grid, monkeypatch, case):
+    kwargs = {"sample_pairs": 40, "grid": small_grid, "seed": 3}
+    if case == "attractive":
+        params, gap = make_params(3, 1.0, -0.3), -1e-6  # difference expected <= 0
+    elif case == "repulsive":
+        params, gap = make_params(3, 1.0, 0.3), 1e-6
+    else:
+        params, gap = make_params(3, 1.0, -0.3), 1e-6
+        kwargs["potential"] = PotentialSpec(
+            profile=lambda r: -0.2 * r ** -1.0 * (1.0 + 0.5 * np.exp(-r)), a=-0.3, a_tilde=-0.2)
+    clean = difference_envelope_check(params, [1.0], **kwargs)
+    assert clean.verdict == "pass", clean.notes
+    assert not any("sign violation" in note for note in clean.notes)
+
+    _inject_sign_violations(monkeypatch, gap)
+    rep = difference_envelope_check(params, [1.0], **kwargs)
+    # The worst violation over both passes, with the sign it has.
+    expected = "-2.500e-06" if gap > 0 else "2.500e-06"
+    note = f"entrywise sign violation {expected} beyond slack 1.0e-10"
+    assert rep.verdict == "fail"
+    assert [n for n in rep.notes if "sign violation" in n] == [note]
+    # Nothing else moved: the violation alone fails the check.
+    assert [n for n in rep.notes if n != note] == list(clean.notes)
+
+
 # ---------------------------------------------------------------------------
 # heat kernel comparisons
 
@@ -391,5 +471,6 @@ def test_ladder_products_are_bitwise_symmetric_gram_forms(small_grid, params_hal
         phi = q[:, keep] * lam[keep] ** (-0.5 * s)
         mat = phi.T @ (small_grid.nodes[:, None] ** (-params_half_critical.alpha * s) * phi)
         ref_top = math.sqrt(np.linalg.eigvalsh(0.5 * (mat + mat.T))[-1])
-        value = verify._generalized_rung_value(op, params_half_critical, s)
+        value, cut = verify._generalized_rung(op, params_half_critical, s)
         assert value == pytest.approx(ref_top, rel=1e-12)
+        assert cut == np.count_nonzero(~keep)
