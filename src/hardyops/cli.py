@@ -412,17 +412,8 @@ def _cmd_schur(cfg: dict, em: _Emitter) -> None:
 
 def _cmd_sweep(cfg: dict, em: _Emitter) -> None:
     params = make_params(cfg["d"], cfg["alpha"], cfg["a"])
-    fam_kwargs = {}
-    if cfg["sigma"] is not None:
-        fam_kwargs["sigma"] = cfg["sigma"]
-    if cfg["eps"] is not None:
-        eps = cfg["eps"]
-        if not (0.0 < eps < verify.CUTOFF_MAX):
-            raise CliError(
-                f"eps must lie in (0, {verify.CUTOFF_MAX:g}) below the family's largest scale, "
-                f"got {eps!r}"
-            )
-        fam_kwargs["eps"] = eps
+    # Unset options keep TestFamily's defaults; TestFamily checks them.
+    fam_kwargs = {key: cfg[key] for key in ("sigma", "eps") if cfg[key] is not None}
     family = verify.TestFamily(tag=cfg["family"], **fam_kwargs)
     grid = build_log_grid(params.d, cfg["r_min"], cfg["r_max"], cfg["grid_n"])
 

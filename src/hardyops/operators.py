@@ -44,6 +44,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import ConstructionError, DomainError
+from .quadrature import _row_dot
 from .specfun import (
     HardyParams,
     _check_alpha,
@@ -169,14 +170,16 @@ def _chord_power_integrals(xm: np.ndarray, width: float, e_pow: float,
     doubling Gauss-Legendre panels.  All endpoints are evaluated at once:
     the doubling panels form a (endpoints x panels x nodes) array whose
     panels are clamped at xM/2, so the ones an endpoint does not need
-    have zero width and add exactly nothing.
+    have zero width and add exactly nothing.  Each endpoint's dots and
+    panel sum run in a fixed order, so its value does not depend on the
+    other endpoints in the array.
     """
     xm = np.asarray(xm, dtype=float)
     out = np.empty_like(xm)
     sym = xm > 0.05 * width / 0.95
     x, w = gauss_jacobi(_CHORD_GJ_NODES, beta, beta)
     xi = xm[sym, None] + width * 0.5 * (1.0 + x)
-    out[sym] = (0.5 * width) ** (2.0 * beta + 1.0) * (xi**-e_pow @ w)
+    out[sym] = (0.5 * width) ** (2.0 * beta + 1.0) * _row_dot(xi**-e_pow, w)
 
     # Graded branch; one row per endpoint, columns are quadrature nodes.
     lo_end = xm[~sym, None]
@@ -189,14 +192,12 @@ def _chord_power_integrals(xm: np.ndarray, width: float, e_pow: float,
     # and the doubling panels take (1 - xm / xi)^beta xi^(beta - e_pow).
     xl, wl = gauss_jacobi(_CHORD_GJ_NODES, 0.0, beta)
     xi = lo_end + (c_left - lo_end) * 0.5 * (1.0 + xl)
-    left = 0.5 ** (beta + 1.0) * lo_end ** (beta + 1.0 - e_pow) * (
-        ((hi_end - xi) ** beta * (1.5 + 0.5 * xl) ** -e_pow) @ wl[:, None]
-    )
+    left = 0.5 ** (beta + 1.0) * lo_end[:, 0] ** (beta + 1.0 - e_pow) * _row_dot(
+        (hi_end - xi) ** beta * (1.5 + 0.5 * xl) ** -e_pow, wl)
     xr, wr = gauss_jacobi(_CHORD_GJ_NODES, beta, 0.0)
     xi = c_right + (hi_end - c_right) * 0.5 * (1.0 + xr)
-    right = (0.5 * (hi_end - c_right)) ** (beta + 1.0) * (
-        ((xi - lo_end) ** beta * xi**-e_pow) @ wr[:, None]
-    )
+    right = (0.5 * (hi_end - c_right)[:, 0]) ** (beta + 1.0) * _row_dot(
+        (xi - lo_end) ** beta * xi**-e_pow, wr)
     xg, wg = gauss_jacobi(_CHORD_GL_NODES, 0.0, 0.0)
     n_panels = int(np.ceil(np.log2(np.max(c_right / c_left, initial=1.0)))) + 1
     lo = np.minimum(c_left * 2.0 ** np.arange(n_panels), c_right)
@@ -204,8 +205,9 @@ def _chord_power_integrals(xm: np.ndarray, width: float, e_pow: float,
     xi = lo[..., None] + (hi - lo)[..., None] * 0.5 * (1.0 + xg)
     vals = ((1.0 - lo_end[..., None] / xi) ** beta * (hi_end[..., None] - xi) ** beta
             * xi ** (beta - e_pow))
-    panels = 0.5 * (hi - lo) * (vals @ wg)
-    out[~sym] = (left + right)[:, 0] + panels.sum(axis=1)
+    panels = 0.5 * (hi - lo) * _row_dot(vals.reshape(-1, _CHORD_GL_NODES), wg).reshape(lo.shape)
+    # Left to right: the zero-width panels past an endpoint's own add +0.
+    out[~sym] = left + right + panels.cumsum(axis=1)[:, -1]
     return out
 
 
@@ -315,9 +317,13 @@ def _lag_weights(grid: RadialGrid, alpha: float) -> np.ndarray:
 def _symmetric_free_matrix(grid: RadialGrid, alpha: float) -> np.ndarray:
     """Symmetrized matrix of |p|^alpha on the grid (weighted coordinates).
 
-    Returns a fresh array that the caller owns and may change in place.
-    It is filled in blocks of _ROW_BLOCK rows, so besides the result only
-    block-sized temporaries exist.
+    The ground state r^{-(d-alpha)/2} and the weights |S^{d-1}| h c r^d
+    cancel, leaving -T_|i-j| e_i e_j off the diagonal, with
+    e = sqrt(c / (|S^{d-1}| h)) r^{-alpha/2}, and
+    r^{-alpha} ((T c) / (|S^{d-1}| h) + H) on it: T the Toeplitz lag
+    matrix, c the trapezoid end factors.  Returns a fresh array that the
+    caller owns and may change in place, filled in blocks of _ROW_BLOCK
+    rows, so besides the result only block-sized temporaries exist.
     """
     d = grid.d
     alpha = _check_alpha(d, alpha, min(2, d))
@@ -328,36 +334,29 @@ def _symmetric_free_matrix(grid: RadialGrid, alpha: float) -> np.ndarray:
             f"{3 * _NEAR_LAGS}, got {n}"
         )
     r = grid.nodes
-    w = grid.weights
     lag_weights = _lag_weights(grid, alpha)
+    scale = sphere_area(d) * _log_step(grid)
 
-    # Toeplitz jump matrix T[i, j] = lag weight |i - j| (zero diagonal), as
-    # reversed sliding windows over the mirrored lag sequence, with the
-    # trapezoid end factors on both sides: jump = T * (c_i c_j).
+    # T[i, j] = lag weight |i - j| (zero diagonal), as reversed sliding
+    # windows over the mirrored lag sequence.
     mirrored = np.concatenate([lag_weights[::-1], [0.0], lag_weights])
     toeplitz = np.lib.stride_tricks.sliding_window_view(mirrored, n)[::-1]
     c_end = np.ones(n)
     c_end[0] = c_end[-1] = 0.5
-    # Divide out the ground state and the weights: -jump / (gw_i gw_j) off
-    # the diagonal, the jump row sums on it.  Every factor is bitwise
-    # symmetric, so the matrix is too.
-    ground_w = r ** (-0.5 * (d - alpha)) * np.sqrt(w)
+    e = np.sqrt(c_end / scale) * r ** (-0.5 * alpha)
+    # e_i e_j rounds as e_j e_i does, so the matrix is bitwise symmetric.
     s_mat = np.empty((n, n))
-    row_sums = np.empty(n)
-    factor = np.empty((min(_ROW_BLOCK, n), n))
+    t_c = np.empty(n)
     for lo in range(0, n, _ROW_BLOCK):
         hi = min(lo + _ROW_BLOCK, n)
-        block, fac = s_mat[lo:hi], factor[: hi - lo]
-        np.multiply(c_end[lo:hi, None], c_end, out=fac)
-        np.multiply(toeplitz[lo:hi], fac, out=block)
+        block = s_mat[lo:hi]
+        np.multiply(toeplitz[lo:hi], c_end, out=block)
         # Sums of contiguous rows: the same pairwise summation per row as
         # a sum over the whole matrix.
-        block.sum(axis=1, out=row_sums[lo:hi])
-        np.multiply(-ground_w[lo:hi, None], ground_w, out=fac)
-        block /= fac
-    s_mat.flat[:: n + 1] = (
-        row_sums / (ground_w * ground_w) + hardy_constant(d, alpha) * r**-alpha
-    )
+        block.sum(axis=1, out=t_c[lo:hi])
+        np.multiply(-e[lo:hi, None], e, out=block)
+        block *= toeplitz[lo:hi]
+    s_mat.flat[:: n + 1] = r**-alpha * (t_c / scale + hardy_constant(d, alpha))
     return s_mat
 
 

@@ -79,16 +79,14 @@ def _seed_edges(kinks: np.ndarray) -> np.ndarray:
     Row r's edges are its kinks' logs and 0, sorted, with one more edge 2
     below the lowest and 2 above the highest, as an (m, k + 3) array.
     Raises DomainError naming the first non-positive or non-finite kink of
-    the lowest row holding one.  The logs are Python's: numpy's can differ
-    by an ulp and so move a panel edge.
+    the lowest row holding one.
     """
     bad = ~((kinks > 0.0) & (kinks < math.inf))
     if bad.any():
         row = int(np.argmax(bad.any(axis=1)))
         k = float(kinks[row, np.argmax(bad[row])])
         raise DomainError(f"kink locations must be finite and > 0: {k!r}")
-    logs = np.reshape(list(map(math.log, kinks.ravel().tolist())), kinks.shape)
-    seeds = np.column_stack([logs, np.zeros(len(kinks))])
+    seeds = np.column_stack([np.log(kinks), np.zeros(len(kinks))])
     edges = np.column_stack([seeds.min(axis=1) - 2.0, seeds, seeds.max(axis=1) + 2.0])
     return np.sort(edges, axis=1)
 
@@ -291,31 +289,30 @@ def riesz_time_integral(s: float, q: KernelTriple, params: HardyParams):
     its geometry alone.  Every length is checked before any integral
     starts, and the DomainError names the lowest (in flat order) geometry
     with a non-positive one.  So does the DomainError for the lowest
-    geometry whose scale factor |x-y|^{alpha s/2 - d} or peak factor
-    overflows a double, raised before any integral starts, or whose scaled
-    value does, raised after them.  A failure during integration is that
-    of the lowest-index geometry that fails.
+    geometry whose kinks, their logs, its scale factor
+    |x-y|^{alpha s/2 - d} or its peak factor leave the range of a double,
+    raised before any integral starts, or whose scaled value overflows,
+    raised after them.  A failure during integration is that of the
+    lowest-index geometry that fails.
     """
     s = float(s)
     smax = riesz_exponent_window(params)
     if not (0.0 < s < smax):
         raise DomainError(f"s must lie in (0, {smax}), got {s!r}")
     shape = np.broadcast_shapes(*(np.shape(v) for v in (q.rx, q.ry, q.rxy)))
-    # Per-geometry scalars in Python floats: numpy's log and power can round
-    # the last bit differently and so move panel edges.
-    geometries = list(zip(*(np.broadcast_to(np.asarray(v, dtype=float), shape).ravel().tolist()
-                            for v in (q.rx, q.ry, q.rxy))))
-    bad = next((i for i, g in enumerate(geometries) if not all(v > 0.0 for v in g)), None)
-    if bad is not None:
-        raise DomainError(
-            f"riesz_time_integral requires rx, ry and rxy > 0, got "
-            f"{geometries[bad]} at index {bad}"
-        )
+    lengths = np.stack([np.broadcast_to(np.asarray(v, dtype=float), shape).ravel()
+                        for v in (q.rx, q.ry, q.rxy)])
+    x, y, z = lengths
+
+    def check(ok, message):
+        if not ok.all():
+            index = int(np.argmin(ok))
+            raise DomainError(message.format(tuple(map(float, lengths[:, index])), index))
+
+    check((lengths > 0.0).all(axis=0),
+          "riesz_time_integral requires rx, ry and rxy > 0, got {} at index {}")
+    overflow = "riesz_time_integral overflows double precision at {}, index {}"
     d, alpha, delta = params.d, params.alpha, params.delta
-    lcx = [math.log(z / x) for x, _, z in geometries]
-    lcy = [math.log(z / y) for _, y, z in geometries]
-    kinks = np.reshape([(1.0, (x / z) ** alpha, (y / z) ** alpha) for x, y, z in geometries],
-                       (len(geometries), 3))
     half_s = 0.5 * s
 
     # Each integral is taken of the integrand divided by e^sigma, its peak
@@ -323,12 +320,18 @@ def riesz_time_integral(s: float, q: KernelTriple, params: HardyParams):
     # to the peak above: an absolute 1e-9 lies below the rounding floor of
     # a large integral, which then never converges.  The integrand's log in
     # u = ln t (times t, for dt/t = du) is piecewise linear and falls off at
-    # both ends, so it peaks at a kink.
-    lx, ly = np.array(lcx), np.array(lcy)
-    u = np.stack([np.zeros_like(lx), -alpha * lx, -alpha * ly])
-    at_kinks = (half_s * u + np.minimum(0.0, (-d / alpha - 1.0) * u)
-                + delta * (np.maximum(0.0, lx + u / alpha) + np.maximum(0.0, ly + u / alpha)))
-    sigma = at_kinks.max(axis=0, initial=0.0).tolist()
+    # both ends, so it peaks at a kink.  A geometry whose logs, kinks or
+    # factors leave the double range is rejected before any integral.
+    with np.errstate(all="ignore"):
+        lcx, lcy = np.log(z / x), np.log(z / y)
+        kinks = np.column_stack([np.ones_like(x), np.power(x / z, alpha), np.power(y / z, alpha)])
+        u = np.stack([np.zeros_like(lcx), -alpha * lcx, -alpha * lcy])
+        at_kinks = (half_s * u + np.minimum(0.0, (-d / alpha - 1.0) * u)
+                    + delta * (np.maximum(0.0, lcx + u / alpha) + np.maximum(0.0, lcy + u / alpha)))
+        sigma = at_kinks.max(axis=0, initial=0.0)
+        prefactor, scale = np.power(z, 0.5 * alpha * s - d), np.exp(sigma)
+        check(np.isfinite(np.column_stack([lcx, lcy, np.log(kinks), prefactor, scale])).all(axis=1),
+              overflow)
 
     # Assembled in log space: the factored powers can overflow near the
     # probing tails even though the product is tiny there.
@@ -340,27 +343,13 @@ def riesz_time_integral(s: float, q: KernelTriple, params: HardyParams):
         le = le + delta * np.maximum(0.0, lcy + lu)
         return np.exp(le - sigma)
 
-    # The value is scaled back in Python floats, whose powers raise
-    # OverflowError where numpy's would give inf; sigma = 0 leaves a value
-    # bit for bit unscaled.  Factors are checked before any integral and
-    # products, inf past the largest double, after them.
-    def overflow(index):
-        return DomainError(f"riesz_time_integral overflows double precision at "
-                           f"{geometries[index]}, index {index}")
-
-    factors = []
-    for geometry, peak in zip(geometries, sigma):
-        try:
-            factors.append((geometry[2] ** (0.5 * alpha * s - d), math.exp(peak)))
-        except OverflowError:
-            raise overflow(len(factors)) from None
     res = integrate_semiinfinite(integrand, RIESZ_TOL, kinks=kinks, args=(lcx, lcy, sigma))
-    values = [prefactor * v * scale
-              for (prefactor, scale), v in zip(factors, res.value.tolist())]
-    bad = next((i for i, v in enumerate(values) if not math.isfinite(v)), None)
-    if bad is not None:
-        raise overflow(bad)
-    return _value(np.reshape(values, shape))
+    # sigma = 0 leaves a value bit for bit unscaled; a product past the
+    # largest double is rejected after the integrals.
+    with np.errstate(over="ignore"):
+        values = prefactor * res.value * scale
+    check(np.isfinite(values), overflow)
+    return _value(values.reshape(shape))
 
 
 @dataclass(frozen=True)

@@ -462,9 +462,7 @@ def _generalized_rung(op, params: HardyParams, s: float) -> tuple:
     lam = op.eigenvalues
     cut = _cut_count(lam)
     row_scale = np.sqrt(grid.weights) * grid.nodes ** (-0.5 * params.alpha * s)
-    # Column-major, as a boolean column gather was, so the products round alike.
-    y_mat = op.modes[:, cut:].copy(order="F")
-    y_mat *= row_scale[:, None]
+    y_mat = op.modes[:, cut:] * row_scale[:, None]
     y_mat *= lam[cut:] ** (-0.5 * s)
     top = _top_eigenvalue(lambda x: y_mat.T @ (y_mat @ x), y_mat.shape[1])
     return math.sqrt(top), cut
@@ -899,17 +897,12 @@ def riesz_equivalence_check(
     s = float(s)
     _check_count("n_triples", n_triples, least=2)
     _check_band_bound(band_bound)
-    # One draw for all triples, scaled as Generator.uniform scales it, so
-    # the triples are bit for bit those of three uniform calls per triple;
-    # the powers stay Python float powers, which numpy's may not round alike.
-    span = 2.0 * RIESZ_DECADES
-    lengths = []
-    for ux, uy, umu in np.random.default_rng(seed).random((n_triples, 3)).tolist():
-        rx = 10.0 ** (-RIESZ_DECADES + span * ux)
-        ry = 10.0 ** (-RIESZ_DECADES + span * uy)
-        mu = -1.0 + 2.0 * umu
-        lengths.append((rx, ry, math.sqrt((rx - ry) ** 2 + 2.0 * rx * ry * (1.0 - mu))))
-    q = KernelTriple(*(np.array(v) for v in zip(*lengths)))
+    # One draw for all triples, scaled as Generator.uniform scales it; row k
+    # is the k-th triple whatever n_triples is.
+    draws = np.random.default_rng(seed).random((n_triples, 3))
+    rx, ry = (10.0 ** (-RIESZ_DECADES + 2.0 * RIESZ_DECADES * draws[:, :2])).T
+    mu = -1.0 + 2.0 * draws[:, 2]
+    q = KernelTriple(rx, ry, np.sqrt((rx - ry) ** 2 + 2.0 * rx * ry * (1.0 - mu)))
     profiles = riesz_profile(s, q, params)
     ratios = riesz_time_integral(s, q, params) / profiles
     near = np.minimum(q.rx, q.ry) / q.rxy >= 0.25

@@ -5,6 +5,7 @@ so a slow regression fails as loudly as a wrong number.  Tests are
 ordered so the expensive shared grid is built exactly once.
 """
 
+import json
 import math
 import time
 
@@ -269,3 +270,25 @@ def test_11_potential_kernel_ordering(default_grid):
     assert math.isfinite(rep.empirical_upper)
     assert rep.empirical_upper > 0.0
     assert time.perf_counter() - t0 < 300.0
+
+
+def test_12_benchmark_anchors_hold_their_measured_accuracy(tmp_path, capsys):
+    # The benchmark's ladder and heat anchors, gated just above their
+    # measured values (2.33e-11 and 9.3467e-3 on 2 cores), far inside the
+    # benchmark's own bounds.
+    from hardyops.cli import main
+
+    t0 = time.perf_counter()
+    target = math.sqrt(0.5 * math.pi)
+    gen = generalized_hardy_constant(make_params(3, 1.0, 0.0), 1.0)
+    worst = max(abs(gen.empirical_lower - target), abs(gen.empirical_upper - target)) / target
+    assert worst <= 2.4e-11, worst
+
+    out_json = tmp_path / "heat.json"
+    assert main(["heat-verify", "--d", "3", "--alpha", "1", "--a", "0", "--t", "1",
+                 "--out-json", str(out_json)]) == 0
+    capsys.readouterr()
+    report = json.loads(out_json.read_text())["reports"][0]
+    band = max(abs(report["empirical_lower"] - 1.0), abs(report["empirical_upper"] - 1.0))
+    assert band <= 9.35e-3, band
+    assert time.perf_counter() - t0 < 60.0

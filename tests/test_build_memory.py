@@ -22,19 +22,38 @@ from hardyops.operators import (
     build_log_grid,
     build_potential_operator,
 )
-from hardyops.specfun import a_star, hardy_constant, make_params
+from hardyops.specfun import a_star, hardy_constant, make_params, sphere_area
+
+
+def _toeplitz_and_ends(grid, alpha):
+    n = grid.n
+    lag_weights = operators._lag_weights(grid, alpha)
+    mirrored = np.concatenate([lag_weights[::-1], [0.0], lag_weights])
+    c_end = np.ones(n)
+    c_end[0] = c_end[-1] = 0.5
+    return np.lib.stride_tricks.sliding_window_view(mirrored, n)[::-1], c_end
 
 
 def _whole_matrix_free_matrix(grid, alpha):
-    """The free matrix by whole-matrix arithmetic, the formula the
-    blocked assembly replaced: (T_ij * (c_i c_j)) / ((-gw_i) gw_j) off the
-    diagonal, the row sums of T_ij * (c_i c_j) on it."""
+    """The free matrix by whole-matrix arithmetic: -T_ij e_i e_j off the
+    diagonal, e = sqrt(c / (|S| h)) r^{-alpha/2}, and
+    r^{-alpha} ((T c) / (|S| h) + H) on it."""
+    d, n, r = grid.d, grid.n, grid.nodes
+    toeplitz, c_end = _toeplitz_and_ends(grid, alpha)
+    scale = sphere_area(d) * operators._log_step(grid)
+    e = np.sqrt(c_end / scale) * r ** (-0.5 * alpha)
+    s_mat = np.outer(-e, e) * toeplitz
+    s_mat.flat[:: n + 1] = r**-alpha * ((toeplitz * c_end).sum(axis=1) / scale
+                                        + hardy_constant(d, alpha))
+    return s_mat
+
+
+def _weighted_free_matrix(grid, alpha):
+    """The earlier formula: (T_ij * (c_i c_j)) / ((-gw_i) gw_j) off the
+    diagonal, gw the ground state times the square root of the weights,
+    and the row sums of T_ij * (c_i c_j) over gw_i^2 on it."""
     d, n, r, w = grid.d, grid.n, grid.nodes, grid.weights
-    lag_weights = operators._lag_weights(grid, alpha)
-    mirrored = np.concatenate([lag_weights[::-1], [0.0], lag_weights])
-    toeplitz = np.lib.stride_tricks.sliding_window_view(mirrored, n)[::-1]
-    c_end = np.ones(n)
-    c_end[0] = c_end[-1] = 0.5
+    toeplitz, c_end = _toeplitz_and_ends(grid, alpha)
     jump = toeplitz * np.outer(c_end, c_end)
     ground_w = r ** (-0.5 * (d - alpha)) * np.sqrt(w)
     s_mat = jump / np.outer(-ground_w, ground_w)
@@ -52,8 +71,12 @@ def test_blocked_assembly_is_bitwise_the_whole_matrix_formula(d, alpha):
     assert 100 % operators._ROW_BLOCK != 0
     for n in (24, 100, 1024):
         grid = build_log_grid(d, 1e-2, 1e2, n)
-        assert np.array_equal(operators._symmetric_free_matrix(grid, alpha),
-                              _whole_matrix_free_matrix(grid, alpha)), n
+        s_mat = operators._symmetric_free_matrix(grid, alpha)
+        assert np.array_equal(s_mat, _whole_matrix_free_matrix(grid, alpha)), n
+        # The ground state and weights cancel: the earlier formula that
+        # divided them out agrees entry by entry to rounding.
+        ref = _weighted_free_matrix(grid, alpha)
+        assert np.all(np.abs(s_mat - ref) <= 1e-14 * np.abs(ref)), n
 
 
 def test_each_assembly_returns_a_fresh_matrix():

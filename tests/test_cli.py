@@ -158,10 +158,13 @@ def test_sweep_rejects_bad_family(capsys):
     assert rc == 1
 
 
-def test_sweep_rejects_bad_eps(capsys):
+def test_sweep_rejects_bad_eps(capsys, tmp_path):
+    out_json = tmp_path / "sweep.json"
     rc, _, _ = run(capsys, "sweep", "--d", "3", "--alpha", "1", "--a", "0",
-                   "--eps", "0.5", "--grid-n", "256")
+                   "--eps", "0.5", "--grid-n", "256", "--out-json", str(out_json))
     assert rc == 1
+    payload = json.loads(out_json.read_text())
+    assert payload["failure"] == "DomainError: eps must lie in (0, 0.03), got 0.5"
 
 
 def test_sweep_byte_identical_reruns(capsys, tmp_path):

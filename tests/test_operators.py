@@ -399,6 +399,18 @@ def test_jump_profile_in_high_dimensions_at_the_default_step(d):
     assert np.all(np.isfinite(kappa) & (kappa > 0.0))
 
 
+@pytest.mark.parametrize("d,alpha", [(2, 1.0), (4, 1.3), (5, 1.9)])
+def test_jump_profile_alone_equals_the_lag_batch(d, alpha):
+    # Off d = 3 the chord table's dots and panel sums used to round by the
+    # batch around each lag.  Every lag of the default grid, alone, must
+    # read what it reads in the batch _lag_weights evaluates.
+    grid = build_log_grid(d, DEFAULT_R_MIN, DEFAULT_R_MAX, DEFAULT_GRID_N)
+    h = operators._log_step(grid)
+    lags = np.arange(1, grid.n)
+    batch = jump_profile(h * lags, d, alpha)
+    assert [jump_profile(h * k, d, alpha) for k in lags.tolist()] == batch.tolist()
+
+
 @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
 @pytest.mark.parametrize("d", [2, 4, 5])
 @pytest.mark.parametrize("alpha", [0.5, 1.9])
@@ -544,9 +556,9 @@ def test_free_matrix_is_bitwise_symmetric_and_matches_the_gather_formula(d, alph
     denom = np.outer(ground * np.sqrt(w), ground * np.sqrt(w))
     ref = mg / denom + np.diag(operators.hardy_constant(d, alpha) * r**-alpha)
     ref = 0.5 * (ref + ref.T)
-    # Same arithmetic per entry, so the match is exact; that keeps every
-    # output built on the free matrix byte-identical.
-    assert np.array_equal(s_mat, ref)
+    # The assembly cancels the ground state against the weights before it
+    # rounds, so it differs from the gather formula in the last bits only.
+    assert np.all(np.abs(s_mat - ref) <= 1e-14 * np.abs(ref))
 
 
 @pytest.mark.parametrize("t", [0.0, 0.05, 1.0, 40.0])

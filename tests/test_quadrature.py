@@ -1,5 +1,6 @@
 import heapq
 import math
+import re
 from contextlib import contextmanager
 from unittest import mock
 
@@ -434,6 +435,25 @@ def test_riesz_scale_overflow_is_a_domain_error_naming_its_index(monkeypatch):
         riesz_time_integral(1.0, triple, params)
 
 
+@pytest.mark.parametrize("lengths", [(1e150, 1e150, 1e-150), (1e200, 1e200, 1e-200)])
+def test_riesz_kinks_out_of_range_are_a_domain_error_naming_the_geometry(monkeypatch, lengths):
+    # The kink (|x|/|x-y|)^alpha overflows at the first geometry, and
+    # |x-y|/|x| underflows to zero at the second, whose log is then -inf;
+    # Python-float arithmetic used to raise a bare OverflowError and a
+    # ValueError here.
+    def no_integral(*args, **kwargs):
+        raise AssertionError("an integral started")
+
+    monkeypatch.setattr(quadrature, "integrate_semiinfinite", no_integral)
+    params = make_params(3, 1.9, -0.1)
+    expected = re.escape(f"overflows double precision at {lengths}, index 0")
+    with pytest.raises(DomainError, match=expected):
+        riesz_time_integral(0.5, KernelTriple(*lengths), params)
+    triple = _array_triple(*([1.0, v] for v in lengths))
+    with pytest.raises(DomainError, match=re.escape(f"{lengths}, index 1") + "$"):
+        riesz_time_integral(0.5, triple, params)
+
+
 def test_riesz_value_overflow_is_a_domain_error_naming_its_index():
     # Every factor is finite at both lengths, but at 3e-73 their product
     # with the integral passes the largest double; it used to come back as
@@ -447,18 +467,18 @@ def test_riesz_value_overflow_is_a_domain_error_naming_its_index():
 
 
 # ---------------------------------------------------------------------------
-# kink seeding: one array pass, as a row-by-row scalar loop seeds them
+# kink seeding: one array pass, as a row-by-row loop seeds them
 
 
 def _kink_seed(k):
     k = float(k)
     if not (k > 0.0) or math.isinf(k):
         raise DomainError(f"kink locations must be finite and > 0: {k!r}")
-    return math.log(k)
+    return np.log(k)
 
 
 def _edges_row_by_row(kinks):
-    """Edges and the first error, seeded one kink at a time with Python's log."""
+    """Edges and the first error, seeded one kink at a time with numpy's log."""
     seeds, failure = [], None
     for row in kinks:
         try:
@@ -494,13 +514,17 @@ def test_kink_edges_equal_row_by_row_seeding(kinks):
 
 
 def test_kink_edges_of_a_large_batch_equal_row_by_row_seeding(rng):
-    # Riesz-shaped kinks (1, (rx/rxy)^alpha, (ry/rxy)^alpha); numpy's log
-    # differs from Python's on about one of these in a thousand.
+    # Riesz-shaped kinks (1, (rx/rxy)^alpha, (ry/rxy)^alpha).  Python's log,
+    # which seeded the edges before, differs from numpy's on about one of
+    # these in a thousand, by an ulp.
     rx, ry, rxy = (10.0 ** rng.uniform(-2.0, 2.0, 20000) for _ in range(3))
     alpha = rng.uniform(0.5, 1.9, 20000)
     kinks = np.column_stack([np.ones(20000), (rx / rxy) ** alpha, (ry / rxy) ** alpha])
     edges = quadrature._seed_edges(kinks)
     assert edges.tobytes() == _edges_row_by_row(kinks)[0].tobytes()
+    logs = np.reshape([math.log(k) for k in kinks.ravel().tolist()], kinks.shape)
+    python_seeded = np.sort(np.column_stack([logs, np.zeros(20000)]), axis=1)
+    assert np.all(np.abs(edges[:, 1:-1] - python_seeded) <= 1e-14 * np.abs(python_seeded))
 
 
 @settings(max_examples=150, deadline=None)
