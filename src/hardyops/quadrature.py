@@ -1,16 +1,19 @@
 """Adaptive quadrature on (0, inf) and the integral identities built on it.
 
 The integrator substitutes t = e^u, seeds panel edges at known kink
-locations, extends the window in both directions until the integrand is
-certifiably negligible, and then bisects the worst panel by a
-Gauss-Kronrod error estimate until the total estimate meets the
-tolerance or ``MAX_SPLITS`` bisections are spent.  It integrates a batch
-of independent integrals in lockstep: each phase step evaluates the next
-panels of every integral still in that phase with one integrand call,
-while every integral keeps to the sequential rule above, so its panels,
-value and error estimate do not depend on the rest of the batch.  The
-Riesz time integral is a thin wrapper that prepares a specific integrand
-and kink set; the Schur weight integral has a closed form.
+locations, and extends the window in both directions until two
+consecutive tail panels hold less than 0.02 tol per unit width.  Tail
+panels start 2 wide and double, up to 16, after each panel whose
+Gauss-Kronrod error estimate is far below that bar, and the last one stops
+at the boundary |u| = 690.  It then bisects the worst panel by the error
+estimate until the total estimate meets the tolerance or ``MAX_SPLITS``
+bisections are spent.  It integrates a batch of independent integrals in
+lockstep: each phase step evaluates the next panels of every integral
+still in that phase with one integrand call, while every integral keeps
+to the sequential rule above, so its panels, value and error estimate do
+not depend on the rest of the batch.  The Riesz time integral is a thin
+wrapper that prepares a specific integrand and kink set; the Schur weight
+integral has a closed form.
 """
 
 from __future__ import annotations
@@ -53,6 +56,7 @@ _NODES = np.concatenate([-_XK[:-1], _XK[::-1]])
 
 _U_FLOOR = -690.0
 _U_CEIL = 690.0
+_TAIL_WIDTH_CAP = 16.0  # widest tail panel, in u = ln t
 
 MAX_SPLITS = 4000  # panel bisections before the integrator gives up
 # Tolerance on the Riesz time integral I divided by e^sigma, its peak above
@@ -189,13 +193,22 @@ def integrate_semiinfinite(
     count = fresh.sum(axis=1)
     total = np.bincount(rows, weights=err, minlength=m)
 
-    # Extend each tail until two consecutive panels are negligible.
+    # Extend each tail until two consecutive panels are negligible per unit
+    # width.  A row's panels start 2 wide and double, up to _TAIL_WIDTH_CAP,
+    # after each panel the rule resolves to far below that bar: past the
+    # outermost kink the integrand is a pure exponential, whose slope can be
+    # small enough to take hundreds of width-2 panels to die out.  The cap
+    # keeps room for two quiet panels before the boundary.  A tail of slope
+    # m stopped at the bar leaves under 0.02 tol / m beyond it, which is
+    # within tol down to m = 0.02, about the slowest tail that falls from 1
+    # to the bar inside the boundaries.
     tails = (
         (+1, edges[:, -1], "right tail did not decay before the overflow boundary"),
         (-1, edges[:, 0], "left tail did not decay before the underflow boundary"),
     )
     for direction, start, stuck in tails:
         u = start.copy()
+        step = np.full(m, 2.0)
         quiet = np.zeros(m, dtype=int)
         rows = np.flatnonzero(alive)
         while rows.size:
@@ -205,12 +218,16 @@ def integrate_semiinfinite(
                 fail(first, ConvergenceError(stuck))
                 rows = rows[rows < first]
                 continue
-            nxt = u[rows] + 2.0 * direction
+            nxt = np.clip(u[rows] + step[rows] * direction, _U_FLOOR, _U_CEIL)
             a, b = (u[rows], nxt) if direction > 0 else (nxt, u[rows])
             val, err = evaluate(rows, a, b)
             append(rows, a, b, val, err)
             total[rows] += err
-            quiet[rows] = np.where(np.abs(val) + err < 0.1 * tol, quiet[rows] + 1, 0)
+            bar = 0.02 * tol * (b - a)
+            quiet[rows] = np.where(np.abs(val) + err < bar, quiet[rows] + 1, 0)
+            resolved = err <= 1e-3 * bar + 1e-6 * np.abs(val)
+            step[rows] = np.where(resolved, np.minimum(2.0 * step[rows], _TAIL_WIDTH_CAP),
+                                  step[rows])
             u[rows] = nxt
             rows = rows[alive[rows] & (quiet[rows] < 2)]
 

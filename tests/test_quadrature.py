@@ -92,8 +92,38 @@ def test_integrator_rejects_non_finite_integrand():
 
 
 def test_integrator_rejects_non_decaying_tail():
-    with pytest.raises(ConvergenceError):
+    # A flat tail resolves exactly, so its panels widen to the cap and the
+    # last one stops at the boundary.
+    with pytest.raises(ConvergenceError,
+                       match="^right tail did not decay before the overflow boundary$"):
         integrate_semiinfinite(lambda t: np.ones_like(t), 1e-8, NO_KINKS)
+    with pytest.raises(ConvergenceError,
+                       match="^left tail did not decay before the underflow boundary$"):
+        integrate_semiinfinite(lambda t: np.exp(-t) / t, 1e-8, NO_KINKS)
+
+
+def _two_slopes(t, u0, left, right, drop):
+    # Times t, for dt/t = du: e^{-drop} times e^{left (u - u0)} below the
+    # kink u0 = ln t0 and e^{-right (u - u0)} above it, in u = ln t.
+    x = np.log(t) - u0
+    return np.exp(np.minimum(left * x, -right * x) - drop) / t
+
+
+@settings(max_examples=60, deadline=None)
+@given(slope=st.floats(min_value=0.02, max_value=5.0), left=st.booleans(),
+       u0=st.floats(min_value=-40.0, max_value=40.0))
+def test_exponential_tail_integrates_to_its_closed_form(slope, left, u0):
+    # One pure exponential tail of the given slope on either side of one
+    # kink, and a steep one on the other.  The peak is lowered where the
+    # slow tail would otherwise outlast the box |u| < 690: at slope 0.02 it
+    # needs about 1230 in u to fall to the quiet bar from 1.
+    tol = RIESZ_TOL
+    lo, hi = (slope, 2.0) if left else (2.0, slope)
+    drop = max(0.0, 25.0 - 600.0 * slope)
+    res = integrate_semiinfinite(_two_slopes, tol, [[math.exp(u0)]],
+                                 args=([u0], [lo], [hi], [drop]))
+    exact = math.exp(-drop) * (1.0 / lo + 1.0 / hi)
+    assert abs(res.value[0] - exact) <= tol
 
 
 def test_integrator_unreachable_tolerance_raises():
@@ -106,7 +136,8 @@ def test_riesz_time_anchor_sixteen_sevenths():
     value = riesz_time_integral(1.0, KernelTriple(1.0, 1.0, 1.0), params)
     assert value == pytest.approx(16.0 / 7.0, rel=1e-10)
     assert type(value) is float
-    assert value == 2.2857142857040604  # as integrated one panel at a time
+    assert value == 2.285714285714279
+    assert abs(value - 16.0 / 7.0) <= 1e-14 * (16.0 / 7.0)
 
 
 def test_riesz_time_integral_geometry_independent_at_zero_coupling(rng):
@@ -371,6 +402,17 @@ def test_riesz_integrals_near_a_star_converge_to_quad(capsys):
             assert time_integral == pytest.approx(reference, rel=1e-8)
 
 
+def test_slow_left_tail_near_the_underflow_boundary_converges(capsys):
+    # Left slope s/2 = 0.077 here.  Tail panels that doubled without a cap
+    # ran into the underflow boundary before their second quiet panel, and
+    # this draw exited 3.
+    rc = main([
+        "riesz-verify", "--d=2", "--alpha=1.731847190728611", "--a=-0.011185402506863767",
+        "--s=1.9760457895380128,0.15366872292176742,0.4070047982064452", "--seed=252100788",
+    ])
+    assert rc == 0, capsys.readouterr().err
+
+
 def _alone_error(f, c, kinks):
     with pytest.raises((ConvergenceError, DomainError)) as alone:
         integrate_semiinfinite(f, 1e-10, kinks=[kinks], args=([c],))
@@ -460,7 +502,9 @@ def test_riesz_value_overflow_is_a_domain_error_naming_its_index():
     # a silent inf.
     params = make_params(5, 1.5, 0.9 * a_star(5, 1.5))
     largest = riesz_time_integral(1.0, KernelTriple(1e-72, 1e-72, 1e-72), params)
-    assert largest == pytest.approx(2.4391016368355564e306, rel=1e-12)
+    assert largest == pytest.approx(2.4391016368457804e306, rel=1e-12)
+    # The exact piecewise-exponential sum of tests/test_riesz_exact_sum.py.
+    assert largest == pytest.approx(2.4391016368457882e306, rel=1e-14)
     triple = _array_triple(*[[1.0, 1e-72, 3e-73]] * 3)
     with pytest.raises(DomainError, match=r"overflows double precision at \(3e-73, 3e-73, 3e-73\), index 2$"):
         riesz_time_integral(1.0, triple, params)
@@ -568,9 +612,10 @@ def _panel(f, lo, hi, params):
 def _integrate_alone(f, tol, kinks, params):
     """Value, error estimate and evaluation count of one integral, one panel
     at a time: seeds at the kinks in increasing u, the right tail and then
-    the left in steps of 2 until two consecutive panels are negligible, and
-    then bisections of the worst panel, popped from a heap keyed on
-    (-err, lo)."""
+    the left until two consecutive panels are negligible per unit width, in
+    panels that start 2 wide, double after each panel resolved far below
+    that bar up to the cap, and stop at the boundary, and then bisections of
+    the worst panel, popped from a heap keyed on (-err, lo)."""
     seeds = sorted([math.log(k) for k in kinks] + [0.0])
     edges = [seeds[0] - 2.0, *seeds, seeds[-1] + 2.0]
     panels = [(lo, hi, *_panel(f, lo, hi, params))
@@ -579,15 +624,18 @@ def _integrate_alone(f, tol, kinks, params):
         (+1, edges[-1], "right tail did not decay before the overflow boundary"),
         (-1, edges[0], "left tail did not decay before the underflow boundary"),
     ):
-        quiet = 0
+        quiet, width = 0, 2.0
         while quiet < 2:
             if u >= quadrature._U_CEIL if direction > 0 else u <= quadrature._U_FLOOR:
                 raise ConvergenceError(stuck)
-            nxt = u + 2.0 * direction
+            nxt = min(max(u + width * direction, quadrature._U_FLOOR), quadrature._U_CEIL)
             lo, hi = (u, nxt) if direction > 0 else (nxt, u)
             val, err = _panel(f, lo, hi, params)
             panels.append((lo, hi, val, err))
-            quiet = quiet + 1 if abs(val) + err < 0.1 * tol else 0
+            bar = 0.02 * tol * (hi - lo)
+            quiet = quiet + 1 if abs(val) + err < bar else 0
+            if err <= 1e-3 * bar + 1e-6 * abs(val):
+                width = min(2.0 * width, quadrature._TAIL_WIDTH_CAP)
             u = nxt
     total = 0.0
     for *_, err in panels:
@@ -642,6 +690,18 @@ def _lorentzian(t, c):
     return c / (1.0 + t * t)
 
 
+def _slow_tail(t, u0):
+    # e^{0.077 (u - u0)} below the kink u0 = ln t0, the left slope of the
+    # slow-tail riesz-verify draw, and e^{-2 (u - u0)} above it.
+    return _two_slopes(t, u0, 0.077, 2.0, 0.0)
+
+
+# Kinks for which _slow_tail's left tail ends within one cap width of the
+# underflow boundary: at u0 = -353 and -345.5 the second quiet panel is cut
+# short by the boundary, at -338 it ends on it and at -336 2 short of it.
+_SLOW_TAIL_LOGS = [-353.0, -345.5, -338.0, -336.0]
+
+
 # Five hand-picked geometries and 195 drawn ones: in a batch this size a
 # total summed in another order than the panels were made shows.
 _RIESZ_LOGS = [(0.0, 0.0), (-2.0, 1.0), (3.0, -4.0), (1e-3, 0.5), (-6.0, -6.0),
@@ -659,6 +719,8 @@ _SEQUENTIAL_CASES = {
     "left-tail-flat": (_gamma_form, 1e-10, [[1.0], [2.0], [0.5]], ([1.5, 0.5, 0.0],)),
     "non-finite": (_flat_or_nan, 1e-10, [[1.0], [3.0], [1.0]], ([1.0, math.nan, 0.0],)),
     "unreachable-tolerance": (_lorentzian, 1e-18, [[1.0], [1.0]], ([0.0, 1.0],)),
+    "slow-tail-at-boundary": (_slow_tail, 1e-9, [[math.exp(u)] for u in _SLOW_TAIL_LOGS],
+                              (_SLOW_TAIL_LOGS,)),
 }
 
 

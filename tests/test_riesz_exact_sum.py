@@ -27,11 +27,11 @@ from hardyops.quadrature import riesz_time_integral
 
 DRAWS = 12
 TRIPLES = 150
-# Over these 1,800 integrals the relative error reads a median of 1.56e-13
-# and a worst of 3.83e-11 today.  The error is the adaptive integrator's, so
+# Over these 1,800 integrals the relative error reads a median of 2.95e-15
+# and a worst of 6.75e-13 today.  The error is the adaptive integrator's, so
 # a better integrator should tighten these gates, never loosen them.
-MEDIAN_GATE = 1.6e-13
-WORST_GATE = 3.9e-11
+MEDIAN_GATE = 3.0e-15
+WORST_GATE = 6.8e-13
 
 
 def _log_integrand(u, s, params, lcx, lcy):
