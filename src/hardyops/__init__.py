@@ -9,7 +9,6 @@ from .specfun import (
     a_star,
     a_star_star,
     hardy_constant,
-    log_abs_gamma,
     log_gamma,
     make_params,
     psi,

@@ -534,20 +534,6 @@ def _suite_sweep_s1() -> verify.VerificationReport:
     ))
 
 
-def _suite_reverse_zero() -> verify.VerificationReport:
-    report = verify.reverse_hardy_constant(
-        _zero_params(), 1.0, 1, r_min=1e-2, r_max=1e2, grid_n=256
-    )
-    return _renamed(report, "reverse-zero-coupling")
-
-
-def _suite_diff_zero() -> verify.VerificationReport:
-    report = verify.difference_envelope_check(
-        _zero_params(), (1.0,), grid=_small_grid()
-    )
-    return _renamed(report, "difference-zero-coupling")
-
-
 def _suite_heat_poisson(seed: int) -> verify.VerificationReport:
     report = next(verify.heat_sandwich_by_time(
         _zero_params(), (1.0,), sample_pairs=60, grid=_small_grid(512), seed=seed
@@ -578,8 +564,6 @@ def _cmd_suite(cfg: dict, em: _Emitter) -> None:
         _suite_riesz_anchor,
         _suite_schur,
         _suite_sweep_s1,
-        _suite_reverse_zero,
-        _suite_diff_zero,
     ]
     if not cfg["quick"]:
         battery += [

@@ -138,28 +138,21 @@ def _check_time(t: float) -> float:
     return t
 
 
-def _free_tail(t: float, rxy, d: int, alpha: float):
-    """min(1, t^{1+d/alpha} / rxy^{d+alpha}), and 1 at rxy = 0.
-
-    The one factor of the heat profiles that depends on the chord; a float
-    for scalar rxy, else an array of rxy's shape.
-    """
-    den = np.asarray(rxy, dtype=float) ** (d + alpha)
-    tail = np.ones_like(den)
-    np.divide(t ** (1.0 + d / alpha), den, out=tail, where=den > 0.0)
-    np.minimum(tail, 1.0, out=tail)
-    return _value(tail)
-
-
 def stable_heat_profile(t: float, q: KernelTriple, d: int, alpha: float):
     """Heat kernel profile of the free operator |p|^alpha.
 
-    t^{-d/alpha} * min(1, t^{1+d/alpha} / |x-y|^{d+alpha}); depends on the
-    triple only through rxy, and returns one value per chord when rxy is
-    an array.
+    min(t^{-d/alpha}, t / |x-y|^{d+alpha}); depends on the triple only
+    through rxy, and returns one value per chord when rxy is an array.
     """
     t = _check_time(t)
-    return t ** (-d / alpha) * _free_tail(t, q.rxy, d, alpha)
+    # t / rxy^{d+alpha} divides by the half power twice: for t in
+    # [1e-300, 1e300] that half power is a normal double wherever the
+    # quotient is one.  Either side of the min may overflow or underflow
+    # where the min is a normal double; at rxy = 0 the quotient is inf and
+    # the min picks t^{-d/alpha}.
+    with np.errstate(divide="ignore", over="ignore"):
+        half = np.power(q.rxy, 0.5 * (d + alpha))
+        return _value(np.minimum(np.power(t, -d / alpha), t / half / half))
 
 
 def _hardy_weight(t: float, r, alpha: float, delta: float) -> np.ndarray:
@@ -287,10 +280,10 @@ def l_envelope(t: float, q: KernelTriple, params: HardyParams):
     reach = np.power(rmax, alpha)
     # Each branch is evaluated everywhere and kept where it is active; the
     # inactive one may divide by a vanishing radius.
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         w_small = 1.0 if dp == 0.0 else np.power(t ** (2.0 / alpha) / (rx * ry), dp)
         w_large = 1.0 if dp == 0.0 else np.power(np.maximum(1.0, t ** (1.0 / alpha) / rmin), dp)
-        small = np.where(reach <= t, t ** (-d / alpha) * w_small, 0.0)
+        small = np.where(reach <= t, np.power(t, -d / alpha) * w_small, 0.0)
         large = np.where(reach >= t, t / np.power(rmax, d + alpha) * w_large, 0.0)
     return _value(small + large)
 
@@ -301,9 +294,10 @@ def m_envelope(t: float, q: KernelTriple, params: HardyParams):
     Supported where (|x| v |y|)^alpha >= t and the radii are comparable
     (|x|/2 <= |y| <= 2|x|), where it equals
 
-        t^{1 - d/alpha} / (|x| ^ |y|)^alpha * min(1, t^{1+d/alpha}/|x-y|^{d+alpha}),
+        t / (|x| ^ |y|)^alpha * min(t^{-d/alpha}, t / |x-y|^{d+alpha}),
 
-    and 0 elsewhere.  Broadcasts over array triples.
+    the free profile times t / (|x| ^ |y|)^alpha, and 0 elsewhere.
+    Broadcasts over array triples.
     """
     t = _check_time(t)
     d, alpha = params.d, params.alpha
@@ -312,7 +306,7 @@ def m_envelope(t: float, q: KernelTriple, params: HardyParams):
     support = (np.power(rmax, alpha) >= t) & (0.5 * rx <= ry) & (ry <= 2.0 * rx)
     # A vanishing radius lies off the support, where the quotient is dropped.
     with np.errstate(divide="ignore", invalid="ignore"):
-        value = t ** (1.0 - d / alpha) / np.power(rmin, alpha) * _free_tail(t, q.rxy, d, alpha)
+        value = t / np.power(rmin, alpha) * stable_heat_profile(t, q, d, alpha)
     return _value(np.where(support, value, 0.0))
 
 

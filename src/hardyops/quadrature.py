@@ -69,7 +69,9 @@ class QuadResult:
     """Outcome of a batch of adaptive integrations: ``value``,
     ``abs_error_estimate`` and ``evaluations_each`` hold one entry per
     integral; ``evaluations`` is the number of integrand evaluations summed
-    over the batch."""
+    over the batch.  ``abs_error_estimate`` sums the Gauss-Kronrod errors
+    of the panels made and leaves out the mass beyond each tail's stopping
+    point, so it can read far below the true error."""
 
     value: np.ndarray
     abs_error_estimate: np.ndarray

@@ -8,11 +8,12 @@ inverse of that symbol, whose value ``delta`` is the singularity exponent
 appearing in every kernel bound downstream.
 
 All real Gamma evaluations go through ``log_gamma`` so that ratios of
-large Gamma values never overflow; ``log_abs_gamma`` is the modulus off
-the real axis, elementwise on arrays, from which the discretization
-builds the symbol on the critical line.  The module also provides the one
-Gauss rule family the package integrates with, ``gauss_jacobi``.  All of
-it runs on the standard library and numpy alone.
+large Gamma values never overflow; ``_scaled_log_abs_gamma`` is the
+modulus off the real axis, elementwise on arrays, from which the
+discretization builds the symbol on the critical line.  The module also
+provides the one Gauss rule family the package integrates with,
+``gauss_jacobi``.  All of it runs on the standard library and numpy
+alone.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ from .errors import ConvergenceError, DomainError
 
 __all__ = [
     "log_gamma",
-    "log_abs_gamma",
     "gauss_jacobi",
     "sphere_area",
     "hardy_constant",
@@ -103,32 +103,6 @@ def log_gamma(x: float) -> float:
     return q + ((((8.11614167470508450300e-4 * p - 5.95061904284301438324e-4) * p
                   + 7.93650340457716943945e-4) * p - 2.77777777730099687205e-3) * p
                 + 8.33333333333331927722e-2) / x
-
-
-def log_abs_gamma(x, y):
-    """log|Gamma(x + iy)| elementwise, for x > 0 and real y.
-
-    x and y are scalars or arrays that broadcast together; two scalars
-    give a float.  Raises DomainError for x <= 0, the closed half-plane
-    that holds every pole, and for non-finite input.  The value is even
-    in y, bit for bit.
-
-    The modulus falls like exp(-pi |y| / 2), so the value is close to
-    -pi |y| / 2 and carries that term's rounding, up to two ulps of the
-    result.  Apart from it the value is within 1e-14 of the exact one for
-    x in (0, 3] (``_scaled_log_abs_gamma``).
-    """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
-        raise DomainError("log_abs_gamma requires finite x and y")
-    if not np.all(x > 0.0):
-        raise DomainError(
-            f"log_abs_gamma requires x > 0, got {np.min(x)!r}; "
-            f"the poles of Gamma lie at x = 0, -1, -2, ..."
-        )
-    out = _scaled_log_abs_gamma(x, y) - 0.5 * math.pi * np.abs(y)
-    return float(out) if out.ndim == 0 else out
 
 
 def _scaled_log_abs_gamma(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -225,9 +199,16 @@ def gauss_jacobi(n: int, a: float, b: float) -> tuple:
 
 
 def sphere_area(d: int) -> float:
-    """Surface measure of the unit sphere in R^d, 2 pi^{d/2} / Gamma(d/2)."""
+    """Surface measure of the unit sphere in R^d, 2 pi^{d/2} / Gamma(d/2).
+
+    Raises DomainError from d = 344 on, where Gamma(d/2) overflows a double.
+    """
     d = _check_dimension(d, minimum=1)
-    return 2.0 * math.pi ** (0.5 * d) / math.exp(log_gamma(0.5 * d))
+    try:
+        return 2.0 * math.pi ** (0.5 * d) / math.exp(log_gamma(0.5 * d))
+    except OverflowError:
+        raise DomainError(f"sphere area 2 pi^(d/2) / Gamma(d/2) cannot be evaluated at "
+                          f"d={d}: Gamma(d/2) overflows a double from d = 344 on") from None
 
 
 def _check_count(name: str, count, least: int = 1) -> None:
@@ -242,6 +223,8 @@ def _check_dimension(d, minimum: int = 2) -> int:
         raise DomainError(f"dimension must be an integer, got {d!r}")
     if d < minimum:
         raise DomainError(f"dimension must be >= {minimum}, got {d}")
+    if d > 2**53:
+        raise DomainError("dimension must be <= 2**53, above which it is not exact as a double")
     return d
 
 

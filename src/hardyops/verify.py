@@ -12,9 +12,8 @@ stable when it moves by less than ``STABLE_FACTOR``.
 The checks never assume monotone convergence under refinement; ladders are
 recorded in the report notes and judged only against the stated thresholds.
 With ``a = 0`` each check degenerates to an exactly known case (unit ratio,
-vanishing difference kernel), which the CLI suite uses for its
-zero-coupling rows; its sweep row is anchored at s = 1 and a != 0
-instead, where the ratio of a Gaussian has a closed form.
+vanishing difference kernel); the CLI suite's sweep row is anchored at
+s = 1 and a != 0 instead, where the ratio of a Gaussian has a closed form.
 """
 
 from __future__ import annotations

@@ -1,7 +1,11 @@
 import math
+import sys
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hardyops import (
     DomainError,
@@ -248,6 +252,24 @@ def test_free_profile_tail_is_one_at_coincidence():
     values = stable_heat_profile(2.0, KernelTriple(1.0, 1.0, chords), 3, 1.0)
     assert values[0] == values[1] == 2.0 ** -3
     assert stable_heat_profile(2.0, KernelTriple(1.0, 1.0, 0.0), 3, 1.0) == 2.0 ** -3
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(max_examples=1500, deadline=None)
+@given(d=st.integers(2, 5), alpha=st.floats(0.01, 1.99),
+       log_t=st.floats(-300.0, 300.0), log_rxy=st.floats(-300.0, 300.0))
+def test_free_profile_is_exact_wherever_it_is_a_normal_double(d, alpha, log_t, log_rxy):
+    # t^{-d/alpha} min(1, t^{1+d/alpha} / rxy^{d+alpha}) in mpmath, with the
+    # exponents -d/alpha and d + alpha rounded to doubles as the code has them.
+    # Out of that range the value may round to 0 or inf, with no warning.
+    t, rxy = 10.0**log_t, 10.0**log_rxy
+    value = stable_heat_profile(t, KernelTriple(rxy, rxy, rxy), d, alpha)
+    e = -d / alpha
+    with mpmath.workdps(40):
+        tt = mpmath.mpf(t)
+        exact = tt**e * min(1, tt ** (1 - mpmath.mpf(e)) / mpmath.mpf(rxy) ** (d + alpha))
+        if sys.float_info.min <= exact <= sys.float_info.max:
+            assert abs(value - exact) <= 4e-15 * exact
 
 
 def test_triple_rejects_bad_chord_arrays():
