@@ -181,29 +181,11 @@ def _verdict(reports: list) -> str:
     return "pass" if all(report["verdict"] == "pass" for report in reports) else "fail"
 
 
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, (bool, np.bool_)):
-        return bool(obj)
-    if isinstance(obj, (int, np.integer)):
-        return int(obj)
-    if isinstance(obj, (float, np.floating)):
-        return float(obj)
-    return obj
-
-
 def _csv_cell(value) -> str:
-    if isinstance(value, (bool, np.bool_)):
+    if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))
-    text = str(value)
-    return text.replace(",", ";").replace("\n", " ")
+    # str of an int or a float is its repr, and holds no comma or newline.
+    return str(value).replace(",", ";").replace("\n", " ")
 
 
 def _csv_text(header: tuple, rows: list) -> str:
@@ -233,8 +215,8 @@ def _flush_outputs(cmd: _Command, cfg: dict, em: _Emitter, verdict: str,
     if cfg.get("out_json"):
         payload = {
             "command": cmd.name,
-            "config": _jsonable({k: v for k, v in cfg.items() if v is not None}),
-            "reports": _jsonable(em.reports),
+            "config": {k: v for k, v in cfg.items() if v is not None},
+            "reports": em.reports,
             "verdict": verdict,
         }
         if failure is not None:

@@ -55,8 +55,8 @@ class KernelTriple:
     rxy may instead be a 1-D real ndarray of chord lengths for the one
     pair of radii.  For a batch of pairs, rx and ry are real ndarrays of
     one shape with as many axes as the chord array rxy, each axis of
-    length 1 or that of rxy.  Array triples are checked entry by entry by
-    the scalar rules.
+    length 1 or that of rxy.  A scalar triple is checked as the 0-d case
+    of the array rules, and the first failing entry is reported.
     """
 
     rx: float
@@ -64,38 +64,40 @@ class KernelTriple:
     rxy: float
 
     def __post_init__(self):
-        rx, ry, rxy = self.rx, self.ry, self.rxy
-        # Array radii come with an array rxy; alone, the scalar checks reject them.
-        if isinstance(rxy, np.ndarray):
-            bad = _first_bad_entry(rx, ry, rxy)
-            if bad is None:
+        given = (self.rx, self.ry, self.rxy)
+        if isinstance(self.rxy, np.ndarray):
+            _check_layout(*given)
+            lengths = [np.broadcast_to(v, self.rxy.shape) for v in given]
+        else:
+            # The 0-d case of the same rules; a non-number fails as NaN does.
+            lengths = [np.asarray(v if isinstance(v, (int, float)) else math.nan, dtype=float)
+                       for v in given]
+        rx, ry, rxy = lengths
+        first, rules = 0, [~(np.isfinite(v) & (v >= 0)) for v in lengths]
+        if not np.any(rules):
+            slack = 1e-9 * (rx + ry + rxy) + 1e-300
+            first, rules = 3, [rxy > rx + ry + slack, rxy < abs(rx - ry) - slack]
+            if not np.any(rules):
                 return
-            rx, ry, rxy = bad
-        if not (isinstance(rx, (int, float)) and math.isfinite(rx)) or rx < 0:
-            raise DomainError(f"rx must be finite and >= 0, got {rx!r}")
-        if not (isinstance(ry, (int, float)) and math.isfinite(ry)) or ry < 0:
-            raise DomainError(f"ry must be finite and >= 0, got {ry!r}")
-        if not (isinstance(rxy, (int, float)) and math.isfinite(rxy)) or rxy < 0:
-            raise DomainError(
-                f"rxy must be finite and >= 0 (a number or a 1-D array), got {rxy!r}"
-            )
-        slack = 1e-9 * (rx + ry + rxy) + 1e-300
-        if rxy > rx + ry + slack:
-            raise DomainError(f"triangle violation: rxy={rxy} > rx+ry={rx + ry}")
-        if rxy < abs(rx - ry) - slack:
-            raise DomainError(
-                f"triangle violation: rxy={rxy} < |rx-ry|={abs(rx - ry)}"
-            )
+        # The first failing entry, reported by the first rule it fails.
+        k = np.logical_or.reduce(rules).argmax()
+        rule = first + next(i for i, bad in enumerate(rules) if bad.flat[k])
+        x, y, xy = given if rx.ndim == 0 else (float(v.flat[k]) for v in lengths)
+        if rule == 3:
+            raise DomainError(f"triangle violation: rxy={xy} > rx+ry={x + y}")
+        if rule == 4:
+            raise DomainError(f"triangle violation: rxy={xy} < |rx-ry|={abs(x - y)}")
+        name, value = (("rx", x), ("ry", y), ("rxy", xy))[rule]
+        hint = " (a number or a 1-D array)" if rule == 2 else ""
+        raise DomainError(f"{name} must be finite and >= 0{hint}, got {value!r}")
 
 
 def _is_real_array(v) -> bool:
     return isinstance(v, np.ndarray) and v.dtype.kind in "fiu"
 
 
-def _first_bad_entry(rx, ry, rxy):
-    """None when every entry of an array triple passes KernelTriple's
-    scalar checks, else the first that fails, as three floats for those
-    checks to report.  Raises DomainError for a layout it does not take."""
+def _check_layout(rx, ry, rxy) -> None:
+    """Raise DomainError unless an array rxy comes with radii it takes."""
     if not _is_real_array(rxy):
         layout = False
     elif isinstance(rx, (int, float)) and isinstance(ry, (int, float)):
@@ -114,16 +116,6 @@ def _first_bad_entry(rx, ry, rxy):
                 f"{type(v).__name__} {getattr(v, 'shape', ())}" for v in (rx, ry, rxy)
             )
         )
-    rx, ry = np.broadcast_to(rx, rxy.shape), np.broadcast_to(ry, rxy.shape)
-    ok = np.isfinite(rx) & np.isfinite(ry) & np.isfinite(rxy)
-    ok &= (rx >= 0) & (ry >= 0) & (rxy >= 0)
-    if ok.all():
-        slack = 1e-9 * (rx + ry + rxy) + 1e-300
-        ok = (rxy <= rx + ry + slack) & (rxy >= abs(rx - ry) - slack)
-        if ok.all():
-            return None
-    k = ok.argmin()
-    return float(rx.flat[k]), float(ry.flat[k]), float(rxy.flat[k])
 
 
 def _value(x):
@@ -161,8 +153,10 @@ def _hardy_weight(t: float, r, alpha: float, delta: float) -> np.ndarray:
     r = np.asarray(r, dtype=float)
     if delta > 0.0 and np.any(r == 0.0):
         raise DomainError("hardy heat profile diverges at the origin for delta > 0")
-    with np.errstate(divide="ignore"):
-        return np.power(np.maximum(1.0, t ** (1.0 / alpha) / r), delta)
+    # t^{1/alpha} as a numpy scalar power: the C library's pow, as Python's
+    # float power takes it, but inf past the largest double, not OverflowError.
+    with np.errstate(divide="ignore", over="ignore"):
+        return np.power(np.maximum(1.0, np.float64(t) ** (1.0 / alpha) / r), delta)
 
 
 def hardy_heat_profile(t: float, q: KernelTriple, params: HardyParams):
@@ -177,7 +171,9 @@ def hardy_heat_profile(t: float, q: KernelTriple, params: HardyParams):
     base = stable_heat_profile(t, q, params.d, params.alpha)
     wx = _hardy_weight(t, q.rx, params.alpha, params.delta)
     wy = _hardy_weight(t, q.ry, params.alpha, params.delta)
-    return _value(base * wx * wy)
+    # Where t^{1/alpha} overflows, the base has underflowed to 0: keep that 0.
+    with np.errstate(invalid="ignore"):
+        return _value(np.where(base == 0.0, 0.0, base * wx * wy))
 
 
 def poisson_kernel_exact(t, rxy, d: int = 3):
@@ -281,9 +277,14 @@ def l_envelope(t: float, q: KernelTriple, params: HardyParams):
     # Each branch is evaluated everywhere and kept where it is active; the
     # inactive one may divide by a vanishing radius.
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        w_small = 1.0 if dp == 0.0 else np.power(t ** (2.0 / alpha) / (rx * ry), dp)
-        w_large = 1.0 if dp == 0.0 else np.power(np.maximum(1.0, t ** (1.0 / alpha) / rmin), dp)
-        small = np.where(reach <= t, np.power(t, -d / alpha) * w_small, 0.0)
+        t1, t2 = (np.float64(t) ** (k / alpha) for k in (1.0, 2.0))
+        # Where t^{2/alpha} overflows, the weight is the product of its halves.
+        w_small = (np.power(t2 / (rx * ry), dp) if t2 < math.inf
+                   else np.power(t1 / rx, dp) * np.power(t1 / ry, dp))
+        w_large = np.power(np.maximum(1.0, t1 / rmin), dp)
+        # A prefactor that underflowed to 0 stays 0 against an overflowed weight.
+        prefactor = np.power(t, -d / alpha)
+        small = np.where((reach <= t) & (prefactor > 0.0), prefactor * w_small, 0.0)
         large = np.where(reach >= t, t / np.power(rmax, d + alpha) * w_large, 0.0)
     return _value(small + large)
 

@@ -71,7 +71,6 @@ __all__ = [
 ]
 
 _NEAR_LAGS = 8  # lags solved by symbol collocation instead of point values
-_ROW_BLOCK = 64  # rows per block of the in-place free-matrix assembly
 _CHORD_GJ_NODES = 64  # Gauss-Jacobi nodes per chord-integral rule
 _CHORD_GL_NODES = 24  # Gauss-Legendre nodes per doubling panel
 
@@ -110,7 +109,9 @@ def build_log_grid(d: int, r_min: float, r_max: float, n: int) -> RadialGrid:
 
     Requires 0 < r_min < r_max and n >= 2.  Weights are the trapezoid
     rule for int f r^{d-1} dr in the variable u = ln r, times the sphere
-    area: w_i = |S^{d-1}| h c_i r_i^d with end factors c = 1/2.
+    area: w_i = |S^{d-1}| h c_i r_i^d with end factors c = 1/2.  A weight
+    that is not a positive normal double raises DomainError (on the
+    default box [1e-3, 1e3] from d = 92 on).
     """
     d = _check_dimension(d)
     r_min = float(r_min)
@@ -124,7 +125,13 @@ def build_log_grid(d: int, r_min: float, r_max: float, n: int) -> RadialGrid:
     h = math.log(r_max / r_min) / (n - 1)
     c = np.ones(n)
     c[0] = c[-1] = 0.5
-    weights = sphere_area(d) * h * c * nodes**d
+    with np.errstate(over="ignore"):
+        weights = sphere_area(d) * h * c * nodes**d
+    if not np.all((weights >= np.finfo(float).tiny) & (weights < math.inf)):
+        raise DomainError(
+            f"grid weights |S^(d-1)| h c r^d leave the positive normal doubles at d={d} "
+            f"on [{r_min!r}, {r_max!r}]; use a lower dimension or a box nearer r = 1"
+        )
     return RadialGrid(d=d, nodes=nodes, weights=weights)
 
 
@@ -148,12 +155,12 @@ def _jump_normalization(d: int, alpha: float) -> float:
     # Constant c with |p|^alpha represented by the jump kernel
     # c |x-y|^{-d-alpha}: c = 2^alpha Gamma((d+alpha)/2) (alpha/2)
     #                         / (pi^{d/2} Gamma(1-alpha/2)).
-    return (
-        2.0**alpha
-        * math.exp(log_gamma(0.5 * (d + alpha)) - log_gamma(1.0 - 0.5 * alpha))
-        * (0.5 * alpha)
-        / math.pi ** (0.5 * d)
-    )
+    try:
+        gamma_ratio = math.exp(log_gamma(0.5 * (d + alpha)) - log_gamma(1.0 - 0.5 * alpha))
+    except OverflowError:
+        raise DomainError(f"jump kernel constant cannot be evaluated at d={d}, alpha={alpha}: "
+                          f"Gamma((d+alpha)/2) overflows a double") from None
+    return 2.0**alpha * gamma_ratio * (0.5 * alpha) / math.pi ** (0.5 * d)
 
 
 def _chord_power_integrals(xm: np.ndarray, width: float, e_pow: float,
@@ -322,8 +329,7 @@ def _symmetric_free_matrix(grid: RadialGrid, alpha: float) -> np.ndarray:
     e = sqrt(c / (|S^{d-1}| h)) r^{-alpha/2}, and
     r^{-alpha} ((T c) / (|S^{d-1}| h) + H) on it: T the Toeplitz lag
     matrix, c the trapezoid end factors.  Returns a fresh array that the
-    caller owns and may change in place, filled in blocks of _ROW_BLOCK
-    rows, so besides the result only block-sized temporaries exist.
+    caller owns and may change in place.
     """
     d = grid.d
     alpha = _check_alpha(d, alpha, min(2, d))
@@ -344,18 +350,13 @@ def _symmetric_free_matrix(grid: RadialGrid, alpha: float) -> np.ndarray:
     c_end = np.ones(n)
     c_end[0] = c_end[-1] = 0.5
     e = np.sqrt(c_end / scale) * r ** (-0.5 * alpha)
-    # e_i e_j rounds as e_j e_i does, so the matrix is bitwise symmetric.
-    s_mat = np.empty((n, n))
-    t_c = np.empty(n)
-    for lo in range(0, n, _ROW_BLOCK):
-        hi = min(lo + _ROW_BLOCK, n)
-        block = s_mat[lo:hi]
-        np.multiply(toeplitz[lo:hi], c_end, out=block)
-        # Sums of contiguous rows: the same pairwise summation per row as
-        # a sum over the whole matrix.
-        block.sum(axis=1, out=t_c[lo:hi])
-        np.multiply(-e[lo:hi, None], e, out=block)
-        block *= toeplitz[lo:hi]
+    # Four whole-matrix passes in place: besides the result only the row
+    # sums are allocated.  e_i e_j rounds as e_j e_i does, so the matrix is
+    # bitwise symmetric.
+    s_mat = np.multiply(toeplitz, c_end)
+    t_c = s_mat.sum(axis=1)
+    np.multiply(-e[:, None], e, out=s_mat)
+    s_mat *= toeplitz
     s_mat.flat[:: n + 1] = r**-alpha * (t_c / scale + hardy_constant(d, alpha))
     return s_mat
 

@@ -805,9 +805,9 @@ def difference_envelope_check(
     with a usable (positive finite) envelope over both passes; a pass
     with none raises DomainError.
 
-    The refined pass runs first.  Each pass builds its two operators one
-    at a time and releases each eigensystem before the next build, so the
-    check holds at most one eigensystem at a time.
+    The base pass runs first, then the refined one.  Each pass builds its
+    two operators one at a time and releases each eigensystem before the
+    next build, so the check holds at most one eigensystem at a time.
 
     The envelope is always evaluated with the exponent of the stronger
     (lower) coupling: the potential's difference kernel sits inside the
@@ -837,20 +837,12 @@ def difference_envelope_check(
     # A repulsive coupling lowers the coupled kernel below the free one,
     # and V <= a_tilde r^{-alpha} makes the potential kernel dominate.
     nonnegative = potential is not None or params.a > 0.0
-    # The refined pass runs first.  Each pass releases each of its two
-    # eigensystems before the next build, and the refined grid is released
-    # when its pass returns; its notes follow the base pass's.
-    fine_notes: list = []
-    sup_fine, viol_fine, used_fine = _difference_ratio_sup(
-        params, subtract_params, env_params, times, sample_pairs,
-        build_log_grid(grid.d, grid.r_min / 10.0, grid.r_max, grid.n), seed, potential,
-        nonnegative, fine_notes
+    refined = build_log_grid(grid.d, grid.r_min / 10.0, grid.r_max, grid.n)
+    (sup_base, viol_base, used_base), (sup_fine, viol_fine, used_fine) = (
+        _difference_ratio_sup(params, subtract_params, env_params, times, sample_pairs,
+                              pass_grid, seed, potential, nonnegative, notes)
+        for pass_grid in (grid, refined)
     )
-    sup_base, viol_base, used_base = _difference_ratio_sup(
-        params, subtract_params, env_params, times, sample_pairs, grid, seed, potential,
-        nonnegative, notes
-    )
-    notes.extend(fine_notes)
     worst_violation = max(viol_base, viol_fine, key=abs)
     sign_ok = abs(worst_violation) <= SIGN_SLACK
     if not sign_ok:

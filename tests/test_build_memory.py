@@ -1,7 +1,7 @@
 """Memory of the operator builds, and the outputs they must keep.
 
-The free matrix is assembled into one n x n buffer in blocks of rows, each
-build assembles afresh, and an eigensystem lives exactly as long as its
+The free matrix is assembled into one n x n buffer in place, each build
+assembles afresh, and an eigensystem lives exactly as long as its
 operator.  The difference check and the sweep hold one eigensystem at a
 time.  None of that may change a bit of any matrix, eigensystem or report.
 """
@@ -66,9 +66,8 @@ def _weighted_free_matrix(grid, alpha):
 @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5, 1.9])
 @pytest.mark.parametrize("d", [2, 3, 4, 5])
 def test_blocked_assembly_is_bitwise_the_whole_matrix_formula(d, alpha):
-    # n = 24 is the smallest grid the near-field solve accepts; 100 is not
-    # a multiple of the row block, 1024 is the default grid.
-    assert 100 % operators._ROW_BLOCK != 0
+    # n = 24 is the smallest grid the near-field solve accepts, 1024 the
+    # default grid.
     for n in (24, 100, 1024):
         grid = build_log_grid(d, 1e-2, 1e2, n)
         s_mat = operators._symmetric_free_matrix(grid, alpha)
@@ -88,9 +87,9 @@ def test_each_assembly_returns_a_fresh_matrix():
 
 
 def test_cold_hardy_build_traces_at_most_two_matrices():
-    # The assembled matrix and the eigenvectors eigh returns; the block
-    # temporaries add 64 rows.  LAPACK's workspace is allocated outside
-    # Python's tracer and is not counted.
+    # The assembled matrix and the eigenvectors eigh returns; the row sums
+    # add n doubles.  LAPACK's workspace is allocated outside Python's
+    # tracer and is not counted.
     n = 512
     params = make_params(3, 1.3, -0.2)
     build_hardy_operator(build_log_grid(3, 1e-2, 1e2, 64), params)  # warm the profile caches
@@ -127,33 +126,23 @@ def test_no_builder_keeps_an_eigensystem_alive():
 _BUILDERS = ("build_fractional_laplacian", "build_hardy_operator", "build_potential_operator")
 
 
-def _record_builds(monkeypatch, grid):
-    """Wrap verify's grid and operator builders.
+def _record_builds(monkeypatch):
+    """Wrap verify's operator builders.
 
     Before each operator build, every operator built earlier must already
-    be collected; before each build on ``grid``'s radii, every grid of a
-    smaller inner radius (the refined pass) must be too.  Returns the
-    recorded builds as ``(r_min, weakref to the modes)``.
+    be collected.  Returns the recorded builds as ``(r_min, weakref to the
+    modes)``.
     """
-    builds, refined = [], []
-    real_grid = verify.build_log_grid
-
-    def grid_recording(*args):
-        g = real_grid(*args)
-        refined.append(weakref.ref(g))
-        return g
+    builds = []
 
     def recording(build):
         def wrapped(g, *args):
             assert all(modes() is None for _, modes in builds), "an earlier eigensystem is alive"
-            if g.r_min == grid.r_min:
-                assert all(ref() is None for ref in refined), "refined grid still alive"
             op = build(g, *args)
             builds.append((g.r_min, weakref.ref(op.modes)))
             return op
         return wrapped
 
-    monkeypatch.setattr(verify, "build_log_grid", grid_recording)
     for name in _BUILDERS:
         monkeypatch.setattr(verify, name, recording(getattr(verify, name)))
     return builds
@@ -166,16 +155,16 @@ def _potential(lower, upper):
     return PotentialSpec(profile, lower, upper)
 
 
-def test_difference_check_releases_the_refined_grid_before_the_base_pass(monkeypatch):
-    # Free and potential branch: upper then lower operator, refined pass
-    # first, and no eigensystem left behind in the caller's grid.
+def test_difference_check_builds_the_base_pass_then_the_refined_one(monkeypatch):
+    # Free and potential branch: upper then lower operator, base pass
+    # first, one eigensystem at a time, and none left behind.
     for potential in (None, _potential(-0.2, 0.1)):
         grid = build_log_grid(3, 1e-2, 1e2, 128)
         with monkeypatch.context() as patch:
-            builds = _record_builds(patch, grid)
+            builds = _record_builds(patch)
             report = verify.difference_envelope_check(
                 make_params(3, 1.0, -0.2), [1.0], 16, potential=potential, grid=grid)
-        assert [r_min < grid.r_min for r_min, _ in builds] == [True, True, False, False]
+        assert [r_min < grid.r_min for r_min, _ in builds] == [False, False, True, True]
         assert all(modes() is None for _, modes in builds)
         assert report.samples == 32
 
@@ -214,7 +203,7 @@ def test_difference_check_potential_report_is_pinned():
 
 def test_sweep_holds_one_eigensystem_at_a_time(monkeypatch):
     grid = build_log_grid(3, 1e-2, 1e2, 128)
-    builds = _record_builds(monkeypatch, grid)
+    builds = _record_builds(monkeypatch)
     rows, _, _ = verify.sweep_by_power(
         make_params(3, 1.0, -0.2), [0.5, 1.0], verify.TestFamily("gaussian-dilates"), grid)
     assert len(builds) == 2
@@ -298,8 +287,7 @@ def test_difference_check_with_nothing_measured_is_a_domain_error(monkeypatch, b
 
 def test_difference_check_notes_list_the_base_pass_first(monkeypatch):
     # One degenerate envelope per pass, at pair 0 on the base grid and at
-    # pair 1 on the refined one: the base note must come first although
-    # the refined pass runs first.
+    # pair 1 on the refined one: the base pass's note comes first.
     grid = build_log_grid(3, 1e-2, 1e2, 128)
     real = verify._pair_average
 

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hardyops import cli
 from hardyops.cli import build_parser, main
 from hardyops.kernels import riesz_exponent_window
 from hardyops.specfun import a_star, hardy_constant, make_params
@@ -405,7 +406,14 @@ def test_exit_code_follows_the_report_verdicts(capsys, tmp_path, argv, code, ver
     # Above 2**53 a dimension is not exact as a double.
     (("constants", "--d=1" + "0" * 400, "--alpha=1"), "2**53"),
     (("constants", "--d=1" + "0" * 307, "--alpha=1"), "2**53"),
-], ids=["schur-d400", "heat-verify-d400", "constants-d1e400", "constants-d1e307"])
+    # On the default box [1e-3, 1e3] the grid weight at r_min is subnormal
+    # from d = 92 on and zero from d = 96 on; at d = 343 Gamma((d+alpha)/2)
+    # of the jump constant overflows too, after the grid is checked.
+    (("heat-verify", "--d=100", "--alpha=1.9"), "normal doubles at d=100 on [0.001, 1000.0]"),
+    (("heat-verify", "--d=200", "--alpha=1.9"), "normal doubles at d=200 on [0.001, 1000.0]"),
+    (("heat-verify", "--d=343", "--alpha=1.9"), "normal doubles at d=343 on [0.001, 1000.0]"),
+], ids=["schur-d400", "heat-verify-d400", "constants-d1e400", "constants-d1e307",
+        "heat-verify-d100", "heat-verify-d200", "heat-verify-d343"])
 def test_out_of_range_dimension_is_a_domain_error(capsys, tmp_path, argv, reason):
     out_json = tmp_path / "rep.json"
     rc, _, err = run(capsys, *argv, f"--out-json={out_json}")
@@ -414,6 +422,54 @@ def test_out_of_range_dimension_is_a_domain_error(capsys, tmp_path, argv, reason
     assert doc["verdict"] == "error" and doc["failure"].startswith("DomainError"), doc
     assert reason in doc["failure"]
     assert err.startswith("error: ")
+
+
+def test_kernel_eval_at_a_huge_time_underflows_to_zero(capsys, tmp_path):
+    # t^{1/alpha} = 1e400 overflows a double, and both profiles, t^-6 and
+    # that times the weights (1e400)^delta, underflow to 0.
+    out_json = tmp_path / "rep.json"
+    rc, out, err = run(capsys, "kernel-eval", "--d=3", "--alpha=0.5", "--a=-0.1", "--rx=1",
+                       "--ry=1", "--rxy=1", "--t=1e200", f"--out-json={out_json}")
+    doc = json.loads(out_json.read_text())
+    assert (rc, doc["verdict"], err) == (0, "pass", "")
+    assert doc["reports"][0]["values"] == [{"t": 1e200, "stable_profile": 0.0,
+                                            "hardy_profile": 0.0}]
+    assert out == "t=1e+200: stable_profile=0 hardy_profile=0\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ("constants", "--d=3", "--alpha=1", "--a=-0.2"),
+    ("psi", "--d=3", "--alpha=1", "--sigma=0.5"),
+    ("psi-inv", "--d=3", "--alpha=1", "--a=-0.2"),
+    ("kernel-eval", "--d=3", "--alpha=1", "--rx=1", "--ry=2", "--rxy=2", "--t=0.5,2"),
+    ("schur", "--d=3", "--beta=1.5", "--delta-plus=0.4"),
+    ("riesz-verify", "--d=3", "--alpha=1", "--a=-0.2", "--s=0.5,1"),
+    ("heat-verify", "--d=3", "--alpha=1", "--a=-0.2", "--t=1,10", "--grid-n=128"),
+    ("diff-verify", "--d=3", "--alpha=1", "--a=-0.2", "--a-tilde=0.1", "--grid-n=128"),
+    ("sweep", "--d=3", "--alpha=1", "--a=-0.2", "--grid-n=128"),
+    ("suite", "--quick"),
+], ids=lambda argv: argv[0])
+def test_writers_receive_only_json_native_values(capsys, tmp_path, monkeypatch, argv):
+    # The JSON and CSV writers take what the handlers give them as it is.
+    seen = []
+
+    def spy(cmd, cfg, em, verdict, failure=None):
+        seen.append((cfg, em.reports, em.rows))
+        real(cmd, cfg, em, verdict, failure)
+
+    real = cli._flush_outputs
+    monkeypatch.setattr(cli, "_flush_outputs", spy)
+    rc, _, _ = run(capsys, *argv, f"--out-json={tmp_path / 'rep.json'}")
+    assert rc in (0, 2)
+    assert _json_native(seen)
+
+
+def _json_native(obj) -> bool:
+    if type(obj) is dict:
+        return all(type(k) is str and _json_native(v) for k, v in obj.items())
+    if type(obj) in (list, tuple):
+        return all(_json_native(v) for v in obj)
+    return type(obj) in (str, int, float, bool, type(None))
 
 
 @pytest.mark.parametrize("t", [1e-104, 1e-102])

@@ -1,5 +1,6 @@
 import math
 import sys
+import warnings
 
 import mpmath
 import numpy as np
@@ -176,6 +177,24 @@ def test_envelopes_positive_where_supported(params_critical, rng):
 def test_l_envelope_rejects_vanishing_radius_at_positive_delta(params_critical):
     with pytest.raises(DomainError):
         l_envelope(1.0, KernelTriple(0.0, 1.0, 1.0), params_critical)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("a", [-0.1, 0.0, 0.3])
+def test_profiles_where_a_power_of_the_time_overflows(d, a):
+    # At alpha = 0.5, t^{2/alpha} overflows a double from t = 1.2e77 on and
+    # t^{1/alpha} from t = 1.3e154 on.  The profiles stay finite and
+    # nonnegative, and the weight t^{2/alpha}/(|x||y|) of the long-range
+    # envelope, split into its halves, meets the Hardy profile at |x| = |y|.
+    params = make_params(d, 0.5, a)
+    q = KernelTriple(1.0, 1.0, 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for t in (1e77, 1.5e77, 1e79, 1e155, 1e200, 1e300):
+            hardy, long_range = hardy_heat_profile(t, q, params), l_envelope(t, q, params)
+            assert 0.0 <= hardy < math.inf and 0.0 <= long_range < math.inf, t
+            if params.delta >= 0.0:
+                assert long_range == pytest.approx(hardy, rel=1e-12, abs=1e-320), t
 
 
 # ---------------------------------------------------------------------------

@@ -63,6 +63,28 @@ def test_log_grid_validation():
         build_log_grid(1, 1e-2, 1e2, 64)
 
 
+def test_log_grid_weights_must_be_positive_normal_doubles():
+    # On the default box the weight |S^{d-1}| h r^d / 2 at r_min is the
+    # smallest; it leaves the normal doubles from d = 92 on.  A weight that
+    # overflows at r_max is rejected too.
+    grid = build_log_grid(91, DEFAULT_R_MIN, DEFAULT_R_MAX, DEFAULT_GRID_N)
+    assert grid.weights.min() >= np.finfo(float).tiny
+    for d, r_max in ((92, DEFAULT_R_MAX), (100, DEFAULT_R_MAX), (343, DEFAULT_R_MAX), (3, 1e200)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(DomainError, match=f"normal doubles at d={d} on \\[0.001, "):
+                build_log_grid(d, DEFAULT_R_MIN, r_max, DEFAULT_GRID_N)
+
+
+def test_jump_constant_overflow_is_a_domain_error():
+    # Gamma((d+alpha)/2) overflows at d = 343, alpha = 1.9, one dimension
+    # before the sphere area's Gamma(d/2) does.
+    with pytest.raises(DomainError, match=r"d=343, alpha=1.9: Gamma\(\(d\+alpha\)/2\) overflows"):
+        jump_profile(1.0, 343, 1.9)
+    grid = build_log_grid(343, 0.9, 1.1, 64)
+    with pytest.raises(DomainError, match="jump kernel constant"):
+        build_fractional_laplacian(grid, 1.9)
+
 # ---------------------------------------------------------------------------
 # free operator
 

@@ -5,7 +5,8 @@ the distance between the points.  It accepts every triple realized by two
 radii and an enclosed angle, and rejects lengths that are negative or not
 finite and triples outside the triangle inequality by more than its slack
 of 1e-9 times the summed lengths.  A 1-D array of distances for one pair
-of radii is accepted exactly when each of its elements would be.
+of radii is accepted exactly when each of its elements would be, and a
+rejected one names its first bad element as a scalar triple would.
 
 ``cli._read_config_file`` parses ``key = value`` lines with ``#`` comments
 and blank lines, and rejects any other non-blank line with its line number.
@@ -131,6 +132,32 @@ def test_chord_array_rejects_non_finite_and_two_dimensional(rx, ry, thetas, bad,
     chords[at] = bad
     with pytest.raises(DomainError):
         KernelTriple(rx, ry, chords)
+
+
+def _message(*lengths) -> str:
+    try:
+        KernelTriple(*lengths)
+    except DomainError as exc:
+        return str(exc)
+    return "accepted"
+
+
+# Lengths that pass, fail one rule, or sit near the triangle's edges.
+lengths = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([0.0, 0.5, 1.0, 1.5, 2.0, 3.0, 1.0 + 2e-9, 3.0 - 4e-9]),
+)
+
+
+@property_settings
+@given(rx=lengths, ry=lengths, rxy=lengths)
+def test_scalar_and_one_entry_array_triples_give_the_same_message(rx, ry, rxy):
+    # A scalar triple is the 0-d case of the array rules, so it fails, or
+    # passes, as its one-entry array does: a 1-D chord array for scalar
+    # radii, and a batch of one pair.
+    expected = _message(rx, ry, rxy)
+    assert _message(rx, ry, np.array([rxy])) == expected
+    assert _message(np.array([rx]), np.array([ry]), np.array([rxy])) == expected
 
 
 # ---------------------------------------------------------------------------

@@ -50,6 +50,42 @@ def test_report_rejects_bad_fields():
         VerificationReport("x", {}, 2.0, 1.0, "pass", 1)
 
 
+def _json_native(obj) -> bool:
+    """True when obj is built of dicts with str keys, lists, tuples, str,
+    int, float, bool and None only, with no subclass such as np.float64."""
+    if type(obj) is dict:
+        return all(type(k) is str and _json_native(v) for k, v in obj.items())
+    if type(obj) in (list, tuple):
+        return all(_json_native(v) for v in obj)
+    return type(obj) in (str, int, float, bool, type(None))
+
+
+def test_every_report_holds_only_json_native_values(params_zero, params_half_critical,
+                                                    small_grid):
+    # The CLI writes report.to_dict() with json.dumps as it is, so no numpy
+    # scalar may reach it from any check.
+    potential = PotentialSpec(lambda r: 0.5 * params_half_critical.a * r**-1.0,
+                              params_half_critical.a, 0.5 * params_half_critical.a)
+    _, _, sweep_reports = sweep_by_power(params_half_critical, [0.5, 1.0],
+                                         TestFamily("gaussian-dilates"), small_grid)
+    reports = [
+        riesz_equivalence_check(params_half_critical, 0.5, n_triples=20),
+        *heat_sandwich_by_time(params_half_critical, [1.0, 10.0], sample_pairs=20,
+                               grid=small_grid),
+        difference_envelope_check(params_zero, [1.0], 20, grid=small_grid),
+        difference_envelope_check(params_half_critical, [1e-9, 1.0], 20, grid=small_grid),
+        difference_envelope_check(params_half_critical, [1.0], 20, potential=potential,
+                                  grid=small_grid),
+        *sweep_reports,
+        generalized_hardy_constant(params_half_critical, 1.0, n_refinements=1, grid_n=128),
+        reverse_hardy_constant(params_half_critical, 0.5, n_refinements=1, grid_n=128),
+        reverse_hardy_constant(params_half_critical, 2.0, n_refinements=1, grid_n=128),
+        reverse_hardy_constant(params_zero, 0.5, n_refinements=1, grid_n=128),
+    ]
+    for report in reports:
+        assert _json_native(report.to_dict()), report
+
+
 # ---------------------------------------------------------------------------
 # test families
 
